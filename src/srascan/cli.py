@@ -12,6 +12,7 @@ scan; flags given on the command line still win.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
 import ipaddress
@@ -125,53 +126,47 @@ def _open_out(path):
 
 
 def cmd_gen_targets(args) -> int:
+    if args.max_targets is not None and args.max_targets < 0:
+        raise CliError("--max-targets must be >= 0")
     cfg = target_gen.GenerationConfig(
         route6_samples_per_prefix=args.samples_per_prefix,
         rng_seed=args.seed,
-        max_targets=args.max_targets,
     )
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
         try:
-            addresses = list(target_gen.read_hitlist_file(_read_lines(args.hitlist)))
+            source = list(target_gen.read_hitlist_file(_read_lines(args.hitlist)))
         except ValueError as exc:
             raise CliError(f"{args.hitlist}: {exc}") from None
-        if args.count_only:
-            print(target_gen.count_hitlist(addresses))
-            return 0
-        stream = target_gen.gen_from_hitlist(addresses)
+        gen, count = target_gen.gen_from_hitlist, target_gen.count_hitlist
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        prefixes = _load_prefixes(args.prefixes)
+        source = _load_prefixes(args.prefixes)
         if args.mode == "route6":
-            if args.count_only:
-                print(target_gen.count_route6(prefixes, cfg))
-                return 0
-            stream = target_gen.gen_route6(prefixes, cfg)
-        elif args.stage == "all":
-            if args.count_only:
-                counts = target_gen.count_bgp_all(prefixes)
-                print(json.dumps(counts, indent=2))
-                return 0
-            stream = target_gen.gen_bgp_all(prefixes)
+            gen = functools.partial(target_gen.gen_route6, cfg=cfg)
+            count = functools.partial(target_gen.count_route6, cfg=cfg)
         else:
-            stage_gen = {
-                "1": target_gen.gen_stage1,
-                "2": target_gen.gen_stage2,
-                "3": target_gen.gen_stage3,
+            gen, count = {
+                "1": (target_gen.gen_stage1, target_gen.count_stage1),
+                "2": (target_gen.gen_stage2, target_gen.count_stage2),
+                "3": (target_gen.gen_stage3, target_gen.count_stage3),
+                "all": (target_gen.gen_bgp_all, target_gen.count_bgp_all),
             }[args.stage]
-            if args.count_only:
-                if args.stage == "2":
-                    print(target_gen.count_stage2(prefixes))
-                elif args.stage == "3":
-                    print(target_gen.count_stage3(prefixes))
-                else:
-                    print(sum(1 for _ in target_gen.gen_stage1(prefixes)))
-                return 0
-            stream = stage_gen(prefixes)
 
+    if args.count_only:
+        counts = count(source)  # a number, or a per-stage dict for --stage all
+        if args.max_targets is not None:
+            if isinstance(counts, dict):
+                total = counts["deduplicated_total"]
+                counts["deduplicated_total"] = min(total, args.max_targets)
+            else:
+                counts = min(counts, args.max_targets)
+        print(json.dumps(counts, indent=2))
+        return 0
+
+    stream = gen(source)
     if args.max_targets is not None:
         stream = itertools.islice(stream, args.max_targets)
     out, close = _open_out(args.output)
@@ -209,6 +204,12 @@ def _pass_path(base: str, index: int, passes: int) -> str:
     return str(p.with_name(f"{p.stem}.pass{index}{p.suffix}"))
 
 
+def _manifest_entry(path, manifest) -> dict:
+    """Digest of `path`, recorded relative to the manifest's directory."""
+    relative = os.path.relpath(path, os.path.dirname(os.path.abspath(manifest)))
+    return {"path": relative, "sha256": _sha256_file(path)}
+
+
 def cmd_scan(args) -> int:
     if args.rate <= 0:
         raise CliError("rate must be positive")
@@ -219,10 +220,11 @@ def cmd_scan(args) -> int:
     if args.exclude:
         excluded = _load_prefixes(args.exclude)
         input_paths.append(args.exclude)
+        ranges = target_gen._IntervalSet()
+        for p in excluded:
+            ranges.add(p.bits, p.bits + (1 << (128 - p.length)))
         before = len(targets)
-        targets = [
-            t for t in targets if not any(p.covers_address(t) for p in excluded)
-        ]
+        targets = [t for t in targets if not ranges.covers(t)]
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
     secret = _resolve_secret(args)
 
@@ -302,8 +304,8 @@ def cmd_scan(args) -> int:
                 "source": str(ipaddress.IPv6Address(source)),
                 "secret_sha256": _secret_digest(secret),
             },
-            "inputs": [{"path": p, "sha256": _sha256_file(p)} for p in input_paths],
-            "outputs": [{"path": p, "sha256": _sha256_file(p)} for p in outputs],
+            "inputs": [_manifest_entry(p, args.manifest) for p in input_paths],
+            "outputs": [_manifest_entry(p, args.manifest) for p in outputs],
         }
         with open(args.manifest, "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -355,8 +357,7 @@ def _load_replies(path) -> list:
     return records
 
 
-def _matched(args, path):
-    targets = _load_targets(args.targets)
+def _matched(targets, path):
     return analysis.match_replies(targets, _load_replies(path))
 
 
@@ -372,11 +373,13 @@ def cmd_analyze(args) -> int:
             raise CliError(f"{args.action} needs --targets FILE")
     if args.action == "loops" and len(args.replies) != 1:
         raise CliError("loops reads exactly one reply file")
+    if args.action != "compare":
+        targets = _load_targets(args.targets)
 
     if args.action == "summarize":
         summaries = {}
         for path in args.replies:
-            summaries[Path(path).name] = analysis.summarize_scan(_matched(args, path))
+            summaries[Path(path).name] = analysis.summarize_scan(_matched(targets, path))
         print(
             json.dumps(
                 {name: vars(s) for name, s in summaries.items()}, indent=2
@@ -387,8 +390,9 @@ def cmd_analyze(args) -> int:
 
     elif args.action == "visibility":
         per_scan = []
+        aliased = _aliased(args)
         for index, path in enumerate(args.replies):
-            obs = analysis.alias_filter(_matched(args, path), _aliased(args), index)
+            obs = analysis.alias_filter(_matched(targets, path), aliased, index)
             per_scan.append({o.router_ip for o in obs})
         try:
             report = analysis.visibility(analysis.build_visibility_matrix(per_scan))
@@ -410,8 +414,9 @@ def cmd_analyze(args) -> int:
             analysis.write_visibility_csv(report, args.csv)
 
     elif args.action == "stability":
+        aliased = _aliased(args)
         scans = [
-            analysis.stability_mapping(_matched(args, path), _aliased(args))
+            analysis.stability_mapping(_matched(targets, path), aliased)
             for path in args.replies
         ]
         try:
@@ -425,7 +430,7 @@ def cmd_analyze(args) -> int:
     elif args.action == "loops":
         (path,) = args.replies
         report = analysis.detect_loops(
-            _matched(args, path),
+            _matched(targets, path),
             subnet_length=args.subnet_length,
             min_time_exceeded=args.min_time_exceeded,
         )

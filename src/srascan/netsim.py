@@ -99,7 +99,6 @@ class SimTopology:
     routers: list[SimRouter]
     entry_router: str
     aliased_prefixes: list[Ipv6Prefix] = field(default_factory=list)
-    rng_seed: int = 0
     max_events: int = DEFAULT_MAX_EVENTS
 
     def __post_init__(self):
@@ -442,7 +441,6 @@ def topology_to_dict(topology: SimTopology) -> dict:
     return {
         "version": TOPOLOGY_FORMAT_VERSION,
         "entry_router": topology.entry_router,
-        "seed": topology.rng_seed,
         "max_events": topology.max_events,
         "aliased_prefixes": [str(p) for p in topology.aliased_prefixes],
         "routers": [
@@ -497,7 +495,6 @@ def topology_from_dict(data: dict) -> SimTopology:
         routers=routers,
         entry_router=data["entry_router"],
         aliased_prefixes=[parse_prefix(s) for s in data.get("aliased_prefixes", [])],
-        rng_seed=data.get("seed", 0),
         max_events=data.get("max_events", DEFAULT_MAX_EVENTS),
     )
 
@@ -588,7 +585,6 @@ def build_gateway_fanout(
         routers=[gateway] + leaves,
         entry_router="gw",
         aliased_prefixes=aliased_prefixes,
-        rng_seed=seed,
     )
     meta = {
         "active_prefixes": active_prefixes,

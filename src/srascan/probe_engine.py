@@ -96,21 +96,6 @@ ERROR_KINDS = frozenset(
 
 
 @dataclass(frozen=True)
-class EchoProbe:
-    """One crafted probe: target plus the wire-level echo fields."""
-
-    target: ProbeTarget | int
-    identifier: int
-    sequence: int
-    payload: bytes
-
-    @property
-    def address(self) -> int:
-        t = self.target
-        return t.address if isinstance(t, ProbeTarget) else int(t)
-
-
-@dataclass(frozen=True)
 class ReplyRecord:
     kind: ReplyKind
     icmp_type: int
@@ -215,24 +200,16 @@ def build_ipv6_icmp(src: int, dst: int, hop_limit: int, icmp: bytes) -> bytes:
     return header + icmp
 
 
-def make_probe(target: ProbeTarget | int, cfg: ProbeConfig) -> EchoProbe:
-    address = target.address if isinstance(target, ProbeTarget) else int(target)
-    return EchoProbe(
-        target=target,
-        identifier=cfg.scan_pass,
-        sequence=cfg.shard,
-        payload=encode_payload(address, cfg.secret),
-    )
-
-
 def build_echo_request(target: ProbeTarget | int, cfg: ProbeConfig) -> bytes:
-    """Full IPv6 packet for one probe, checksummed and ready to send."""
-    probe = make_probe(target, cfg)
-    icmp = (
-        struct.pack("!BBHHH", ICMP6_ECHO_REQUEST, 0, 0, probe.identifier, probe.sequence)
-        + probe.payload
-    )
-    return build_ipv6_icmp(cfg.source_address, probe.address, cfg.hop_limit, icmp)
+    """Full IPv6 packet for one probe, checksummed and ready to send.
+
+    The ICMP identifier carries cfg.scan_pass and the sequence cfg.shard.
+    """
+    address = target.address if isinstance(target, ProbeTarget) else int(target)
+    icmp = struct.pack(
+        "!BBHHH", ICMP6_ECHO_REQUEST, 0, 0, cfg.scan_pass, cfg.shard
+    ) + encode_payload(address, cfg.secret)
+    return build_ipv6_icmp(cfg.source_address, address, cfg.hop_limit, icmp)
 
 
 def parse_ipv6(packet: bytes) -> tuple[int, int, int, int, bytes] | None:
@@ -357,13 +334,13 @@ def run_scan(
 
     One sender and one receiver run concurrently; no per-target state is
     kept.  Reception continues for cfg.cooldown after the last send.  If the
-    transport fails, replies received so far are still yielded, then
-    TransportError is raised.
+    transport fails to send or to receive, replies received so far are still
+    yielded, then TransportError is raised.
     """
     records: queue.SimpleQueue = queue.SimpleQueue()
     send_done = threading.Event()
     abort = threading.Event()
-    sender_error: list[BaseException] = []
+    errors: list[BaseException] = []
 
     def sender():
         pacer = _Pacer(cfg.send_rate, clock, sleep)
@@ -374,7 +351,7 @@ def run_scan(
                 pacer.wait()
                 transport.send(build_echo_request(target, cfg))
         except BaseException as exc:  # noqa: BLE001 - re-raised in the consumer
-            sender_error.append(exc)
+            errors.append(exc)
         finally:
             send_done.set()
 
@@ -398,6 +375,8 @@ def run_scan(
                 rec = classify_icmp(data, cfg.secret, timestamp=ts)
                 if rec is not None:
                     records.put(rec)
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the consumer
+            errors.append(exc)
         finally:
             records.put(_DONE)
 
@@ -415,8 +394,8 @@ def run_scan(
         abort.set()
         send_thread.join()
         recv_thread.join()
-    if sender_error:
-        raise TransportError("transport failed mid-scan") from sender_error[0]
+    if errors:
+        raise TransportError("transport failed mid-scan") from errors[0]
 
 
 class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network

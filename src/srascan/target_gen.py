@@ -20,7 +20,7 @@ import ipaddress
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 MAX128 = (1 << 128) - 1
 
@@ -134,15 +134,12 @@ class ProbeTarget:
 class GenerationConfig:
     route6_samples_per_prefix: int = 10_000
     rng_seed: int = 0
-    max_targets: int | None = None
 
     def __post_init__(self):
         if self.route6_samples_per_prefix < 1:
             raise ValueError("route6_samples_per_prefix must be >= 1")
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
-        if self.max_targets is not None and self.max_targets < 0:
-            raise ValueError("max_targets must be >= 0")
 
 
 def parse_prefix(text: str) -> Ipv6Prefix:
@@ -170,11 +167,6 @@ def parse_address(text: str) -> int:
     if "/" in text:
         raise ValueError(f"expected a bare address, got {text!r}")
     return int(ipaddress.IPv6Address(text))
-
-
-def sra_address(prefix: Ipv6Prefix) -> int:
-    """Subnet-router anycast address of a prefix (host bits all zero)."""
-    return prefix.sra
 
 
 class _IntervalSet:
@@ -226,9 +218,6 @@ class _IntervalSet:
         i += 1
         return i < len(self._starts) and self._starts[i] < end
 
-    def total(self) -> int:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
-
 
 def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
     seen = set()
@@ -241,6 +230,51 @@ def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
     return out
 
 
+# A plan is an ordered iterable of (origin, stage, indices) entries.  `indices`
+# is a sized iterable of subnet indices at the stage's subnet length (a range
+# for the grid stages).  Each gen_* walks its plan and each count_* sums the
+# entry lengths of the same plan, so a count equals its stream's length.
+_PlanEntry = tuple[Ipv6Prefix, Stage, Collection[int]]
+
+
+def _walk(plan: Iterable[_PlanEntry]) -> Iterator[ProbeTarget]:
+    for origin, stage, indices in plan:
+        shift = 128 - (_STAGE_SUBNET_LEN[stage] or origin.length)
+        for idx in indices:
+            yield ProbeTarget(idx << shift, origin, stage)
+
+
+def _size(plan: Iterable[_PlanEntry]) -> int:
+    return sum(len(indices) for _, _, indices in plan)
+
+
+def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
+    """Split range entries so that none contains an index in sorted `points`."""
+    out = []
+    for origin, stage, indices in plan:
+        start, stop = indices.start, indices.stop
+        i = bisect.bisect_left(points, start)
+        while i < len(points) and points[i] < stop:
+            if points[i] > start:
+                out.append((origin, stage, range(start, points[i])))
+            start = points[i] + 1
+            i += 1
+        if start < stop:
+            out.append((origin, stage, range(start, stop)))
+    return out
+
+
+def _stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
+    """One entry per distinct SRA address; the first prefix that has it wins."""
+    seen: set[int] = set()
+    for p in prefixes:
+        sra = p.sra
+        if sra not in seen:
+            seen.add(sra)
+            idx = sra >> (128 - p.length)
+            yield p, Stage.BGP_AS_ANNOUNCED, range(idx, idx + 1)
+
+
 def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     """SRA address of every announced prefix, as announced.
 
@@ -248,22 +282,21 @@ def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     share an SRA address (a /32 and its first /48) collapse to the first
     occurrence, so the stream never repeats an address.
     """
-    seen: set[int] = set()
-    for p in prefixes:
-        if p.sra not in seen:
-            seen.add(p.sra)
-            yield ProbeTarget(p.sra, p, Stage.BGP_AS_ANNOUNCED)
+    yield from _walk(_stage1_plan(prefixes))
 
 
-def _stage2_plan(
-    prefixes: Sequence[Ipv6Prefix],
-) -> tuple[list[tuple[Ipv6Prefix, int, int]], _IntervalSet]:
-    """Work list for the /48 partition: (origin, start, end) index ranges.
+def count_stage1(prefixes: Iterable[Ipv6Prefix]) -> int:
+    """Exact size of the gen_stage1 stream."""
+    return _size(_stage1_plan(prefixes))
 
-    Ranges follow input order and are already deduplicated.  A prefix longer
-    than /48 contributes its /48 supernet only when no announcement of
-    length <= 48 covers that /48.
+
+def _stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+    """Deduplicated /48 index ranges, in input order.
+
+    A prefix longer than /48 contributes its /48 supernet only when no
+    announcement of length <= 48 covers that /48.
     """
+    prefixes = _dedup_prefixes(prefixes)
     covered_le48 = _IntervalSet()
     for p in prefixes:
         if p.length <= 48:
@@ -272,18 +305,14 @@ def _stage2_plan(
     emitted = _IntervalSet()
     plan = []
     for p in prefixes:
-        if p.length <= 48:
-            start = p.subnet_index(48)
-            for s, e in emitted.add(start, start + p.subnet_count(48)):
-                plan.append((p, s, e))
-        else:
-            sup = p.supernet(48)
-            idx = sup.subnet_index(48)
-            if covered_le48.covers(idx):
+        if p.length > 48:
+            p = p.supernet(48)
+            if covered_le48.covers(p.subnet_index(48)):
                 continue
-            for s, e in emitted.add(idx, idx + 1):
-                plan.append((p, s, e))
-    return plan, emitted
+        start = p.subnet_index(48)
+        for s, e in emitted.add(start, start + p.subnet_count(48)):
+            plan.append((p, Stage.BGP_48, range(s, e)))
+    return plan
 
 
 def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
@@ -295,25 +324,21 @@ def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     which case it yields nothing.  Overlaps are deduplicated at the target
     level, so nested announcements emit the union of their /48s exactly once.
     """
-    plan, _ = _stage2_plan(_dedup_prefixes(prefixes))
-    for origin, start, end in plan:
-        if origin.length > 48:
-            sup = origin.supernet(48)
-            for idx in range(start, end):
-                yield ProbeTarget(idx << 80, sup, Stage.BGP_48)
-        else:
-            for idx in range(start, end):
-                yield ProbeTarget(idx << 80, origin, Stage.BGP_48)
+    yield from _walk(_stage2_plan(prefixes))
 
 
 def count_stage2(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage2 stream, without enumerating it."""
-    _, emitted = _stage2_plan(_dedup_prefixes(prefixes))
-    return emitted.total()
+    return _size(_stage2_plan(prefixes))
 
 
-def _stage3_distinct(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
-    return [p for p in _dedup_prefixes(prefixes) if p.length == 48]
+def _stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+    plan = []
+    for p in _dedup_prefixes(prefixes):
+        if p.length == 48:
+            base = p.subnet_index(64)
+            plan.append((p, Stage.BGP_64, range(base, base + (1 << 16))))
+    return plan
 
 
 def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
@@ -323,15 +348,12 @@ def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     explode combinatorially and anything longer is already more specific
     than the /64 grain this stage probes.
     """
-    for p in _stage3_distinct(prefixes):
-        base = p.subnet_index(64)
-        for idx in range(base, base + (1 << 16)):
-            yield ProbeTarget(idx << 64, p, Stage.BGP_64)
+    yield from _walk(_stage3_plan(prefixes))
 
 
 def count_stage3(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage3 stream: 2^16 per distinct /48 input."""
-    return len(_stage3_distinct(prefixes)) << 16
+    return _size(_stage3_plan(prefixes))
 
 
 def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
@@ -370,13 +392,53 @@ def _route6_contested(prefixes: Sequence[Ipv6Prefix]) -> _IntervalSet:
     return contested
 
 
-def _route6_indices(prefix: Ipv6Prefix, cfg: GenerationConfig) -> list[int]:
-    """Sampled /64 indices for one prefix (absolute, deterministic order)."""
-    base = prefix.subnet_index(64)
-    space = prefix.subnet_count(64)
-    k = min(cfg.route6_samples_per_prefix, space)
-    rng = _prefix_rng(cfg.rng_seed, prefix)
-    return [base + off for off in rng.sample(range(space), k)]
+class _Route6Samples:
+    """min(k, 2^(64-L)) sampled /64 indices of a prefix, less those in `skip`.
+
+    The size is known without sampling; the samples are drawn, in a
+    deterministic order, only when the entry is iterated.
+    """
+
+    def __init__(self, prefix: Ipv6Prefix, cfg: GenerationConfig):
+        self.prefix, self.cfg, self.skip = prefix, cfg, set()
+        self.size = min(cfg.route6_samples_per_prefix, prefix.subnet_count(64))
+
+    def draw(self) -> list[int]:
+        base, space = self.prefix.subnet_index(64), self.prefix.subnet_count(64)
+        rng = _prefix_rng(self.cfg.rng_seed, self.prefix)
+        return [base + off for off in rng.sample(range(space), self.size)]
+
+    def __len__(self) -> int:
+        return self.size - len(self.skip)
+
+    def __iter__(self) -> Iterator[int]:
+        return (idx for idx in self.draw() if idx not in self.skip)
+
+
+def _route6_plan(
+    prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig
+) -> list[_PlanEntry]:
+    """One lazy sample entry per distinct prefix.
+
+    Only a prefix that touches a contested region is sampled while planning,
+    to find the indices an earlier prefix already drew; those are skipped.
+    """
+    deduped = _dedup_prefixes(prefixes)
+    contested = _route6_contested(deduped)
+    seen_contested: set[int] = set()
+    plan = []
+    for p in deduped:
+        origin = p if p.length <= 64 else p.supernet(64)
+        samples = _Route6Samples(origin, cfg)
+        base = origin.subnet_index(64)
+        if contested.overlaps(base, base + origin.subnet_count(64)):
+            for idx in samples.draw():
+                if contested.covers(idx):
+                    if idx in seen_contested:
+                        samples.skip.add(idx)
+                    seen_contested.add(idx)
+        plan.append((origin, Stage.ROUTE6_RANDOM_64, samples))
+    return plan
 
 
 def gen_route6(
@@ -390,68 +452,53 @@ def gen_route6(
     SRA of their /64 supernet.  When inputs overlap, an address sampled for
     two prefixes is emitted only for the first: the stream never repeats.
     """
-    deduped = _dedup_prefixes(prefixes)
-    contested = _route6_contested(deduped)
-    seen_contested: set[int] = set()
-    for p in deduped:
-        if p.length <= 64:
-            indices = _route6_indices(p, cfg)
-            origin = p
-        else:
-            origin = p.supernet(64)
-            indices = [origin.subnet_index(64)]
-        for idx in indices:
-            if contested.covers(idx):
-                if idx in seen_contested:
-                    continue
-                seen_contested.add(idx)
-            yield ProbeTarget(idx << 64, origin, Stage.ROUTE6_RANDOM_64)
+    yield from _walk(_route6_plan(prefixes, cfg))
 
 
 def count_route6(prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig) -> int:
     """Exact size of the gen_route6 stream.
 
     Pure arithmetic for prefixes that do not overlap any other input; only
-    prefixes touching a contested region re-run their sampler to count
-    cross-prefix duplicates.
+    prefixes touching a contested region run their sampler.
     """
-    deduped = _dedup_prefixes(prefixes)
-    contested = _route6_contested(deduped)
-    seen_contested: set[int] = set()
-    total = 0
-    for p in deduped:
-        if p.length <= 64:
-            base = p.subnet_index(64)
-            space = p.subnet_count(64)
-            if not contested.overlaps(base, base + space):
-                total += min(cfg.route6_samples_per_prefix, space)
-                continue
-            indices = _route6_indices(p, cfg)
-        else:
-            indices = [p.supernet(64).subnet_index(64)]
-        for idx in indices:
-            if contested.covers(idx):
-                if idx in seen_contested:
-                    continue
-                seen_contested.add(idx)
-            total += 1
-    return total
+    return _size(_route6_plan(prefixes, cfg))
+
+
+def _hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
+    seen: set[int] = set()
+    for addr in addresses:
+        idx = addr >> 64
+        if idx not in seen:
+            seen.add(idx)
+            yield Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64, range(idx, idx + 1)
 
 
 def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[ProbeTarget]:
     """Mask active host addresses to their /64 and emit each SRA once."""
-    seen: set[int] = set()
-    for addr in addresses:
-        idx = addr >> 64
-        if idx in seen:
-            continue
-        seen.add(idx)
-        yield ProbeTarget(idx << 64, Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64)
+    yield from _walk(_hitlist_plan(addresses))
 
 
 def count_hitlist(addresses: Iterable[int]) -> int:
     """Number of distinct /64s in a hitlist."""
-    return len({addr >> 64 for addr in addresses})
+    return _size(_hitlist_plan(addresses))
+
+
+def _bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+    """Stage 1, 2 and 3 plans, with the stage-1 SRAs cut from the later ranges.
+
+    No stage-2 address falls in a stage-3 range except the base of an exact
+    /48 announcement, and that is the announcement's own stage-1 SRA.
+    """
+    prefixes = _dedup_prefixes(prefixes)
+    stage1 = list(_stage1_plan(prefixes))
+    sras = [origin.sra for origin, _, _ in stage1]
+    cut48 = sorted({a >> 80 for a in sras if not a & ((1 << 80) - 1)})
+    cut64 = sorted({a >> 64 for a in sras if not a & ((1 << 64) - 1)})
+    return (
+        stage1
+        + _cut(_stage2_plan(prefixes), cut48)
+        + _cut(_stage3_plan(prefixes), cut64)
+    )
 
 
 def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
@@ -460,65 +507,17 @@ def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     Priority follows emission order: an address produced by an earlier stage
     suppresses the same address from a later one.
     """
-    prefixes = _dedup_prefixes(prefixes)
-    stage1_addrs: set[int] = set()
-    for t in gen_stage1(prefixes):
-        stage1_addrs.add(t.address)
-        yield t
-    plan, emitted48 = _stage2_plan(prefixes)
-    for origin, start, end in plan:
-        origin48 = origin.supernet(48) if origin.length > 48 else origin
-        for idx in range(start, end):
-            addr = idx << 80
-            if addr in stage1_addrs:
-                continue
-            yield ProbeTarget(addr, origin48, Stage.BGP_48)
-    for p in _stage3_distinct(prefixes):
-        base = p.subnet_index(64)
-        for idx in range(base, base + (1 << 16)):
-            addr = idx << 64
-            if addr in stage1_addrs:
-                continue
-            if idx & 0xFFFF == 0 and emitted48.covers(idx >> 16):
-                continue
-            yield ProbeTarget(addr, p, Stage.BGP_64)
+    yield from _walk(_bgp_all_plan(prefixes))
 
 
 def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
     """Per-stage counts plus the deduplicated total for stages 1-3 combined."""
     prefixes = _dedup_prefixes(prefixes)
-    stage1_addrs = {t.address for t in gen_stage1(prefixes)}
-    plan, emitted48 = _stage2_plan(prefixes)
-    c1 = len(stage1_addrs)
-    c2 = emitted48.total()
-    stage3_48s = _stage3_distinct(prefixes)
-    c3 = len(stage3_48s) << 16
-    s1_in_s2 = sum(
-        1
-        for a in stage1_addrs
-        if a & ((1 << 80) - 1) == 0 and emitted48.covers(a >> 80)
-    )
-    stage3_set = {p.subnet_index(48) for p in stage3_48s}
-    s1_in_s3 = sum(
-        1
-        for a in stage1_addrs
-        if a & ((1 << 64) - 1) == 0 and (a >> 64) >> 16 in stage3_set
-    )
-    s2_in_s3 = sum(1 for idx48 in stage3_set if emitted48.covers(idx48))
-    s1_in_both = sum(
-        1
-        for a in stage1_addrs
-        if a & ((1 << 64) - 1) == 0
-        and (a >> 64) & 0xFFFF == 0
-        and (a >> 80) in stage3_set
-        and emitted48.covers(a >> 80)
-    )
-    dedup = c1 + (c2 - s1_in_s2) + (c3 - (s1_in_s3 + s2_in_s3 - s1_in_both))
     return {
-        "stage1": c1,
-        "stage2": c2,
-        "stage3": c3,
-        "deduplicated_total": dedup,
+        "stage1": count_stage1(prefixes),
+        "stage2": count_stage2(prefixes),
+        "stage3": count_stage3(prefixes),
+        "deduplicated_total": _size(_bgp_all_plan(prefixes)),
     }
 
 

@@ -1,6 +1,7 @@
 """Command line behavior, exercised through main() with real files."""
 
 import hashlib
+import ipaddress
 import json
 
 import pytest
@@ -76,6 +77,47 @@ class TestGenTargets:
             "--prefixes", str(demo / "demo_subnets.txt"),
         )
         assert capsys.readouterr().out.strip() == str(4 * 65536)
+
+    @pytest.mark.parametrize("max_targets", [None, 0, 3, 10**9])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--mode", "bgp", "--stage", "1"],
+            ["--mode", "bgp", "--stage", "2"],
+            ["--mode", "bgp", "--stage", "3"],
+            ["--mode", "bgp", "--stage", "all"],
+            ["--mode", "route6", "--samples-per-prefix", "7", "--seed", "3"],
+            ["--mode", "hitlist"],
+        ],
+        ids=["bgp1", "bgp2", "bgp3", "bgpall", "route6", "hitlist"],
+    )
+    def test_count_only_equals_lines_written(self, tmp_path, capsys, mode, max_targets):
+        # nested, overlapping and repeated announcements, one exact /48
+        prefixes = write(
+            tmp_path, "p.txt",
+            "2001:db8::/47\n2001:db8:1::/48\n2001:db8:1:200::/56\n"
+            "2001:db8:1::/48\n2001:db8:0:10::/62\n2001:db8:1:2:8000::/66\n",
+        )
+        hitlist = write(
+            tmp_path, "h.txt", "2001:db8:1:2::1\n2001:db8:1:2::2\n2001:db8:1:3::1\n",
+        )
+        argv = ["gen-targets", *mode, "--prefixes", prefixes, "--hitlist", hitlist]
+        if max_targets is not None:
+            argv += ["--max-targets", str(max_targets)]
+        out = tmp_path / "targets.txt"
+        assert run(*argv, "-o", str(out)) == 0
+        assert run(*argv, "--count-only") == 0
+        counted = json.loads(capsys.readouterr().out)
+        if isinstance(counted, dict):
+            counted = counted["deduplicated_total"]
+        assert counted == len(out.read_text().splitlines())
+
+    def test_negative_max_targets_is_refused(self, demo, capsys):
+        assert run(
+            "gen-targets", "--mode", "bgp", "--prefixes", str(demo / "demo_subnets.txt"),
+            "--max-targets", "-1",
+        ) == 2
+        assert "--max-targets" in capsys.readouterr().err
 
     def test_route6_sampling_respects_seed_and_count(self, tmp_path, capsys):
         prefixes = write(tmp_path, "p.txt", "2001:db8::/60\n")
@@ -164,6 +206,36 @@ class TestScan:
         assert "excluded 4 of 4" in err
         assert (demo / "none.ndjson").read_text() == ""
 
+    def test_nested_and_overlapping_exclusions(self, demo, capsys):
+        targets = [
+            "2001:db8:100::", "2001:db8:100:1::", "2001:db8:1ff:ffff::",
+            "2001:db8:200::", "2001:db8:280::", "2001:db8:2ff:ffff::",
+            "2001:db8:300::", "2001:db8:300:8000::", "2001:db8:400::",
+        ]
+        excluded = [
+            "2001:db8:100::/40",    # holds the next two
+            "2001:db8:100::/48",
+            "2001:db8:180::/41",
+            "2001:db8:280::/41",    # overlaps the next one
+            "2001:db8:280::/44",
+            "2001:db8:300:8000::/49",
+            "2001:db8:300:8000::/64",
+        ]
+        nets = [ipaddress.IPv6Network(p) for p in excluded]
+        kept = [t for t in targets if not any(ipaddress.IPv6Address(t) in n for n in nets)]
+        target_file = write(demo, "t.txt", "".join(t + "\n" for t in targets))
+        exclude = write(demo, "exclude.txt", "".join(p + "\n" for p in excluded))
+        assert run(
+            "scan", "--targets", target_file, "--exclude", exclude,
+            "--sim-topology", str(demo / "demo_topology.json"), "--rate", "1000",
+            "-o", str(demo / "r.ndjson"),
+        ) == 0
+        assert f"excluded {len(targets) - len(kept)} of {len(targets)}" in capsys.readouterr().err
+        replies = [json.loads(l) for l in (demo / "r.ndjson").read_text().splitlines()]
+        probed = {r["embedded_target"] for r in replies} - {None}
+        assert probed <= set(kept)
+        assert "2001:db8:400::" in probed
+
     def test_live_mode_requires_explicit_consent(self, demo, capsys):
         argv = self.scan_args(demo, "x.ndjson")
         argv[argv.index("--sim-topology")] = "--interface"
@@ -181,7 +253,9 @@ class TestScan:
         want = hashlib.sha256((0x42).to_bytes(8, "big")).hexdigest()
         assert manifest["config"]["secret_sha256"] == want
         assert "0x42" not in manifest_path.read_text()
-        assert {e["path"] for e in manifest["outputs"]} == {str(demo / "m.ndjson")}
+        assert {
+            str(manifest_path.parent / e["path"]) for e in manifest["outputs"]
+        } == {str(demo / "m.ndjson")}
 
     def test_manifest_verify_round_trip_and_tamper(self, demo, capsys):
         manifest_path = demo / "run.json"
@@ -192,6 +266,18 @@ class TestScan:
             fh.write("tampered\n")
         assert run("manifest-verify", str(manifest_path)) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def test_manifest_in_a_subdirectory_verifies(self, demo, capsys, monkeypatch):
+        monkeypatch.chdir(demo)
+        argv = self.scan_args(demo, "unused.ndjson")
+        argv[argv.index("-o") + 1] = "out/replies.ndjson"
+        (demo / "out").mkdir()
+        assert run(*argv, "--passes", "2", "--manifest", "out/run.json") == 0
+        capsys.readouterr()
+        assert run("manifest-verify", "out/run.json") == 0
+        assert capsys.readouterr().out.strip() == "ok: 4 files verified"
+        monkeypatch.chdir(demo / "out")
+        assert run("manifest-verify", "run.json") == 0
 
     def test_bad_secret_is_refused(self, demo, capsys):
         assert run(*self.scan_args(demo, "x.ndjson", ["--secret", "banana"])) == 2

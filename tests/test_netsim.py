@@ -332,6 +332,8 @@ class TestTopologyFiles:
         loaded = load_topology(path)
         assert topology_to_dict(loaded) == data
         assert loaded.max_events == DEFAULT_MAX_EVENTS
+        # files written before the unused "seed" key was dropped still load
+        assert topology_to_dict(topology_from_dict({**data, "seed": 5})) == data
 
     def test_unknown_version_is_refused(self):
         data = topology_to_dict(build_loop_topology())

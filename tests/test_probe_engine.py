@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import rfc4443_oracle as oracle
 from srascan.probe_engine import (
     PAYLOAD_LEN,
-    EchoProbe,
     ProbeConfig,
     ReplyKind,
     ReplyRecord,
@@ -28,11 +27,10 @@ from srascan.probe_engine import (
     decode_payload,
     encode_payload,
     icmpv6_checksum,
-    make_probe,
     parse_ipv6,
     run_scan,
 )
-from srascan.target_gen import Stage, parse_prefix
+from srascan.target_gen import ProbeTarget, Stage, parse_prefix
 
 
 def addr(text: str) -> int:
@@ -120,20 +118,13 @@ def test_echo_request_passes_oracle_validation():
     assert decode_payload(payload[8:], 42) == target
 
 
-def test_make_probe_carries_pass_and_shard():
-    t = next(
-        iter(
-            [
-                __import__("srascan.target_gen", fromlist=["ProbeTarget"]).ProbeTarget(
-                    addr("2001:db8:1::"), parse_prefix("2001:db8:1::/48"), Stage.BGP_48
-                )
-            ]
-        )
-    )
-    p = make_probe(t, cfg(scan_pass=9, shard=2, secret=5))
-    assert isinstance(p, EchoProbe)
-    assert (p.identifier, p.sequence) == (9, 2)
-    assert decode_payload(p.payload, 5) == t.address
+def test_echo_request_carries_pass_and_shard():
+    t = ProbeTarget(addr("2001:db8:1::"), parse_prefix("2001:db8:1::/48"), Stage.BGP_48)
+    _, dst, _, _, payload = parse_ipv6(build_echo_request(t, cfg(scan_pass=9, shard=2, secret=5)))
+    assert dst == t.address
+    ident, seq = int.from_bytes(payload[4:6], "big"), int.from_bytes(payload[6:8], "big")
+    assert (ident, seq) == (9, 2)
+    assert decode_payload(payload[8:], 5) == t.address
 
 
 def test_probe_config_validation():
@@ -323,6 +314,17 @@ def test_run_scan_flushes_partials_then_raises_on_transport_failure():
             got.append(rec)
     assert len(transport.sent) == 4
     assert [r.embedded_target for r in got] == targets[:4]
+
+
+def test_run_scan_raises_when_the_receiver_fails():
+    class DeafTransport(ReplyingTransport):
+        def receive(self, timeout):
+            raise OSError("receive socket closed")
+
+    targets = [addr(f"2001:db8:{i:x}::") for i in range(1, 11)]
+    with pytest.raises(TransportError) as info:
+        list(run_scan(targets, DeafTransport(), cfg(send_rate=1e6)))
+    assert isinstance(info.value.__cause__, OSError)
 
 
 def test_run_scan_cooldown_catches_late_replies():

@@ -21,6 +21,7 @@ from srascan.target_gen import (
     count_bgp_all,
     count_hitlist,
     count_route6,
+    count_stage1,
     count_stage2,
     count_stage3,
     gen_bgp_all,
@@ -32,7 +33,6 @@ from srascan.target_gen import (
     parse_address,
     parse_prefix,
     read_prefix_file,
-    sra_address,
     target_line,
     target_record,
 )
@@ -118,7 +118,7 @@ def test_parse_address_rejects_cidr():
 
 
 def test_sra_address_is_prefix_with_zero_host_bits():
-    assert sra_address(P("2001:db8:1::/48")) == addr("2001:db8:1::")
+    assert P("2001:db8:1::/48").sra == addr("2001:db8:1::")
 
 
 @given(bits=st.integers(0, (1 << 128) - 1), length=st.integers(0, 128))
@@ -146,8 +146,6 @@ def test_generation_config_validation():
         GenerationConfig(route6_samples_per_prefix=0)
     with pytest.raises(ValueError):
         GenerationConfig(rng_seed=1 << 64)
-    with pytest.raises(ValueError):
-        GenerationConfig(max_targets=-1)
 
 
 def test_read_prefix_file_reports_line_number():
@@ -392,6 +390,45 @@ def test_bgp_all_counts_match_enumeration(data):
     got = [t.address for t in gen_bgp_all(prefixes)]
     assert len(got) == len(set(got))
     assert count_bgp_all(prefixes)["deduplicated_total"] == len(got)
+
+
+# --- counts against enumeration ---------------------------------------------
+
+
+@st.composite
+def overlapping_prefixes(draw):
+    """Up to six prefixes inside 2001:db8::/46, so nesting and repeats are common."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.sampled_from([46, 47, 48, 52, 56, 60, 62, 63, 64, 66]))
+        bits = addr("2001:db8::") | (draw(st.integers(0, 3)) << 80)
+        bits |= draw(st.integers(0, 3)) << 64 | draw(st.integers(0, 1)) << 62
+        out.append(Ipv6Prefix(bits & ~((1 << (128 - length)) - 1), length))
+    return out
+
+
+_CFG = GenerationConfig(route6_samples_per_prefix=5, rng_seed=9)
+_COUNTED_GENERATORS = {
+    "stage1": (gen_stage1, count_stage1),
+    "stage2": (gen_stage2, count_stage2),
+    "stage3": (gen_stage3, count_stage3),
+    "all": (gen_bgp_all, lambda ps: count_bgp_all(ps)["deduplicated_total"]),
+    "route6": (lambda ps: gen_route6(ps, _CFG), lambda ps: count_route6(ps, _CFG)),
+    "hitlist": (
+        lambda ps: gen_from_hitlist(p.bits | 7 for p in ps),
+        lambda ps: count_hitlist(p.bits | 7 for p in ps),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED_GENERATORS))
+@settings(max_examples=25, deadline=None)
+@given(prefixes=overlapping_prefixes())
+def test_every_count_equals_its_stream_length(name, prefixes):
+    gen, count = _COUNTED_GENERATORS[name]
+    got = [t.address for t in gen(prefixes)]
+    assert len(got) == len(set(got))
+    assert count(prefixes) == len(got)
 
 
 # --- output formats ----------------------------------------------------------
