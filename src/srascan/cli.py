@@ -128,10 +128,13 @@ def _open_out(path):
 def cmd_gen_targets(args) -> int:
     if args.max_targets is not None and args.max_targets < 0:
         raise CliError("--max-targets must be >= 0")
-    cfg = target_gen.GenerationConfig(
-        route6_samples_per_prefix=args.samples_per_prefix,
-        rng_seed=args.seed,
-    )
+    try:
+        cfg = target_gen.GenerationConfig(
+            route6_samples_per_prefix=args.samples_per_prefix,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")

@@ -30,10 +30,11 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .target_gen import Ipv6Prefix, parse_prefix
+from .target_gen import MAX128, Ipv6Prefix, parse_prefix
 from .probe_engine import (
     ICMP6_ECHO_REQUEST,
     build_ipv6_icmp,
@@ -115,6 +116,10 @@ class SimTopology:
                     raise ValueError(
                         f"router {r.id!r}: route to unknown next hop {nh!r}"
                     )
+                if nh == r.id:
+                    raise ValueError(
+                        f"router {r.id!r}: route {route.prefix} points at itself"
+                    )
 
     def router(self, router_id: str) -> SimRouter:
         return next(r for r in self.routers if r.id == router_id)
@@ -169,63 +174,94 @@ class _Pkt:
         return self.raw[:7] + bytes([self.hop_limit]) + self.raw[8:]
 
 
+_MISS = object()
+
+
+class _PrefixMap:
+    """Prefix -> value lookup with one dict per prefix length, longest first."""
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self, entries: Iterable[tuple[Ipv6Prefix, object]]):
+        by_length: dict[int, dict[int, object]] = {}
+        for prefix, value in entries:
+            by_length.setdefault(prefix.length, {})[prefix.bits] = value
+        self._buckets = [
+            (MAX128 ^ ((1 << (128 - length)) - 1), by_length[length])
+            for length in sorted(by_length, reverse=True)
+        ]
+
+    def lookup(self, address: int, default=None):
+        """Value of the longest prefix covering `address`, else `default`."""
+        for mask, bucket in self._buckets:
+            value = bucket.get(address & mask, _MISS)
+            if value is not _MISS:
+                return value
+        return default
+
+
+class _CompiledRouter:
+    """One router's lookups, compiled from its interfaces and routes."""
+
+    __slots__ = ("router", "bucket", "forward", "connected", "sra", "own")
+
+    def __init__(self, router: SimRouter):
+        self.router = router
+        self.bucket = _TokenBucket(router.error_rate, router.error_burst)
+        # Best (length, explicit, action) per prefix: an explicit route beats
+        # a connected subnet of equal length; duplicates keep the max next hop.
+        best: dict[Ipv6Prefix, tuple[int, str]] = {}
+        candidates = [(i.subnet, (0, LOCAL)) for i in router.interfaces]
+        candidates += [(r.prefix, (1, r.next_hop)) for r in router.routes]
+        for prefix, cand in candidates:
+            if prefix not in best or cand > best[prefix]:
+                best[prefix] = cand
+        # DEFAULT resolves through the first /0 route in list order.
+        fallback = next((r.next_hop for r in router.routes if r.prefix.length == 0), None)
+        if fallback == DEFAULT:
+            fallback = None
+        # Forwarding action: router id, LOCAL, or None (no route).
+        self.forward = _PrefixMap(
+            (prefix, fallback if action == DEFAULT else action)
+            for prefix, (_, action) in best.items()
+        )
+        self.connected = _PrefixMap((i.subnet, True) for i in router.interfaces)
+        self.sra = (
+            frozenset(i.subnet.sra for i in router.interfaces)
+            if router.sra_enabled
+            else frozenset()
+        )
+        self.own = frozenset(i.address for i in router.interfaces)
+
+
 class Simulation:
-    """Mutable token-bucket state over an immutable topology."""
+    """Mutable token-bucket state over an immutable topology.
+
+    The lookup tables are a snapshot of the topology taken at construction:
+    edit routers, routes or aliased prefixes before building a Simulation.
+    Each hop then costs one dict lookup per distinct prefix length.
+    """
 
     def __init__(self, topology: SimTopology):
         self.topology = topology
-        self._by_id = {r.id: r for r in topology.routers}
-        self._buckets = {
-            r.id: _TokenBucket(r.error_rate, r.error_burst) for r in topology.routers
-        }
-        self._ingress = self._build_ingress_map()
-
-    def _build_ingress_map(self) -> dict[tuple[str, str], int]:
-        """Interface index a packet from `a` arrives on at `b`: shared subnet."""
-        out = {}
-        for a in self.topology.routers:
-            a_subnets = {(i.subnet.bits, i.subnet.length) for i in a.interfaces}
-            for b in self.topology.routers:
-                if a.id == b.id:
-                    continue
-                idx = 0
-                for n, iface in enumerate(b.interfaces):
-                    if (iface.subnet.bits, iface.subnet.length) in a_subnets:
-                        idx = n
-                        break
-                out[(a.id, b.id)] = idx
-        return out
+        self._routers = {r.id: _CompiledRouter(r) for r in topology.routers}
+        self._aliased = _PrefixMap((p, True) for p in topology.aliased_prefixes)
+        # Interface index a packet from `a` arrives on at `b`: the first
+        # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
+        # are absent and arrive on interface 0.
+        on_subnet: dict[Ipv6Prefix, dict[str, int]] = {}
+        for r in topology.routers:
+            for n, iface in enumerate(r.interfaces):
+                on_subnet.setdefault(iface.subnet, {}).setdefault(r.id, n)
+        self._ingress: dict[tuple[str, str], int] = {}
+        for members in on_subnet.values():
+            for a in members:
+                for b, idx in members.items():
+                    if a != b:
+                        self._ingress[(a, b)] = min(idx, self._ingress.get((a, b), idx))
 
     def token_states(self) -> dict[str, float]:
-        return {rid: round(b.tokens, 9) for rid, b in sorted(self._buckets.items())}
-
-    def _lpm(self, router: SimRouter, dst: int) -> str | None:
-        """Resolved forwarding action: router id, LOCAL, or None (no route)."""
-        best = None  # (length, explicit, action)
-        for iface in router.interfaces:
-            if iface.subnet.covers_address(dst):
-                cand = (iface.subnet.length, 0, LOCAL)
-                if best is None or cand > best:
-                    best = cand
-        for route in router.routes:
-            if route.prefix.covers_address(dst):
-                cand = (route.prefix.length, 1, route.next_hop)
-                if best is None or cand > best:
-                    best = cand
-        if best is None:
-            return None
-        action = best[2]
-        if action == DEFAULT:
-            fallback = next(
-                (r.next_hop for r in router.routes if r.prefix.length == 0), None
-            )
-            if fallback in (None, DEFAULT):
-                return None
-            return fallback
-        return action
-
-    def _aliased(self, dst: int) -> bool:
-        return any(p.covers_address(dst) for p in self.topology.aliased_prefixes)
+        return {rid: round(n.bucket.tokens, 9) for rid, n in sorted(self._routers.items())}
 
     def inject(self, packet: bytes, now: float = 0.0) -> Delivery:
         """Run one Echo Request through the topology at virtual time `now`."""
@@ -244,9 +280,9 @@ class Simulation:
         exceeded = False
         seq = 0
         pkt = _Pkt(src, dst, hop_limit, packet)
-        entry = self.topology.entry_router
+        aliased = self._aliased.lookup(dst, False)
         heap: list[tuple[float, str, int, _Pkt, int]] = []
-        heapq.heappush(heap, (now, entry, seq, pkt, 0))
+        heapq.heappush(heap, (now, self.topology.entry_router, seq, pkt, 0))
 
         def emit_echo(router_id: str, reply_src: int, request: _Pkt):
             icmp = bytes([129, 0, 0, 0]) + request.raw[44:]
@@ -261,17 +297,17 @@ class Simulation:
                 )
             )
 
-        def emit_error(router: SimRouter, icmp_type: int, code: int, request: _Pkt):
-            if not self._buckets[router.id].consume(now):
+        def emit_error(node: _CompiledRouter, icmp_type: int, code: int, request: _Pkt):
+            if not node.bucket.consume(now):
                 return
             quote = request.quote()[:1232]
             icmp = bytes([icmp_type, code, 0, 0]) + bytes(4) + quote
-            reply_src = router.canonical_address
+            reply_src = node.router.canonical_address
             emissions.append(
                 Emission(
                     time=now,
                     packet=build_ipv6_icmp(reply_src, request.src, 64, icmp),
-                    router_id=router.id,
+                    router_id=node.router.id,
                     icmp_type=icmp_type,
                     code=code,
                     source=reply_src,
@@ -284,35 +320,34 @@ class Simulation:
                 break
             _, rid, _, pkt, ingress_idx = heapq.heappop(heap)
             events += 1
-            router = self._by_id[rid]
-            dst = pkt.dst
-            action = self._lpm(router, dst)
-            attached = any(i.subnet.covers_address(dst) for i in router.interfaces)
+            node = self._routers[rid]
+            router = node.router
+            action = node.forward.lookup(dst)
 
-            if self._aliased(dst) and (attached or action == LOCAL):
+            if aliased and (action == LOCAL or node.connected.lookup(dst, False)):
                 emit_echo(rid, dst, pkt)
                 continue
-            if router.sra_enabled and any(i.subnet.sra == dst for i in router.interfaces):
+            if dst in node.sra:
                 if router.sra_source == "ingress":
                     reply_src = router.interfaces[ingress_idx].address
                 else:
                     reply_src = router.canonical_address
                 emit_echo(rid, reply_src, pkt)
                 continue
-            if any(i.address == dst for i in router.interfaces):
+            if dst in node.own:
                 emit_echo(rid, dst, pkt)
                 continue
             if action is None:
-                emit_error(router, 1, 0, pkt)  # no route to destination
+                emit_error(node, 1, 0, pkt)  # no route to destination
                 continue
             if action == LOCAL:
-                emit_error(router, 1, 3, pkt)  # address unreachable
+                emit_error(node, 1, 3, pkt)  # address unreachable
                 continue
             if pkt.hop_limit <= 1:  # would hit zero on this forward
-                emit_error(router, 3, 0, _Pkt(pkt.src, pkt.dst, 0, pkt.raw))
+                emit_error(node, 3, 0, _Pkt(pkt.src, pkt.dst, 0, pkt.raw))
                 continue
             forwarded = _Pkt(pkt.src, pkt.dst, pkt.hop_limit - 1, pkt.raw)
-            next_idx = self._ingress[(rid, action)]
+            next_idx = self._ingress.get((rid, action), 0)
             for _ in range(router.replication_factor):
                 seq += 1
                 heapq.heappush(heap, (now, action, seq, forwarded, next_idx))
@@ -411,7 +446,7 @@ class SimTransport:
         self.clock = start_time
         self.sent_count = 0
         self.budget_hits = 0
-        self._rx: list[tuple[bytes, float]] = []
+        self._rx: deque[tuple[bytes, float]] = deque()
         self._cv = threading.Condition()
 
     def send(self, packet: bytes) -> None:
@@ -430,7 +465,7 @@ class SimTransport:
             if not self._rx:
                 self._cv.wait(timeout)
             if self._rx:
-                return self._rx.pop(0)
+                return self._rx.popleft()
             return None
 
 

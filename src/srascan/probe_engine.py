@@ -24,6 +24,7 @@ import json
 import queue
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -183,10 +184,13 @@ def icmpv6_checksum(src: int, dst: int, message: bytes) -> int:
     )
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    # The one's complement sum is byte-order independent (RFC 1071), so sum
+    # native-order words and swap the folded result on little-endian hosts.
+    total = sum(memoryview(data).cast("H"))
+    while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
+    if sys.byteorder == "little":
+        total = ((total & 0xFF) << 8) | (total >> 8)
     return ~total & 0xFFFF
 
 

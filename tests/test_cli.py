@@ -119,6 +119,17 @@ class TestGenTargets:
         ) == 2
         assert "--max-targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--samples-per-prefix", "0", "route6_samples_per_prefix"), ("--seed", "-1", "rng_seed")],
+    )
+    def test_bad_generation_config_is_refused(self, demo, capsys, flag, value, message):
+        assert run(
+            "gen-targets", "--mode", "route6", "--prefixes", str(demo / "demo_subnets.txt"),
+            flag, value,
+        ) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_route6_sampling_respects_seed_and_count(self, tmp_path, capsys):
         prefixes = write(tmp_path, "p.txt", "2001:db8::/60\n")
         run(
@@ -278,6 +289,15 @@ class TestScan:
         assert capsys.readouterr().out.strip() == "ok: 4 files verified"
         monkeypatch.chdir(demo / "out")
         assert run("manifest-verify", "run.json") == 0
+
+    def test_self_route_in_topology_is_an_error(self, demo, capsys):
+        topology = json.loads((demo / "demo_topology.json").read_text())
+        router = topology["routers"][0]
+        router["routes"].append({"prefix": "2001:db8:ffff::/48", "next_hop": router["id"]})
+        (demo / "demo_topology.json").write_text(json.dumps(topology))
+        assert run(*self.scan_args(demo, "x.ndjson")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "points at itself" in err
 
     def test_bad_secret_is_refused(self, demo, capsys):
         assert run(*self.scan_args(demo, "x.ndjson", ["--secret", "banana"])) == 2

@@ -356,6 +356,21 @@ class TestTopologyFiles:
                 entry_router="r",
             )
 
+    def test_route_to_its_own_router_is_refused(self):
+        with pytest.raises(ValueError, match="'r'.*points at itself"):
+            SimTopology(
+                routers=[
+                    SimRouter(
+                        id="r",
+                        interfaces=[
+                            Interface(addr("2001:db8::1"), parse_prefix("2001:db8::/64"))
+                        ],
+                        routes=[Route(parse_prefix("2001:db8:1::/48"), "r")],
+                    )
+                ],
+                entry_router="r",
+            )
+
     def test_missing_entry_router_is_refused(self):
         with pytest.raises(ValueError, match="entry router"):
             SimTopology(

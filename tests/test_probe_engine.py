@@ -12,7 +12,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
@@ -94,12 +94,15 @@ def test_payload_round_trip_property(address, secret):
 # --- checksum and packet build ------------------------------------------------
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(
     src=st.integers(0, (1 << 128) - 1),
     dst=st.integers(0, (1 << 128) - 1),
-    body=st.binary(min_size=4, max_size=120),
+    body=st.binary(max_size=1300),
 )
+@example(src=0, dst=0, body=b"")
+@example(src=(1 << 128) - 1, dst=(1 << 128) - 1, body=b"\xff" * 1233)  # odd, all ones
+@example(src=1, dst=2, body=b"\x80\x00\x00")  # odd: the last byte is padded
 def test_checksum_matches_independent_fold(src, dst, body):
     got = icmpv6_checksum(src, dst, body)
     want = oracle.fold_checksum(src.to_bytes(16, "big"), dst.to_bytes(16, "big"), body)
