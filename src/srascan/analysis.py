@@ -329,29 +329,34 @@ class PrefixTable:
     ):
         self.default = default
         self._by_length: dict[int, dict[int, str]] = {}
+        # (mask, bucket) per distinct length, longest first; rebuilt by add
+        # only when a new length appears.
+        self._buckets: list[tuple[int, dict[int, str]]] = []
         for prefix, label in entries:
             self.add(prefix, label)
 
     def add(self, prefix: Ipv6Prefix, label: str) -> None:
-        self._by_length.setdefault(prefix.length, {})[prefix.bits] = label
+        bucket = self._by_length.get(prefix.length)
+        if bucket is None:
+            bucket = self._by_length[prefix.length] = {}
+            self._buckets = [
+                ((MAX128 << (128 - length)) & MAX128, self._by_length[length])
+                for length in sorted(self._by_length, reverse=True)
+            ]
+        bucket[prefix.bits] = label
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_length.values())
 
     def lookup(self, address: int) -> str:
-        for length in sorted(self._by_length, reverse=True):
-            mask = (MAX128 << (128 - length)) & MAX128 if length else 0
-            label = self._by_length[length].get(address & mask)
+        for mask, bucket in self._buckets:
+            label = bucket.get(address & mask)
             if label is not None:
                 return label
         return self.default
 
     def covers(self, address: int) -> bool:
-        for length, bucket in self._by_length.items():
-            mask = (MAX128 << (128 - length)) & MAX128 if length else 0
-            if (address & mask) in bucket:
-                return True
-        return False
+        return any((address & mask) in bucket for mask, bucket in self._buckets)
 
     @classmethod
     def from_csv(cls, path, default: str = "unknown") -> "PrefixTable":

@@ -230,6 +230,8 @@ def cmd_scan(args) -> int:
         targets = [t for t in targets if not ranges.covers(t)]
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
     secret = _resolve_secret(args)
+    if args.output in (None, "-") and args.passes > 1:
+        raise CliError("--passes needs -o so each pass gets its own file")
 
     if args.transport == "live":
         if not args.i_understand_live:
@@ -252,7 +254,9 @@ def cmd_scan(args) -> int:
             topology = netsim.load_topology(args.sim_topology)
         except (ValueError, OSError, KeyError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
-        cooldown = args.cooldown if args.cooldown is not None else 0.1
+        # Every simulated reply is queued by the send that causes it and
+        # drained before the next send, so nothing is left to wait for.
+        cooldown = args.cooldown if args.cooldown is not None else 0.0
         source = (
             target_gen.parse_address(args.source)
             if args.source
@@ -260,36 +264,39 @@ def cmd_scan(args) -> int:
         )
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
 
-    if args.output in (None, "-") and args.passes > 1:
-        raise CliError("--passes needs -o so each pass gets its own file")
-
     outputs = []
-    for scan_pass in range(args.passes):
-        cfg = probe_engine.ProbeConfig(
-            send_rate=args.rate,
-            hop_limit=args.hop_limit,
-            cooldown=cooldown,
-            secret=secret,
-            source_address=source,
-            scan_pass=scan_pass,
-        )
-        path = _pass_path(args.output, scan_pass, args.passes) if args.output else None
-        out, close = _open_out(path)
-        sent = replies = 0
-        try:
-            sent = len(targets)
-            for record in probe_engine.run_scan(targets, transport, cfg):
-                out.write(record.to_json() + "\n")
-                replies += 1
-        finally:
-            if close:
-                out.close()
-        if path:
-            outputs.append(path)
-        print(
-            f"pass {scan_pass}: {sent} probes, {replies} replies",
-            file=sys.stderr,
-        )
+    try:
+        for scan_pass in range(args.passes):
+            cfg = probe_engine.ProbeConfig(
+                send_rate=args.rate,
+                hop_limit=args.hop_limit,
+                cooldown=cooldown,
+                secret=secret,
+                source_address=source,
+                scan_pass=scan_pass,
+            )
+            path = _pass_path(args.output, scan_pass, args.passes) if args.output else None
+            out, close = _open_out(path)
+            sent = replies = 0
+            try:
+                sent = len(targets)
+                for record in probe_engine.run_scan(targets, transport, cfg):
+                    out.write(record.to_json() + "\n")
+                    replies += 1
+            finally:
+                if close:
+                    out.close()
+            if path:
+                outputs.append(path)
+            print(
+                f"pass {scan_pass}: {sent} probes, {replies} replies",
+                file=sys.stderr,
+            )
+    except probe_engine.TransportError as exc:
+        raise CliError(f"transport failed mid-scan: {exc.__cause__}", exit_code=1) from None
+    finally:
+        if args.transport == "live":
+            transport.close()
 
     if args.manifest:
         manifest = {
@@ -540,7 +547,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         "--cooldown",
         type=float,
         default=None,
-        help="seconds to keep listening after the last probe (10 live, 0.1 sim)",
+        help="seconds to keep listening after the last probe (10 live, 0 sim)",
     )
     scan.add_argument(
         "--secret",

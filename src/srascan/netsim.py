@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import json
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -427,7 +428,11 @@ class SimTransport:
 
     Each send advances virtual time by one tick (the probe interval), so
     router token buckets see the same pacing a live scan would produce.
-    Thread-safe for one sender plus one receiver.
+    Idle time does not advance it.  A send queues every reply the probe
+    causes before it returns, so nothing arrives while the caller waits:
+    receive pops the queue, and on an empty queue returns None at once for
+    a zero timeout and after sleeping `timeout` otherwise.  Drive it from
+    one thread.
     """
 
     def __init__(
@@ -436,8 +441,6 @@ class SimTransport:
         tick: float = 1.0 / 200_000,
         start_time: float = 0.0,
     ):
-        import threading
-
         if isinstance(topology_or_sim, Simulation):
             self.sim = topology_or_sim
         else:
@@ -447,26 +450,21 @@ class SimTransport:
         self.sent_count = 0
         self.budget_hits = 0
         self._rx: deque[tuple[bytes, float]] = deque()
-        self._cv = threading.Condition()
 
     def send(self, packet: bytes) -> None:
-        with self._cv:
-            delivery = self.sim.inject(packet, self.clock)
-            self.clock += self.tick
-            self.sent_count += 1
-            if delivery.budget_exceeded:
-                self.budget_hits += 1
-            for em in delivery.emissions:
-                self._rx.append((em.packet, em.time))
-            self._cv.notify_all()
+        delivery = self.sim.inject(packet, self.clock)
+        self.clock += self.tick
+        self.sent_count += 1
+        if delivery.budget_exceeded:
+            self.budget_hits += 1
+        self._rx.extend((em.packet, em.time) for em in delivery.emissions)
 
     def receive(self, timeout: float) -> tuple[bytes, float] | None:
-        with self._cv:
-            if not self._rx:
-                self._cv.wait(timeout)
-            if self._rx:
-                return self._rx.popleft()
-            return None
+        if self._rx:
+            return self._rx.popleft()
+        if timeout > 0:
+            time.sleep(timeout)
+        return None
 
 
 # --- topology files -------------------------------------------------------------

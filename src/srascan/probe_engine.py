@@ -21,11 +21,9 @@ import hashlib
 import hmac
 import ipaddress
 import json
-import queue
 import socket
 import struct
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
@@ -293,8 +291,11 @@ def classify_icmp(packet: bytes, secret: int, timestamp: float = 0.0) -> ReplyRe
 class Transport(Protocol):
     """A packet channel: exactly send and receive, nothing else.
 
-    Implementations must tolerate send() and receive() being driven from
-    two different threads.
+    run_scan drives both from one thread.  receive(timeout) returns the next
+    packet with its receive time, or None once `timeout` seconds pass without
+    one; receive(0) must not block.  A None may come before the timeout ends:
+    the caller treats it as "nothing yet" and keeps waiting until its own
+    deadline.
     """
 
     def send(self, packet: bytes) -> None: ...
@@ -305,26 +306,22 @@ class Transport(Protocol):
 class _Pacer:
     """Token bucket smoothing sends to cfg.send_rate; burst capped at 1 ms."""
 
-    def __init__(self, rate: float, clock, sleep):
+    def __init__(self, rate: float, clock):
         self.rate = rate
         self.burst = max(1.0, rate / 1000.0)
         self.tokens = self.burst
         self.clock = clock
-        self.sleep = sleep
         self.last = clock()
 
-    def wait(self):
-        while True:
-            now = self.clock()
-            self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
-            self.last = now
-            if self.tokens >= 1.0:
-                self.tokens -= 1.0
-                return
-            self.sleep((1.0 - self.tokens) / self.rate)
-
-
-_DONE = object()
+    def delay(self) -> float:
+        """Take a send slot and return 0, or return the seconds until one frees."""
+        now = self.clock()
+        self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
+        self.last = now
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
+            return 0.0
+        return (1.0 - self.tokens) / self.rate
 
 
 def run_scan(
@@ -332,74 +329,42 @@ def run_scan(
     transport: Transport,
     cfg: ProbeConfig,
     clock=time.monotonic,
-    sleep=time.sleep,
 ) -> Iterator[ReplyRecord]:
     """Send one Echo Request per target, yield classified replies.
 
-    One sender and one receiver run concurrently; no per-target state is
-    kept.  Reception continues for cfg.cooldown after the last send.  If the
-    transport fails to send or to receive, replies received so far are still
-    yielded, then TransportError is raised.
+    One loop, no per-target state: wait for the send slot by receiving,
+    send, then receive without waiting until the transport has nothing
+    queued.  Reception continues for cfg.cooldown after the last send.  If
+    the transport fails to send or to receive, the replies received before
+    the failure have been yielded, and TransportError is raised.
     """
-    records: queue.SimpleQueue = queue.SimpleQueue()
-    send_done = threading.Event()
-    abort = threading.Event()
-    errors: list[BaseException] = []
 
-    def sender():
-        pacer = _Pacer(cfg.send_rate, clock, sleep)
-        try:
-            for target in targets:
-                if abort.is_set():
-                    break
-                pacer.wait()
-                transport.send(build_echo_request(target, cfg))
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the consumer
-            errors.append(exc)
-        finally:
-            send_done.set()
-
-    def receiver():
-        deadline = None
-        try:
-            while not abort.is_set():
-                if send_done.is_set():
-                    if deadline is None:
-                        deadline = clock() + cfg.cooldown
-                    remaining = deadline - clock()
-                    if remaining <= 0:
-                        break
-                    timeout = min(0.05, remaining)
-                else:
-                    timeout = 0.05
-                item = transport.receive(timeout)
-                if item is None:
-                    continue
-                data, ts = item
-                rec = classify_icmp(data, cfg.secret, timestamp=ts)
-                if rec is not None:
-                    records.put(rec)
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the consumer
-            errors.append(exc)
-        finally:
-            records.put(_DONE)
-
-    send_thread = threading.Thread(target=sender, name="srascan-send", daemon=True)
-    recv_thread = threading.Thread(target=receiver, name="srascan-recv", daemon=True)
-    send_thread.start()
-    recv_thread.start()
-    try:
+    def receive_until(deadline: float) -> Iterator[ReplyRecord]:
+        """Replies received until `deadline`, then those still queued."""
         while True:
-            item = records.get()
-            if item is _DONE:
-                break
-            yield item
-    finally:
-        abort.set()
-        send_thread.join()
-        recv_thread.join()
-    if errors:
-        raise TransportError("transport failed mid-scan") from errors[0]
+            timeout = max(0.0, deadline - clock())
+            try:
+                item = transport.receive(timeout)
+            except Exception as exc:
+                raise TransportError("transport failed mid-scan") from exc
+            if item is not None:
+                rec = classify_icmp(item[0], cfg.secret, timestamp=item[1])
+                if rec is not None:
+                    yield rec
+            elif timeout == 0.0:
+                return
+
+    pacer = _Pacer(cfg.send_rate, clock)
+    for target in targets:
+        while (delay := pacer.delay()) > 0:
+            yield from receive_until(clock() + delay)
+        packet = build_echo_request(target, cfg)
+        try:
+            transport.send(packet)
+        except Exception as exc:
+            raise TransportError("transport failed mid-scan") from exc
+        yield from receive_until(clock())
+    yield from receive_until(clock() + cfg.cooldown)
 
 
 class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
@@ -434,7 +399,8 @@ class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
         self._send_sock.sendto(payload, (str(ipaddress.IPv6Address(dst)), 0))
 
     def receive(self, timeout: float) -> tuple[bytes, float] | None:
-        self._recv_sock.settimeout(max(timeout, 1e-4))
+        # settimeout(0) makes the socket non-blocking: receive(0) never waits.
+        self._recv_sock.settimeout(timeout)
         try:
             data = self._recv_sock.recv(65535)
         except (TimeoutError, socket.timeout, BlockingIOError):

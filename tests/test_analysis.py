@@ -385,6 +385,38 @@ class TestPrefixTable:
             address = (base << 64) | (salt << 12)
             assert table.lookup(address) == brute_force_lpm(networks, address, "unknown")
 
+    @settings(max_examples=80)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 128)),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10),
+    )
+    def test_adds_between_lookups_match_the_ipaddress_module(self, batches, raw_addresses):
+        base = A("2001:db8::")
+        table = PrefixTable()
+        networks: dict = {}
+        for batch in batches:
+            for salt, length in batch:
+                net = ipaddress.IPv6Network((base | (salt << 64), length), strict=False)
+                label = f"label-{salt & 0xF}"
+                table.add(parse_prefix(str(net)), label)
+                networks[net] = label
+            addresses = [base | (salt << 48) for salt in raw_addresses]
+            addresses += [int(net.network_address) for net in networks]
+            for address in addresses:
+                want = brute_force_lpm(networks.items(), address, "unknown")
+                assert table.lookup(address) == want
+                assert table.covers(address) == any(
+                    ipaddress.IPv6Address(address) in net for net in networks
+                )
+
 
 class TestComparison:
     def test_exclusive_counts_partition_the_union(self):

@@ -3,10 +3,12 @@
 import hashlib
 import ipaddress
 import json
+from collections import Counter, deque
 
 import pytest
 
-from srascan import cli
+import rfc4443_oracle as oracle
+from srascan import cli, netsim, probe_engine
 
 
 def run(*argv):
@@ -302,6 +304,77 @@ class TestScan:
     def test_bad_secret_is_refused(self, demo, capsys):
         assert run(*self.scan_args(demo, "x.ndjson", ["--secret", "banana"])) == 2
         assert "secret" in capsys.readouterr().err
+
+    def test_each_pass_file_holds_exactly_its_own_replies(self, tmp_path):
+        # Every probe into the loop's unused space draws 32 replies, so a
+        # pass that stopped with replies queued would leave them to the next.
+        topology = tmp_path / "loop.json"
+        netsim.save_topology(netsim.build_loop_topology(replication_factor=2), topology)
+        targets = [int(ipaddress.IPv6Address("2001:db8:2::")) + (i << 64) for i in range(200)]
+        target_file = write(
+            tmp_path, "t.txt", "".join(f"{ipaddress.IPv6Address(t)}\n" for t in targets)
+        )
+        assert run(
+            "scan", "--targets", target_file, "--transport", "sim",
+            "--sim-topology", str(topology), "--passes", "2", "--hop-limit", "12",
+            "--rate", "1e7", "--secret", "7", "-o", str(tmp_path / "r.ndjson"),
+        ) == 0
+        sim = netsim.Simulation(netsim.load_topology(topology))
+        now = 0.0
+        for scan_pass in range(2):
+            cfg = probe_engine.ProbeConfig(
+                send_rate=1e7, hop_limit=12, secret=7, scan_pass=scan_pass
+            )
+            expected = Counter()
+            for target in targets:
+                delivery = sim.inject(probe_engine.build_echo_request(target, cfg), now)
+                now += 1 / 1e7
+                for em in delivery.emissions:
+                    rec = probe_engine.classify_icmp(em.packet, 7, timestamp=em.time)
+                    expected[rec.to_json()] += 1
+            lines = (tmp_path / f"r.pass{scan_pass}.ndjson").read_text().splitlines()
+            assert sum(expected.values()) == 200 * 32
+            assert Counter(lines) == expected
+
+    def test_transport_failure_is_an_error_and_closes_the_transport(
+        self, demo, capsys, monkeypatch
+    ):
+        class FailingLiveTransport:
+            """Answers the first probe, then fails to send the second."""
+
+            instances = []
+
+            def __init__(self, interface, source, hop_limit):
+                self.sent = 0
+                self.closed = False
+                self.rx = deque()
+                self.instances.append(self)
+
+            def send(self, packet):
+                if self.sent == 1:
+                    raise OSError("network is down")
+                self.sent += 1
+                self.rx.append((oracle.build_echo_reply(packet, packet[24:40]), 1.0))
+
+            def receive(self, timeout):
+                return self.rx.popleft() if self.rx else None
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(probe_engine, "LiveTransport", FailingLiveTransport)
+        argv = self.scan_args(demo, "live.ndjson")
+        i = argv.index("--sim-topology")
+        argv[i : i + 2] = ["--transport", "live", "--interface", "eth0",
+                           "--source", "2001:db8:ffff::1", "--i-understand-live"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error: transport failed mid-scan: network is down" in err
+        assert "Traceback" not in err
+        (transport,) = FailingLiveTransport.instances
+        assert transport.closed
+        (line,) = (demo / "live.ndjson").read_text().splitlines()
+        assert json.loads(line)["embedded_target"] == "2001:db8:100::"
 
     def test_missing_topology_is_an_error(self, demo, capsys):
         argv = self.scan_args(demo, "x.ndjson")

@@ -432,3 +432,19 @@ class TestSimTransport:
         transport = SimTransport(topo)
         transport.send(probe("2001:db8:2::", hop_limit=40))
         assert transport.budget_hits == 1
+
+    def test_scan_yields_every_emission_in_order(self):
+        # 200 probes into the loop's unused space, 32 replies each: the scan
+        # must keep every reply although none is left when the last send ends.
+        cfg = ProbeConfig(secret=SECRET, hop_limit=12, cooldown=0.0, send_rate=1e7)
+        tick = 1e-7
+        targets = [addr("2001:db8:2::") + (i << 64) for i in range(200)]
+        sim = Simulation(build_loop_topology(replication_factor=2))
+        expected, now = [], 0.0
+        for target in targets:
+            expected += classified(sim.inject(build_echo_request(target, cfg), now))
+            now += tick
+        transport = SimTransport(build_loop_topology(replication_factor=2), tick=tick)
+        records = list(run_scan(targets, transport, cfg))
+        assert len(expected) == 200 * 32
+        assert records == expected

@@ -351,3 +351,13 @@ def test_run_scan_cooldown_catches_late_replies():
     records = list(run_scan([addr("2001:db8::")], LateTransport(), cfg(cooldown=0.5)))
     assert len(records) == 1
     assert records[0].timestamp == 9.0
+
+
+def test_run_scan_starts_no_thread():
+    targets = [addr(f"2001:db8:{i:x}::") for i in range(1, 21)]
+    before = threading.active_count()
+    counts = [
+        threading.active_count()
+        for _ in run_scan(targets, ReplyingTransport(), cfg(send_rate=1e6))
+    ]
+    assert counts == [before] * len(targets)
