@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
-from .target_gen import MAX128, Ipv6Prefix, ProbeTarget
+from .target_gen import MAX128, Ipv6Prefix, PrefixTable
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
     mask = (MAX128 << (128 - length)) & MAX128 if length else 0
     return Ipv6Prefix(address & mask, length)
-
-
-def _addresses(targets: Iterable[ProbeTarget | int]) -> list[int]:
-    return [t.address if isinstance(t, ProbeTarget) else int(t) for t in targets]
 
 
 # --- matching -----------------------------------------------------------------
@@ -48,9 +44,9 @@ class MatchResult:
 
 
 def match_replies(
-    targets: Iterable[ProbeTarget | int], records: Iterable[ReplyRecord]
+    targets: Iterable[int], records: Iterable[ReplyRecord]
 ) -> MatchResult:
-    outcomes: dict[int, list[ReplyRecord]] = {a: [] for a in _addresses(targets)}
+    outcomes: dict[int, list[ReplyRecord]] = {a: [] for a in targets}
     unsolicited = []
     for rec in records:
         t = rec.embedded_target
@@ -85,13 +81,11 @@ def alias_filter(
     known aliased prefix.  What remains are third-party sources: routers
     speaking for the probed subnet.  Sorted by address for determinism.
     """
-    aliased = list(aliased)
+    aliased = PrefixTable((p, True) for p in aliased)
     evidence: dict[int, set] = defaultdict(set)
     for target, recs in result.outcomes.items():
         for rec in recs:
-            if rec.source == target:
-                continue
-            if any(p.covers_address(rec.source) for p in aliased):
+            if rec.source == target or aliased.covers(rec.source):
                 continue
             evidence[rec.source].add((target, rec.kind))
     return [
@@ -210,12 +204,12 @@ def stability_mapping(
     Echo Reply sources win over error sources; ties break to the lowest
     address so repeated runs agree.
     """
-    aliased = list(aliased)
+    aliased = PrefixTable((p, True) for p in aliased)
     out: dict[int, int | None] = {}
     for target, recs in result.outcomes.items():
         echo, other = [], []
         for rec in recs:
-            if any(p.covers_address(rec.source) for p in aliased):
+            if aliased.covers(rec.source):
                 continue
             (echo if rec.kind is ReplyKind.ECHO_REPLY else other).append(rec.source)
         pool = echo or other
@@ -314,67 +308,6 @@ def detect_loops(
             for ip in sorted(subnets_by_router)
         },
     )
-
-
-# --- longest-prefix labeling ------------------------------------------------------
-
-
-class PrefixTable:
-    """Longest-prefix-match labeling, e.g. address -> origin network name."""
-
-    def __init__(
-        self,
-        entries: Iterable[tuple[Ipv6Prefix, str]] = (),
-        default: str = "unknown",
-    ):
-        self.default = default
-        self._by_length: dict[int, dict[int, str]] = {}
-        # (mask, bucket) per distinct length, longest first; rebuilt by add
-        # only when a new length appears.
-        self._buckets: list[tuple[int, dict[int, str]]] = []
-        for prefix, label in entries:
-            self.add(prefix, label)
-
-    def add(self, prefix: Ipv6Prefix, label: str) -> None:
-        bucket = self._by_length.get(prefix.length)
-        if bucket is None:
-            bucket = self._by_length[prefix.length] = {}
-            self._buckets = [
-                ((MAX128 << (128 - length)) & MAX128, self._by_length[length])
-                for length in sorted(self._by_length, reverse=True)
-            ]
-        bucket[prefix.bits] = label
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._by_length.values())
-
-    def lookup(self, address: int) -> str:
-        for mask, bucket in self._buckets:
-            label = bucket.get(address & mask)
-            if label is not None:
-                return label
-        return self.default
-
-    def covers(self, address: int) -> bool:
-        return any((address & mask) in bucket for mask, bucket in self._buckets)
-
-    @classmethod
-    def from_csv(cls, path, default: str = "unknown") -> "PrefixTable":
-        """Rows of `prefix,label`; blank lines and # comments skipped."""
-        from .target_gen import parse_prefix
-
-        table = cls(default=default)
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    prefix_text, label = line.split(",", 1)
-                    table.add(parse_prefix(prefix_text.strip()), label.strip())
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-        return table
 
 
 # --- dataset comparison -----------------------------------------------------------

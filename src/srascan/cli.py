@@ -12,6 +12,7 @@ scan; flags given on the command line still win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib.resources
@@ -233,7 +234,8 @@ def cmd_scan(args) -> int:
     if args.output in (None, "-") and args.passes > 1:
         raise CliError("--passes needs -o so each pass gets its own file")
 
-    if args.transport == "live":
+    live = args.transport == "live"
+    if live:
         if not args.i_understand_live:
             raise CliError(
                 "live scanning sends real packets; pass --i-understand-live "
@@ -241,46 +243,50 @@ def cmd_scan(args) -> int:
             )
         if not args.interface:
             raise CliError("--transport live needs --interface")
-        cooldown = args.cooldown if args.cooldown is not None else 10.0
-        source = target_gen.parse_address(args.source) if args.source else None
-        if source is None:
+        if not args.source:
             raise CliError("--transport live needs --source ADDRESS")
+    elif not args.sim_topology:
+        raise CliError("--transport sim needs --sim-topology FILE")
+    source = probe_engine.ProbeConfig().source_address
+    if args.source:
+        try:
+            source = target_gen.parse_address(args.source)
+        except ValueError as exc:
+            raise CliError(f"--source: {exc}") from None
+    # Every simulated reply is queued by the send that causes it and
+    # drained before the next send, so nothing is left to wait for.
+    cooldown = args.cooldown if args.cooldown is not None else (10.0 if live else 0.0)
+    try:
+        cfg = probe_engine.ProbeConfig(
+            send_rate=args.rate,
+            hop_limit=args.hop_limit,
+            cooldown=cooldown,
+            secret=secret,
+            source_address=source,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+    if live:
         transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)
     else:
-        if not args.sim_topology:
-            raise CliError("--transport sim needs --sim-topology FILE")
         input_paths.append(args.sim_topology)
         try:
             topology = netsim.load_topology(args.sim_topology)
         except (ValueError, OSError, KeyError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
-        # Every simulated reply is queued by the send that causes it and
-        # drained before the next send, so nothing is left to wait for.
-        cooldown = args.cooldown if args.cooldown is not None else 0.0
-        source = (
-            target_gen.parse_address(args.source)
-            if args.source
-            else probe_engine.ProbeConfig().source_address
-        )
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
 
     outputs = []
     try:
         for scan_pass in range(args.passes):
-            cfg = probe_engine.ProbeConfig(
-                send_rate=args.rate,
-                hop_limit=args.hop_limit,
-                cooldown=cooldown,
-                secret=secret,
-                source_address=source,
-                scan_pass=scan_pass,
-            )
+            pass_cfg = dataclasses.replace(cfg, scan_pass=scan_pass)
             path = _pass_path(args.output, scan_pass, args.passes) if args.output else None
             out, close = _open_out(path)
             sent = replies = 0
             try:
                 sent = len(targets)
-                for record in probe_engine.run_scan(targets, transport, cfg):
+                for record in probe_engine.run_scan(targets, transport, pass_cfg):
                     out.write(record.to_json() + "\n")
                     replies += 1
             finally:
@@ -295,7 +301,7 @@ def cmd_scan(args) -> int:
     except probe_engine.TransportError as exc:
         raise CliError(f"transport failed mid-scan: {exc.__cause__}", exit_code=1) from None
     finally:
-        if args.transport == "live":
+        if live:
             transport.close()
 
     if args.manifest:
@@ -381,8 +387,11 @@ def cmd_analyze(args) -> int:
             raise CliError(f"{args.action} needs --replies FILE [FILE ...]")
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
-    if args.action == "loops" and len(args.replies) != 1:
-        raise CliError("loops reads exactly one reply file")
+    if args.action == "loops":
+        if len(args.replies) != 1:
+            raise CliError("loops reads exactly one reply file")
+        if not 0 <= args.subnet_length <= 128:
+            raise CliError("--subnet-length must be in 0..128")
     if args.action != "compare":
         targets = _load_targets(args.targets)
 
@@ -466,7 +475,7 @@ def cmd_analyze(args) -> int:
                 raise CliError(f"--set wants NAME=FILE, got {item!r}")
             name, _, path = item.partition("=")
             named[name] = _load_targets(path)
-        table = analysis.PrefixTable.from_csv(args.labels) if args.labels else None
+        table = target_gen.PrefixTable.from_csv(args.labels) if args.labels else None
         try:
             report = analysis.compare_datasets(named, table)
         except ValueError as exc:

@@ -33,9 +33,8 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .target_gen import MAX128, Ipv6Prefix, parse_prefix
+from .target_gen import Ipv6Prefix, PrefixTable, parse_prefix
 from .probe_engine import (
     ICMP6_ECHO_REQUEST,
     build_ipv6_icmp,
@@ -175,32 +174,6 @@ class _Pkt:
         return self.raw[:7] + bytes([self.hop_limit]) + self.raw[8:]
 
 
-_MISS = object()
-
-
-class _PrefixMap:
-    """Prefix -> value lookup with one dict per prefix length, longest first."""
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self, entries: Iterable[tuple[Ipv6Prefix, object]]):
-        by_length: dict[int, dict[int, object]] = {}
-        for prefix, value in entries:
-            by_length.setdefault(prefix.length, {})[prefix.bits] = value
-        self._buckets = [
-            (MAX128 ^ ((1 << (128 - length)) - 1), by_length[length])
-            for length in sorted(by_length, reverse=True)
-        ]
-
-    def lookup(self, address: int, default=None):
-        """Value of the longest prefix covering `address`, else `default`."""
-        for mask, bucket in self._buckets:
-            value = bucket.get(address & mask, _MISS)
-            if value is not _MISS:
-                return value
-        return default
-
-
 class _CompiledRouter:
     """One router's lookups, compiled from its interfaces and routes."""
 
@@ -222,11 +195,14 @@ class _CompiledRouter:
         if fallback == DEFAULT:
             fallback = None
         # Forwarding action: router id, LOCAL, or None (no route).
-        self.forward = _PrefixMap(
-            (prefix, fallback if action == DEFAULT else action)
-            for prefix, (_, action) in best.items()
+        self.forward = PrefixTable(
+            [
+                (prefix, fallback if action == DEFAULT else action)
+                for prefix, (_, action) in best.items()
+            ],
+            default=None,
         )
-        self.connected = _PrefixMap((i.subnet, True) for i in router.interfaces)
+        self.connected = PrefixTable((i.subnet, True) for i in router.interfaces)
         self.sra = (
             frozenset(i.subnet.sra for i in router.interfaces)
             if router.sra_enabled
@@ -246,7 +222,7 @@ class Simulation:
     def __init__(self, topology: SimTopology):
         self.topology = topology
         self._routers = {r.id: _CompiledRouter(r) for r in topology.routers}
-        self._aliased = _PrefixMap((p, True) for p in topology.aliased_prefixes)
+        self._aliased = PrefixTable((p, True) for p in topology.aliased_prefixes)
         # Interface index a packet from `a` arrives on at `b`: the first
         # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
         # are absent and arrive on interface 0.
@@ -281,7 +257,7 @@ class Simulation:
         exceeded = False
         seq = 0
         pkt = _Pkt(src, dst, hop_limit, packet)
-        aliased = self._aliased.lookup(dst, False)
+        aliased = self._aliased.covers(dst)
         heap: list[tuple[float, str, int, _Pkt, int]] = []
         heapq.heappush(heap, (now, self.topology.entry_router, seq, pkt, 0))
 
@@ -325,7 +301,7 @@ class Simulation:
             router = node.router
             action = node.forward.lookup(dst)
 
-            if aliased and (action == LOCAL or node.connected.lookup(dst, False)):
+            if aliased and (action == LOCAL or node.connected.covers(dst)):
                 emit_echo(rid, dst, pkt)
                 continue
             if dst in node.sra:
@@ -361,68 +337,6 @@ def deliver(topology: SimTopology, packet: bytes, now: float = 0.0) -> Delivery:
     return Simulation(topology).inject(packet, now)
 
 
-@dataclass
-class Transcript:
-    entries: list[dict]
-    token_states: dict[str, float]
-
-    def to_ndjson(self) -> str:
-        lines = [json.dumps(e, separators=(",", ":")) for e in self.entries]
-        for rid, tokens in self.token_states.items():
-            lines.append(
-                json.dumps(
-                    {"event": "tokens", "router": rid, "tokens": tokens},
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-
-def run_trial(
-    topology: SimTopology,
-    packets: Iterable[bytes],
-    tick: float = 1.0 / 200_000,
-    start: float = 0.0,
-) -> Transcript:
-    """Inject a packet stream at a fixed virtual rate; record everything."""
-    sim = Simulation(topology)
-    entries = []
-    t = start
-    for packet in packets:
-        parsed = parse_ipv6(packet)
-        dst = parsed[1] if parsed else None
-        entries.append(
-            {
-                "event": "sent",
-                "t": t,
-                "dst": str(ipaddress.IPv6Address(dst)) if dst is not None else None,
-            }
-        )
-        delivery = sim.inject(packet, t)
-        for em in delivery.emissions:
-            entries.append(
-                {
-                    "event": "reply",
-                    "t": em.time,
-                    "router": em.router_id,
-                    "icmp_type": em.icmp_type,
-                    "code": em.code,
-                    "src": str(ipaddress.IPv6Address(em.source)),
-                }
-            )
-        if delivery.budget_exceeded:
-            entries.append(
-                {
-                    "event": "budget_exceeded",
-                    "t": t,
-                    "dst": str(ipaddress.IPv6Address(dst)),
-                    "events": delivery.events,
-                }
-            )
-        t += tick
-    return Transcript(entries, sim.token_states())
-
-
 class SimTransport:
     """probe_engine.Transport backed by a Simulation and a virtual clock.
 
@@ -435,26 +349,16 @@ class SimTransport:
     one thread.
     """
 
-    def __init__(
-        self,
-        topology_or_sim: SimTopology | Simulation,
-        tick: float = 1.0 / 200_000,
-        start_time: float = 0.0,
-    ):
-        if isinstance(topology_or_sim, Simulation):
-            self.sim = topology_or_sim
-        else:
-            self.sim = Simulation(topology_or_sim)
+    def __init__(self, topology: SimTopology, tick: float = 1.0 / 200_000):
+        self.sim = Simulation(topology)
         self.tick = tick
-        self.clock = start_time
-        self.sent_count = 0
+        self.clock = 0.0
         self.budget_hits = 0
         self._rx: deque[tuple[bytes, float]] = deque()
 
     def send(self, packet: bytes) -> None:
         delivery = self.sim.inject(packet, self.clock)
         self.clock += self.tick
-        self.sent_count += 1
         if delivery.budget_exceeded:
             self.budget_hits += 1
         self._rx.extend((em.packet, em.time) for em in delivery.emissions)

@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
 
-from .target_gen import ProbeTarget
 
 ICMP6_ECHO_REQUEST = 128
 ICMP6_ECHO_REPLY = 129
@@ -202,12 +201,11 @@ def build_ipv6_icmp(src: int, dst: int, hop_limit: int, icmp: bytes) -> bytes:
     return header + icmp
 
 
-def build_echo_request(target: ProbeTarget | int, cfg: ProbeConfig) -> bytes:
+def build_echo_request(address: int, cfg: ProbeConfig) -> bytes:
     """Full IPv6 packet for one probe, checksummed and ready to send.
 
     The ICMP identifier carries cfg.scan_pass and the sequence cfg.shard.
     """
-    address = target.address if isinstance(target, ProbeTarget) else int(target)
     icmp = struct.pack(
         "!BBHHH", ICMP6_ECHO_REQUEST, 0, 0, cfg.scan_pass, cfg.shard
     ) + encode_payload(address, cfg.secret)
@@ -325,7 +323,7 @@ class _Pacer:
 
 
 def run_scan(
-    targets: Iterable[ProbeTarget | int],
+    targets: Iterable[int],
     transport: Transport,
     cfg: ProbeConfig,
     clock=time.monotonic,

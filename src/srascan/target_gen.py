@@ -101,6 +101,77 @@ class Ipv6Prefix:
         return f"{ipaddress.IPv6Address(self.bits)}/{self.length}"
 
 
+_MISS = object()
+
+
+class PrefixTable:
+    """Longest-prefix match: address -> value of the longest covering prefix.
+
+    One dict per distinct prefix length, probed longest first, so a lookup
+    costs one dict probe per length.  The simulator's forwarding and
+    attached-subnet tests, the aliased-prefix filter and `--labels` all use
+    it.  A stored None is a value like any other and shadows shorter
+    prefixes; only a miss returns `default`.
+    """
+
+    __slots__ = ("default", "_by_length", "_buckets")
+
+    def __init__(
+        self,
+        entries: Iterable[tuple[Ipv6Prefix, object]] = (),
+        default: object = "unknown",
+    ):
+        self.default = default
+        self._by_length: dict[int, dict[int, object]] = {}
+        # (mask, bucket) per distinct length, longest first; rebuilt by add
+        # only when a new length appears.
+        self._buckets: list[tuple[int, dict[int, object]]] = []
+        for prefix, value in entries:
+            self.add(prefix, value)
+
+    def add(self, prefix: Ipv6Prefix, value: object) -> None:
+        bucket = self._by_length.get(prefix.length)
+        if bucket is None:
+            bucket = self._by_length[prefix.length] = {}
+            self._buckets = [
+                ((MAX128 << (128 - length)) & MAX128, self._by_length[length])
+                for length in sorted(self._by_length, reverse=True)
+            ]
+        bucket[prefix.bits] = value
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self._by_length.values())
+
+    def lookup(self, address: int):
+        for mask, bucket in self._buckets:
+            value = bucket.get(address & mask, _MISS)
+            if value is not _MISS:
+                return value
+        return self.default
+
+    def covers(self, address: int) -> bool:
+        for mask, bucket in self._buckets:
+            if address & mask in bucket:
+                return True
+        return False
+
+    @classmethod
+    def from_csv(cls, path, default: str = "unknown") -> "PrefixTable":
+        """Rows of `prefix,label`; blank lines and # comments skipped."""
+        table = cls(default=default)
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    prefix_text, label = line.split(",", 1)
+                    table.add(parse_prefix(prefix_text.strip()), label.strip())
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+        return table
+
+
 @dataclass(frozen=True, slots=True)
 class ProbeTarget:
     """One SRA address to probe, with provenance."""

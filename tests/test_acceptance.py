@@ -187,10 +187,9 @@ def test_c04_pipeline_recovers_the_ground_truth_router_set(announce):
             for lan in rnd.sample(lans, min(8, len(lans)))
         ]
         transport = SimTransport(topology, tick=1e-6)
-        records = list(run_scan(list(targets) + host_probes, transport, cfg))
-        result = match_replies(
-            [t.address for t in targets] + host_probes, records
-        )
+        probed = [t.address for t in targets] + host_probes
+        records = list(run_scan(probed, transport, cfg))
+        result = match_replies(probed, records)
         observations = alias_filter(result, aliased)
         observed = {o.router_ip for o in observations}
         assert observed == expected, f"seed {seed}"

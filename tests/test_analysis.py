@@ -7,6 +7,7 @@ get to grade themselves.
 
 import csv
 import ipaddress
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from srascan.analysis import (
     PrefixTable,
+    RouterObservation,
     alias_filter,
     build_visibility_matrix,
     compare_datasets,
@@ -118,6 +120,83 @@ class TestAliasFilter:
             {(A(T1), ReplyKind.ECHO_REPLY), (A(T2), ReplyKind.DEST_UNREACHABLE)}
         )
         assert all(o.scan_id == 4 for o in obs)
+
+
+def linear_alias_filter(result, aliased, scan_id=0):
+    """alias_filter with one covers_address test per aliased prefix."""
+    aliased = list(aliased)
+    evidence = defaultdict(set)
+    for target, recs in result.outcomes.items():
+        for r in recs:
+            if r.source == target:
+                continue
+            if any(p.covers_address(r.source) for p in aliased):
+                continue
+            evidence[r.source].add((target, r.kind))
+    return [
+        RouterObservation(router_ip=ip, elicited_by=frozenset(ev), scan_id=scan_id)
+        for ip, ev in sorted(evidence.items())
+    ]
+
+
+def linear_stability_mapping(result, aliased):
+    """stability_mapping with one covers_address test per aliased prefix."""
+    aliased = list(aliased)
+    out = {}
+    for target, recs in result.outcomes.items():
+        echo, other = [], []
+        for r in recs:
+            if any(p.covers_address(r.source) for p in aliased):
+                continue
+            (echo if r.kind is ReplyKind.ECHO_REPLY else other).append(r.source)
+        pool = echo or other
+        out[target] = min(pool) if pool else None
+    return out
+
+
+# Six varying bits at top positions 50..55 and two low bits: prefixes of
+# lengths 50..56 nest and overlap, /126 and /128 split the low bits.
+_HI = st.integers(0, 63)
+_LOW = st.integers(0, 3)
+
+
+def _place(hi, low=0):
+    return A("2001:db8::") | (hi << 72) | low
+
+
+class TestAliasedPrefixFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        aliased=st.lists(
+            st.tuples(_HI, _LOW, st.sampled_from([32, 50, 51, 52, 54, 56, 64, 126, 128])),
+            max_size=10,
+        ),
+        targets=st.lists(_HI, min_size=1, max_size=6, unique=True),
+        replies=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.one_of(st.none(), st.tuples(_HI, _LOW)),  # None: from the target
+                st.sampled_from(list(_TYPE_BY_KIND)),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_a_linear_scan_of_the_prefixes(self, aliased, targets, replies):
+        prefixes = [enclosing_prefix(_place(hi, low), length) for hi, low, length in aliased]
+        probed = [_place(hi) for hi in targets]
+        records = []
+        for i, src, kind in replies:
+            target = probed[i % len(probed)]
+            records.append(rec(kind, target if src is None else _place(*src), target))
+        result = match_replies(probed, records)
+        got = alias_filter(result, iter(prefixes), scan_id=3)
+        want = linear_alias_filter(result, prefixes, scan_id=3)
+        assert [(o.router_ip, o.elicited_by, o.scan_id) for o in got] == [
+            (o.router_ip, o.elicited_by, o.scan_id) for o in want
+        ]
+        assert stability_mapping(result, iter(prefixes)) == linear_stability_mapping(
+            result, prefixes
+        )
 
 
 class TestSummary:

@@ -413,6 +413,39 @@ class TestConfig:
         assert "warp_speed" in capsys.readouterr().err
 
 
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["scan", "--hop-limit", "0"], "hop_limit must be in 1..255"),
+            (["scan", "--cooldown", "-1"], "cooldown must be >= 0"),
+            (["scan", "--source", "2001:db8::/64"], "--source: expected a bare address"),
+            (["analyze", "loops", "--subnet-length", "200"], "--subnet-length"),
+            (["analyze", "loops", "--subnet-length", "-1"], "--subnet-length"),
+        ],
+        ids=["hop-limit-0", "cooldown-negative", "source-prefix", "subnet-length-200",
+             "subnet-length-negative"],
+    )
+    def test_bad_flag_is_an_error_not_a_traceback(self, demo, capsys, argv, message):
+        targets = write(demo, "t.txt", "2001:db8:400::\n")
+        # A Time Exceeded reply, so loops has a subnet to cut at the bad length.
+        replies = write(
+            demo,
+            "r.ndjson",
+            '{"ts":0.0,"kind":"time_exceeded","type":3,"code":0,"src":"2001:db8:ffff:1::1",'
+            '"embedded_target":"2001:db8:400::","hop_limit":64}\n',
+        )
+        inputs = {
+            "scan": ["--targets", targets, "--sim-topology", str(demo / "demo_topology.json"),
+                     "-o", str(demo / "out.ndjson")],
+            "analyze": ["--replies", replies, "--targets", targets],
+        }[argv[0]]
+        assert run(*argv, *inputs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestAnalyzeCli:
     def prepared(self, demo):
         targets = str(demo / "targets.txt")

@@ -123,7 +123,8 @@ def test_echo_request_passes_oracle_validation():
 
 def test_echo_request_carries_pass_and_shard():
     t = ProbeTarget(addr("2001:db8:1::"), parse_prefix("2001:db8:1::/48"), Stage.BGP_48)
-    _, dst, _, _, payload = parse_ipv6(build_echo_request(t, cfg(scan_pass=9, shard=2, secret=5)))
+    packet = build_echo_request(t.address, cfg(scan_pass=9, shard=2, secret=5))
+    _, dst, _, _, payload = parse_ipv6(packet)
     assert dst == t.address
     ident, seq = int.from_bytes(payload[4:6], "big"), int.from_bytes(payload[6:8], "big")
     assert (ident, seq) == (9, 2)

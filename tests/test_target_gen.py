@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from srascan.target_gen import (
     GenerationConfig,
     Ipv6Prefix,
+    PrefixTable,
     ProbeTarget,
     Stage,
     count_bgp_all,
@@ -429,6 +430,24 @@ def test_every_count_equals_its_stream_length(name, prefixes):
     got = [t.address for t in gen(prefixes)]
     assert len(got) == len(set(got))
     assert count(prefixes) == len(got)
+
+
+# --- longest-prefix match ----------------------------------------------------
+
+
+def test_prefix_table_stored_none_shadows_a_shorter_prefix():
+    # The simulator stores None for a route whose `default` next hop does not
+    # resolve; that must not fall through to a shorter covering route.
+    table = PrefixTable(
+        [(P("2001:db8::/32"), "wide"), (P("2001:db8:1::/48"), None)], default="miss"
+    )
+    inside = parse_address("2001:db8:1::5")
+    assert table.lookup(inside) is None
+    assert table.covers(inside)
+    assert table.lookup(parse_address("2001:db8:2::5")) == "wide"
+    outside = parse_address("2001:db9::1")
+    assert table.lookup(outside) == "miss"
+    assert not table.covers(outside)
 
 
 # --- output formats ----------------------------------------------------------
