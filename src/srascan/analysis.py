@@ -10,13 +10,12 @@ of ReplyRecord plus the probed target list; nothing touches the network.
 from __future__ import annotations
 
 import csv
-import ipaddress
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
-from .target_gen import MAX128, Ipv6Prefix, PrefixTable
+from .target_gen import MAX128, Ipv6Prefix, PrefixTable, format_address
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
@@ -366,10 +365,6 @@ def compare_datasets(
 # --- CSV output -------------------------------------------------------------------
 
 
-def _fmt_ip(address: int) -> str:
-    return str(ipaddress.IPv6Address(address))
-
-
 def write_summary_csv(summaries: dict[str, ScanSummary], path) -> None:
     fields = [
         "scan",
@@ -413,7 +408,7 @@ def write_loops_csv(report: LoopReport, path) -> None:
         w = csv.writer(fh)
         w.writerow(["router", "looping_subnets", "amplification"])
         for ip, src in report.per_router.items():
-            w.writerow([_fmt_ip(ip), src.looping_subnets, src.amplification])
+            w.writerow([format_address(ip), src.looping_subnets, src.amplification])
 
 
 def write_comparison_csv(report: ComparisonReport, path) -> None:

@@ -16,9 +16,9 @@ import dataclasses
 import functools
 import hashlib
 import importlib.resources
-import ipaddress
 import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -86,35 +86,22 @@ def load_config(path) -> dict:
 # --- shared input helpers ---------------------------------------------------------
 
 
-def _read_lines(path):
+def _load(path, parse) -> list:
+    """Records of a line-oriented input file, read by `target_gen.read_records`."""
     try:
         with open(path) as fh:
-            return fh.readlines()
+            return list(target_gen.read_records(fh, parse))
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
-
-
-def _load_prefixes(path) -> list:
-    try:
-        return list(target_gen.read_prefix_file(_read_lines(path)))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_targets(path) -> list[int]:
-    """Probe list: one address per line, or NDJSON records with `address`."""
-    addresses = []
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if line.startswith("{"):
-                line = json.loads(line)["address"]
-            addresses.append(target_gen.parse_address(line))
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"{path}: line {lineno}: {exc}") from None
-    return addresses
+def _target_address(line: str) -> int:
+    """A probe-list line: one address, or an NDJSON record with `address`."""
+    if line.startswith("{"):
+        line = json.loads(line)["address"]
+    return target_gen.parse_address(line)
 
 
 def _open_out(path):
@@ -139,15 +126,12 @@ def cmd_gen_targets(args) -> int:
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
-        try:
-            source = list(target_gen.read_hitlist_file(_read_lines(args.hitlist)))
-        except ValueError as exc:
-            raise CliError(f"{args.hitlist}: {exc}") from None
+        source = _load(args.hitlist, target_gen.parse_address)
         gen, count = target_gen.gen_from_hitlist, target_gen.count_hitlist
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        source = _load_prefixes(args.prefixes)
+        source = _load(args.prefixes, target_gen.parse_prefix)
         if args.mode == "route6":
             gen = functools.partial(target_gen.gen_route6, cfg=cfg)
             count = functools.partial(target_gen.count_route6, cfg=cfg)
@@ -215,14 +199,14 @@ def _manifest_entry(path, manifest) -> dict:
 
 
 def cmd_scan(args) -> int:
-    if args.rate <= 0:
-        raise CliError("rate must be positive")
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        raise CliError("--rate must be a finite number above 0")
     if args.passes < 1:
         raise CliError("passes must be at least 1")
-    targets = _load_targets(args.targets)
+    targets = _load(args.targets, _target_address)
     input_paths = [args.targets]
     if args.exclude:
-        excluded = _load_prefixes(args.exclude)
+        excluded = _load(args.exclude, target_gen.parse_prefix)
         input_paths.append(args.exclude)
         ranges = target_gen._IntervalSet()
         for p in excluded:
@@ -317,7 +301,7 @@ def cmd_scan(args) -> int:
                 "cooldown": cooldown,
                 "passes": args.passes,
                 "targets_probed": len(targets),
-                "source": str(ipaddress.IPv6Address(source)),
+                "source": target_gen.format_address(source),
                 "secret_sha256": _secret_digest(secret),
             },
             "inputs": [_manifest_entry(p, args.manifest) for p in input_paths],
@@ -360,25 +344,12 @@ def cmd_manifest_verify(args) -> int:
 # --- analyze ----------------------------------------------------------------------
 
 
-def _load_replies(path) -> list:
-    records = []
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            records.append(probe_engine.ReplyRecord.from_json(line))
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"{path}: line {lineno}: {exc}") from None
-    return records
-
-
 def _matched(targets, path):
-    return analysis.match_replies(targets, _load_replies(path))
+    return analysis.match_replies(targets, _load(path, probe_engine.ReplyRecord.from_json))
 
 
 def _aliased(args):
-    return _load_prefixes(args.aliased) if args.aliased else []
+    return _load(args.aliased, target_gen.parse_prefix) if args.aliased else []
 
 
 def cmd_analyze(args) -> int:
@@ -392,8 +363,10 @@ def cmd_analyze(args) -> int:
             raise CliError("loops reads exactly one reply file")
         if not 0 <= args.subnet_length <= 128:
             raise CliError("--subnet-length must be in 0..128")
+        if args.min_time_exceeded < 1:
+            raise CliError("--min-time-exceeded must be at least 1")
     if args.action != "compare":
-        targets = _load_targets(args.targets)
+        targets = _load(args.targets, _target_address)
 
     if args.action == "summarize":
         summaries = {}
@@ -458,7 +431,7 @@ def cmd_analyze(args) -> int:
                 {
                     "looping_subnets": sorted(str(p) for p in report.looping_subnets),
                     "routers": {
-                        str(ipaddress.IPv6Address(ip)): vars(src)
+                        target_gen.format_address(ip): vars(src)
                         for ip, src in report.per_router.items()
                     },
                 },
@@ -474,8 +447,10 @@ def cmd_analyze(args) -> int:
             if "=" not in item:
                 raise CliError(f"--set wants NAME=FILE, got {item!r}")
             name, _, path = item.partition("=")
-            named[name] = _load_targets(path)
-        table = target_gen.PrefixTable.from_csv(args.labels) if args.labels else None
+            named[name] = _load(path, _target_address)
+        table = None
+        if args.labels:
+            table = target_gen.PrefixTable(_load(args.labels, target_gen.parse_label_row))
         try:
             report = analysis.compare_datasets(named, table)
         except ValueError as exc:

@@ -28,13 +28,12 @@ refills according to the probe send rate and the whole run is replayable.
 from __future__ import annotations
 
 import heapq
-import ipaddress
 import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .target_gen import Ipv6Prefix, PrefixTable, parse_prefix
+from .target_gen import Ipv6Prefix, PrefixTable, format_address, parse_address, parse_prefix
 from .probe_engine import (
     ICMP6_ECHO_REQUEST,
     build_ipv6_icmp,
@@ -60,7 +59,7 @@ class Interface:
     def __post_init__(self):
         if not self.subnet.covers_address(self.address):
             raise ValueError(
-                f"interface address {ipaddress.IPv6Address(self.address)} "
+                f"interface address {format_address(self.address)} "
                 f"not inside {self.subnet}"
             )
 
@@ -120,9 +119,6 @@ class SimTopology:
                     raise ValueError(
                         f"router {r.id!r}: route {route.prefix} points at itself"
                     )
-
-    def router(self, router_id: str) -> SimRouter:
-        return next(r for r in self.routers if r.id == router_id)
 
 
 @dataclass(frozen=True)
@@ -389,7 +385,7 @@ def topology_to_dict(topology: SimTopology) -> dict:
                 "error_rate": r.error_rate,
                 "error_burst": r.error_burst,
                 "interfaces": [
-                    {"addr": str(ipaddress.IPv6Address(i.address)), "subnet": str(i.subnet)}
+                    {"addr": format_address(i.address), "subnet": str(i.subnet)}
                     for i in r.interfaces
                 ],
                 "routes": [
@@ -412,7 +408,7 @@ def topology_from_dict(data: dict) -> SimTopology:
                 id=rd["id"],
                 interfaces=[
                     Interface(
-                        address=int(ipaddress.IPv6Address(i["addr"])),
+                        address=parse_address(i["addr"]),
                         subnet=parse_prefix(i["subnet"]),
                     )
                     for i in rd["interfaces"]

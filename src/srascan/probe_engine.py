@@ -19,14 +19,16 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
-import ipaddress
 import json
+import math
 import socket
 import struct
 import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
+
+from .target_gen import format_address, parse_address
 
 
 ICMP6_ECHO_REQUEST = 128
@@ -47,13 +49,13 @@ class ProbeConfig:
     hop_limit: int = 64
     cooldown: float = 10.0
     secret: int = 0
-    source_address: int = int(ipaddress.IPv6Address("2001:db8:ffff::1"))
+    source_address: int = parse_address("2001:db8:ffff::1")
     scan_pass: int = 0  # goes into the ICMP identifier field
     shard: int = 0      # goes into the ICMP sequence field
 
     def __post_init__(self):
-        if self.send_rate <= 0:
-            raise ValueError("send_rate must be > 0")
+        if not (math.isfinite(self.send_rate) and self.send_rate > 0):
+            raise ValueError("send_rate must be finite and > 0")
         if not 1 <= self.hop_limit <= 255:
             raise ValueError("hop_limit must be in 1..255")
         if self.cooldown < 0:
@@ -110,9 +112,9 @@ class ReplyRecord:
                 "kind": self.kind.value,
                 "type": self.icmp_type,
                 "code": self.code,
-                "src": str(ipaddress.IPv6Address(self.source)),
+                "src": format_address(self.source),
                 "embedded_target": (
-                    str(ipaddress.IPv6Address(self.embedded_target))
+                    format_address(self.embedded_target)
                     if self.embedded_target is not None
                     else None
                 ),
@@ -128,9 +130,9 @@ class ReplyRecord:
             kind=ReplyKind(d["kind"]),
             icmp_type=d["type"],
             code=d["code"],
-            source=int(ipaddress.IPv6Address(d["src"])),
+            source=parse_address(d["src"]),
             embedded_target=(
-                int(ipaddress.IPv6Address(d["embedded_target"]))
+                parse_address(d["embedded_target"])
                 if d["embedded_target"] is not None
                 else None
             ),
@@ -381,7 +383,7 @@ class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
         self._send_sock.setsockopt(
             socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, hop_limit
         )
-        self._send_sock.bind((str(ipaddress.IPv6Address(source_address)), 0))
+        self._send_sock.bind((format_address(source_address), 0))
         # ETH_P_IPV6 = 0x86DD; AF_PACKET delivers whole frames
         self._recv_sock = socket.socket(
             socket.AF_PACKET, socket.SOCK_DGRAM, socket.htons(0x86DD)
@@ -394,7 +396,7 @@ class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
         if parsed is None:
             raise ValueError("not an IPv6 packet")
         _, dst, _, _, payload = parsed
-        self._send_sock.sendto(payload, (str(ipaddress.IPv6Address(dst)), 0))
+        self._send_sock.sendto(payload, (format_address(dst), 0))
 
     def receive(self, timeout: float) -> tuple[bytes, float] | None:
         # settimeout(0) makes the socket non-blocking: receive(0) never waits.

@@ -18,9 +18,10 @@ import enum
 import hashlib
 import ipaddress
 import random
+import socket
 import struct
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 MAX128 = (1 << 128) - 1
 
@@ -64,7 +65,7 @@ class Ipv6Prefix:
             raise ValueError("prefix bits out of 128-bit range")
         if self.bits & self.host_mask():
             raise ValueError(
-                f"{ipaddress.IPv6Address(self.bits)}/{self.length} has host bits set"
+                f"{format_address(self.bits)}/{self.length} has host bits set"
             )
 
     def host_mask(self) -> int:
@@ -98,7 +99,7 @@ class Ipv6Prefix:
         return 1 << (sublen - self.length)
 
     def __str__(self) -> str:
-        return f"{ipaddress.IPv6Address(self.bits)}/{self.length}"
+        return f"{format_address(self.bits)}/{self.length}"
 
 
 _MISS = object()
@@ -157,19 +158,9 @@ class PrefixTable:
 
     @classmethod
     def from_csv(cls, path, default: str = "unknown") -> "PrefixTable":
-        """Rows of `prefix,label`; blank lines and # comments skipped."""
-        table = cls(default=default)
+        """Rows of `prefix,label`, read by `read_records`."""
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    prefix_text, label = line.split(",", 1)
-                    table.add(parse_prefix(prefix_text.strip()), label.strip())
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-        return table
+            return cls(read_records(fh, parse_label_row), default)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,12 +175,12 @@ class ProbeTarget:
         sublen = self.subnet_length
         if self.address & ((1 << (128 - sublen)) - 1):
             raise ValueError(
-                f"target {ipaddress.IPv6Address(self.address)} has host bits "
+                f"target {format_address(self.address)} has host bits "
                 f"set below /{sublen}"
             )
         if not self.origin.covers_address(self.address):
             raise ValueError(
-                f"target {ipaddress.IPv6Address(self.address)} not covered by "
+                f"target {format_address(self.address)} not covered by "
                 f"origin {self.origin}"
             )
 
@@ -198,7 +189,7 @@ class ProbeTarget:
         return _STAGE_SUBNET_LEN[self.stage] or self.origin.length
 
     def __str__(self) -> str:
-        return str(ipaddress.IPv6Address(self.address))
+        return format_address(self.address)
 
 
 @dataclass(frozen=True)
@@ -211,6 +202,34 @@ class GenerationConfig:
             raise ValueError("route6_samples_per_prefix must be >= 1")
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
+
+
+def format_address(address: int) -> str:
+    """RFC 5952 text of a 128-bit address, with every group in hex."""
+    if address >> 32 in (0, 0xFFFF):
+        # glibc writes the last 32 bits of ::/96 and ::ffff:0:0/96 as a
+        # dotted quad; ipaddress writes hex.
+        return str(ipaddress.IPv6Address(address))
+    return socket.inet_ntop(socket.AF_INET6, address.to_bytes(16, "big"))
+
+
+def parse_address(text: str) -> int:
+    """Parse a bare IPv6 address (hitlist line format).
+
+    Text with a scope, such as `fe80::1%eth0`, is accepted and the scope
+    dropped.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"expected an address string, got {text!r}")
+    text = text.strip()
+    if "/" in text:
+        raise ValueError(f"expected a bare address, got {text!r}")
+    try:
+        return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
+    except (OSError, ValueError):
+        # inet_pton refuses scoped text; ipaddress accepts it, or refuses
+        # the text with a message that says why.
+        return int(ipaddress.IPv6Address(text))
 
 
 def parse_prefix(text: str) -> Ipv6Prefix:
@@ -228,16 +247,30 @@ def parse_prefix(text: str) -> Ipv6Prefix:
             raise ValueError(f"bad prefix length {len_part!r}") from None
     else:
         addr_part, length = text, 128
-    addr = ipaddress.IPv6Address(addr_part)
-    return Ipv6Prefix(int(addr), length)
+    return Ipv6Prefix(parse_address(addr_part), length)
 
 
-def parse_address(text: str) -> int:
-    """Parse a bare IPv6 address (hitlist line format)."""
-    text = text.strip()
-    if "/" in text:
-        raise ValueError(f"expected a bare address, got {text!r}")
-    return int(ipaddress.IPv6Address(text))
+def parse_label_row(line: str) -> tuple[Ipv6Prefix, str]:
+    """One `prefix,label` row of a `--labels` file."""
+    prefix_text, label = line.split(",", 1)
+    return parse_prefix(prefix_text), label.strip()
+
+
+def read_records(lines: Iterable[str], parse: Callable[[str], object]) -> Iterator:
+    """Parse every line of a line-oriented input, stripped.
+
+    Blank lines and lines starting with # are skipped.  A line that `parse`
+    refuses raises ValueError naming its 1-based line number.
+    """
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            record = parse(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        yield record
 
 
 class _IntervalSet:
@@ -593,41 +626,19 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
 
 
 def read_prefix_file(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
-    """Parse one CIDR prefix per line; blank lines and # comments skipped.
-
-    Raises ValueError naming the offending line number.
-    """
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_prefix(line)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-
-
-def read_hitlist_file(lines: Iterable[str]) -> Iterator[int]:
-    """Parse one bare IPv6 address per line, same conventions as prefixes."""
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_address(line)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    """Parse one CIDR prefix per line, by the `read_records` conventions."""
+    return read_records(lines, parse_prefix)
 
 
 def target_line(target: ProbeTarget) -> str:
     """Plain-text output format: one compressed address."""
-    return str(ipaddress.IPv6Address(target.address))
+    return format_address(target.address)
 
 
 def target_record(target: ProbeTarget) -> dict:
     """NDJSON output format with provenance."""
     return {
-        "address": str(ipaddress.IPv6Address(target.address)),
+        "address": format_address(target.address),
         "origin": str(target.origin),
         "stage": target.stage.value,
     }

@@ -164,10 +164,46 @@ class TestGenTargets:
         )
         assert len(capsys.readouterr().out.splitlines()) == 2
 
-    def test_parse_errors_name_the_line(self, tmp_path, capsys):
-        prefixes = write(tmp_path, "bad.txt", "2001:db8::/32\n\nnot-a-prefix/48\n")
-        assert run("gen-targets", "--mode", "bgp", "--prefixes", prefixes) == 2
-        assert "line 3" in capsys.readouterr().err
+    REPLY = (
+        '{"ts":0.0,"kind":"echo_reply","type":129,"code":0,"src":"2001:db8:100::",'
+        '"embedded_target":"2001:db8:100::","hop_limit":64}'
+    )
+
+    # Every line-oriented input: line 2 is a comment or blank, line 3 is bad.
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["gen-targets", "--mode", "bgp", "--prefixes", "{bad}"],
+             "2001:db8::/32\n\nnot-a-prefix/48\n"),
+            (["gen-targets", "--mode", "hitlist", "--hitlist", "{bad}"],
+             "2001:db8::1\n# host\n2001:db8::zz\n"),
+            (["scan", "--targets", "{bad}", "--sim-topology", "{topology}"],
+             "2001:db8:100::\n\n2001:db8:100::/48\n"),
+            (["scan", "--targets", "{bad}", "--sim-topology", "{topology}"],
+             '{"address": "2001:db8:100::"}\n# record\n{"origin": "2001:db8::/32"}\n'),
+            (["scan", "--targets", "{bad}", "--sim-topology", "{topology}"],
+             '{"address": "2001:db8:100::"}\n\n{"address": 5}\n'),
+            (["analyze", "summarize", "--replies", "{bad}", "--targets", "{targets}"],
+             REPLY + "\n# a comment, skipped like in every other input\n{}\n"),
+            (["analyze", "summarize", "--replies", "{bad}", "--targets", "{targets}"],
+             REPLY + "\n\n[]\n"),
+            (["analyze", "compare", "--set", "a={targets}", "--set", "b={targets}",
+              "--labels", "{bad}"],
+             "2001:db8::/32,doc\n\n2001:db8::/300,bad length\n"),
+        ],
+        ids=["prefixes", "hitlist", "targets", "targets-ndjson", "targets-ndjson-number",
+             "replies", "replies-not-an-object", "labels"],
+    )
+    def test_parse_errors_name_the_line(self, demo, capsys, argv, text):
+        paths = {
+            "bad": write(demo, "bad.txt", text),
+            "targets": write(demo, "t.txt", "2001:db8:100::\n"),
+            "topology": str(demo / "demo_topology.json"),
+        }
+        assert run(*(arg.format(**paths) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.txt: line 3:" in err
+        assert "Traceback" not in err
 
     def test_mode_needs_its_input_file(self, capsys):
         assert run("gen-targets", "--mode", "hitlist") == 2
@@ -422,9 +458,14 @@ class TestBadFlags:
             (["scan", "--source", "2001:db8::/64"], "--source: expected a bare address"),
             (["analyze", "loops", "--subnet-length", "200"], "--subnet-length"),
             (["analyze", "loops", "--subnet-length", "-1"], "--subnet-length"),
+            (["scan", "--rate", "nan"], "--rate must be a finite number above 0"),
+            (["scan", "--rate", "inf"], "--rate must be a finite number above 0"),
+            (["analyze", "loops", "--min-time-exceeded", "0"], "--min-time-exceeded"),
+            (["analyze", "loops", "--min-time-exceeded", "-1"], "--min-time-exceeded"),
         ],
         ids=["hop-limit-0", "cooldown-negative", "source-prefix", "subnet-length-200",
-             "subnet-length-negative"],
+             "subnet-length-negative", "rate-nan", "rate-inf", "min-time-exceeded-0",
+             "min-time-exceeded-negative"],
     )
     def test_bad_flag_is_an_error_not_a_traceback(self, demo, capsys, argv, message):
         targets = write(demo, "t.txt", "2001:db8:400::\n")

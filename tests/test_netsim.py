@@ -91,7 +91,8 @@ class TestReplyRules:
 
     def test_anycast_ignored_when_disabled(self):
         topo = two_router_path()
-        topo.router("core").sra_enabled = False
+        (core,) = [r for r in topo.routers if r.id == "core"]
+        core.sra_enabled = False
         delivery = deliver(topo, probe("2001:db8:20::"))
         (rec,) = classified(delivery)
         # falls through to local delivery, which has no such host

@@ -7,10 +7,13 @@ module (subnets/supernet enumeration), not from the code under test.
 from __future__ import annotations
 
 import ipaddress
+import re
+import socket
 from itertools import islice
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srascan.target_gen import (
@@ -25,6 +28,7 @@ from srascan.target_gen import (
     count_stage1,
     count_stage2,
     count_stage3,
+    format_address,
     gen_bgp_all,
     gen_from_hitlist,
     gen_route6,
@@ -116,6 +120,98 @@ def test_parse_prefix_rejects(bad):
 def test_parse_address_rejects_cidr():
     with pytest.raises(ValueError):
         parse_address("2001:db8::/48")
+
+
+# --- address codec -------------------------------------------------------------
+
+# Addresses biased towards runs of zero groups, where the compression rules
+# of RFC 5952 decide the text, and towards ::/96 and ::ffff:0:0/96, where
+# glibc writes a dotted quad and ipaddress does not.
+_groups = st.lists(
+    st.sampled_from([0, 0, 0, 1, 0xFFFF]) | st.integers(0, 0xFFFF),
+    min_size=8,
+    max_size=8,
+)
+addresses = st.one_of(
+    _groups.map(lambda g: int.from_bytes(b"".join(x.to_bytes(2, "big") for x in g), "big")),
+    st.integers(0, (1 << 32) - 1),
+    st.integers(0, (1 << 32) - 1).map(lambda low: 0xFFFF << 32 | low),
+    st.integers(0, (1 << 128) - 1),
+)
+
+
+@st.composite
+def address_texts(draw):
+    """Valid texts of an address, then up to three one-character edits."""
+    a = draw(addresses)
+    ip = ipaddress.IPv6Address(a)
+    text = draw(
+        st.sampled_from(
+            [
+                str(ip),
+                ip.exploded,
+                socket.inet_ntop(socket.AF_INET6, a.to_bytes(16, "big")),
+                f"{ip}%eth0",
+            ]
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from("0123456789abcdefABCDEFg:.%/ \x00"))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            text = text[:i] + char + text[i:]
+        elif edit == "replace":
+            text = text[:i] + char + text[i + 1 :]
+        else:
+            text = text[:i] + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=2000, deadline=None)
+@given(a=addresses)
+@example(a=0)
+@example(a=1)
+@example(a=0x01020304)
+@example(a=0xFFFF01020304)
+def test_format_address_matches_ipaddress_and_round_trips(a):
+    text = format_address(a)
+    assert text == str(ipaddress.IPv6Address(a))
+    assert parse_address(text) == a
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "refused"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=address_texts())
+@example(text="::")
+@example(text="::1")
+@example(text="::1.2.3.4")
+@example(text="::ffff:1.2.3.4")
+@example(text="fe80::1%eth0")
+def test_parse_address_accepts_and_refuses_like_ipaddress(text):
+    expected = _parsed(lambda t: int(ipaddress.IPv6Address(t.strip())), text)
+    assert _parsed(parse_address, text) == expected
+
+
+def test_scoped_address_text_drops_the_scope():
+    assert parse_address("fe80::1%eth0") == addr("fe80::1")
+
+
+def test_only_target_gen_imports_ipaddress():
+    """Address text is written and read in one module, so it cannot drift."""
+    src = Path(__file__).resolve().parent.parent / "src" / "srascan"
+    importers = {
+        path.name
+        for path in src.glob("*.py")
+        if re.search(r"^\s*(import|from)\s+ipaddress\b", path.read_text(), re.M)
+    }
+    assert importers == {"target_gen.py"}
 
 
 def test_sra_address_is_prefix_with_zero_host_bits():
