@@ -64,21 +64,34 @@ class CliError(Exception):
 # --- config preloading ------------------------------------------------------------
 
 
+def _read_json_object(path) -> dict:
+    """A JSON file holding one object; any other content is a CliError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return data
+
+
 def load_config(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json_object(path)
     if data.get("version") != CONFIG_VERSION:
-        raise CliError(f"unsupported config version {data.get('version')!r}")
+        raise CliError(f"{path}: unsupported config version {data.get('version')!r}")
     for section, values in data.items():
         if section == "version":
             continue
         allowed = _CONFIG_SECTIONS.get(section)
         if allowed is None:
-            raise CliError(f"unknown config section {section!r}")
+            raise CliError(f"{path}: unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise CliError(f"{path}: config section {section!r} is not an object")
         unknown = set(values) - allowed
         if unknown:
             raise CliError(
-                f"unknown config keys in {section!r}: {', '.join(sorted(unknown))}"
+                f"{path}: unknown config keys in {section!r}: {', '.join(sorted(unknown))}"
             )
     return data
 
@@ -127,20 +140,24 @@ def cmd_gen_targets(args) -> int:
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
         source = _load(args.hitlist, target_gen.parse_address)
-        gen, count = target_gen.gen_from_hitlist, target_gen.count_hitlist
+        gen, count, plan = (
+            target_gen.gen_from_hitlist, target_gen.count_hitlist, target_gen.hitlist_plan
+        )
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
         source = _load(args.prefixes, target_gen.parse_prefix)
         if args.mode == "route6":
-            gen = functools.partial(target_gen.gen_route6, cfg=cfg)
-            count = functools.partial(target_gen.count_route6, cfg=cfg)
+            gen, count, plan = (
+                functools.partial(fn, cfg=cfg)
+                for fn in (target_gen.gen_route6, target_gen.count_route6, target_gen.route6_plan)
+            )
         else:
-            gen, count = {
-                "1": (target_gen.gen_stage1, target_gen.count_stage1),
-                "2": (target_gen.gen_stage2, target_gen.count_stage2),
-                "3": (target_gen.gen_stage3, target_gen.count_stage3),
-                "all": (target_gen.gen_bgp_all, target_gen.count_bgp_all),
+            gen, count, plan = {
+                "1": (target_gen.gen_stage1, target_gen.count_stage1, target_gen.stage1_plan),
+                "2": (target_gen.gen_stage2, target_gen.count_stage2, target_gen.stage2_plan),
+                "3": (target_gen.gen_stage3, target_gen.count_stage3, target_gen.stage3_plan),
+                "all": (target_gen.gen_bgp_all, target_gen.count_bgp_all, target_gen.bgp_all_plan),
             }[args.stage]
 
     if args.count_only:
@@ -154,16 +171,19 @@ def cmd_gen_targets(args) -> int:
         print(json.dumps(counts, indent=2))
         return 0
 
-    stream = gen(source)
+    # Only --ndjson needs provenance; the text path renders the bare ints.
+    if args.ndjson:
+        records = target_gen.walk_records(plan(source))
+        lines = (json.dumps(target_gen.target_record(t)) for t in records)
+    else:
+        lines = map(target_gen.format_address, gen(source))
     if args.max_targets is not None:
-        stream = itertools.islice(stream, args.max_targets)
+        lines = itertools.islice(lines, args.max_targets)
     out, close = _open_out(args.output)
     try:
-        for target in stream:
-            if args.ndjson:
-                out.write(json.dumps(target_gen.target_record(target)) + "\n")
-            else:
-                out.write(target_gen.target_line(target) + "\n")
+        # One write per block of lines rather than per line.
+        while block := list(itertools.islice(lines, 4096)):
+            out.write("\n".join(block) + "\n")
     finally:
         if close:
             out.close()
@@ -257,7 +277,7 @@ def cmd_scan(args) -> int:
         input_paths.append(args.sim_topology)
         try:
             topology = netsim.load_topology(args.sim_topology)
-        except (ValueError, OSError, KeyError) as exc:
+        except (ValueError, OSError, KeyError, TypeError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
 
@@ -313,15 +333,32 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_manifest_verify(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+def _manifest_entries(path) -> list[dict]:
+    """The input and output entries of a manifest, each with a path and a digest."""
+    manifest = _read_json_object(path)
     if manifest.get("version") != MANIFEST_VERSION:
-        raise CliError(f"unsupported manifest version {manifest.get('version')!r}")
+        raise CliError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
+    entries = []
+    for key in ("inputs", "outputs"):
+        listed = manifest.get(key, [])
+        if not isinstance(listed, list):
+            raise CliError(f"{path}: {key!r} is not a list")
+        for entry in listed:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)
+            ):
+                raise CliError(f"{path}: each entry needs a 'path' and a 'sha256' string")
+        entries += listed
+    return entries
+
+
+def cmd_manifest_verify(args) -> int:
     root = Path(args.manifest).parent
     bad = 0
     checked = 0
-    for entry in manifest.get("inputs", []) + manifest.get("outputs", []):
+    for entry in _manifest_entries(args.manifest):
         path = Path(entry["path"])
         if not path.is_absolute():
             path = root / path

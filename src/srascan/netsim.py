@@ -398,6 +398,8 @@ def topology_to_dict(topology: SimTopology) -> dict:
 
 
 def topology_from_dict(data: dict) -> SimTopology:
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
     version = data.get("version")
     if version != TOPOLOGY_FORMAT_VERSION:
         raise ValueError(f"unsupported topology format version {version!r}")

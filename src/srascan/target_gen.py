@@ -5,9 +5,12 @@ bits zero (RFC 4291 section 2.6.1).  Every generator below emits SRA
 addresses derived from routing data (announced prefixes) or from a hitlist
 of known-active host addresses.
 
-Generators are lazy: they yield targets one by one and never materialize a
-full target list, so prefix sets that expand to billions of addresses can
-be streamed to a sender or counted.  Deduplication is exact and runs on
+Generators are lazy: they yield targets one by one, as 128-bit integers,
+and never materialize a full target list, so prefix sets that expand to
+billions of addresses can be streamed to a sender or counted.  Each mode's
+plan is walked three ways: `gen_*` yields its addresses, `count_*` sums its
+sizes, and `walk_records` yields each address as a `ProbeTarget` with the
+prefix and rule that produced it.  Deduplication is exact and runs on
 interval arithmetic over subnet index space, not on per-address sets.
 """
 
@@ -17,6 +20,7 @@ import bisect
 import enum
 import hashlib
 import ipaddress
+import itertools
 import random
 import socket
 import struct
@@ -206,9 +210,10 @@ class GenerationConfig:
 
 def format_address(address: int) -> str:
     """RFC 5952 text of a 128-bit address, with every group in hex."""
-    if address >> 32 in (0, 0xFFFF):
+    if address < 1 << 48 and address >> 32 in (0, 0xFFFF):
         # glibc writes the last 32 bits of ::/96 and ::ffff:0:0/96 as a
-        # dotted quad; ipaddress writes hex.
+        # dotted quad; ipaddress writes hex.  Both lie below 2^48, so one
+        # comparison clears every other address.
         return str(ipaddress.IPv6Address(address))
     return socket.inet_ntop(socket.AF_INET6, address.to_bytes(16, "big"))
 
@@ -338,12 +343,25 @@ def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
 # is a sized iterable of subnet indices at the stage's subnet length (a range
 # for the grid stages).  Each gen_* walks its plan and each count_* sums the
 # entry lengths of the same plan, so a count equals its stream's length.
+# `walk_records` walks the same plan with provenance.
 _PlanEntry = tuple[Ipv6Prefix, Stage, Collection[int]]
 
 
-def _walk(plan: Iterable[_PlanEntry]) -> Iterator[ProbeTarget]:
+def _shift(origin: Ipv6Prefix, stage: Stage) -> int:
+    """Host bits below an entry's subnets: a target is `index << shift`."""
+    return 128 - (_STAGE_SUBNET_LEN[stage] or origin.length)
+
+
+def _walk(plan: Iterable[_PlanEntry]) -> Iterator[int]:
+    return itertools.chain.from_iterable(
+        map(_shift(origin, stage).__rlshift__, indices) for origin, stage, indices in plan
+    )
+
+
+def walk_records(plan: Iterable[_PlanEntry]) -> Iterator[ProbeTarget]:
+    """The targets of `plan`, in walk order, each a validated ProbeTarget."""
     for origin, stage, indices in plan:
-        shift = 128 - (_STAGE_SUBNET_LEN[stage] or origin.length)
+        shift = _shift(origin, stage)
         for idx in indices:
             yield ProbeTarget(idx << shift, origin, stage)
 
@@ -368,7 +386,7 @@ def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
     return out
 
 
-def _stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
+def stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
     """One entry per distinct SRA address; the first prefix that has it wins."""
     seen: set[int] = set()
     for p in prefixes:
@@ -379,22 +397,22 @@ def _stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
             yield p, Stage.BGP_AS_ANNOUNCED, range(idx, idx + 1)
 
 
-def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
+def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     """SRA address of every announced prefix, as announced.
 
     One target per distinct input prefix; prefixes of different length that
     share an SRA address (a /32 and its first /48) collapse to the first
     occurrence, so the stream never repeats an address.
     """
-    yield from _walk(_stage1_plan(prefixes))
+    yield from _walk(stage1_plan(prefixes))
 
 
 def count_stage1(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage1 stream."""
-    return _size(_stage1_plan(prefixes))
+    return _size(stage1_plan(prefixes))
 
 
-def _stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+def stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     """Deduplicated /48 index ranges, in input order.
 
     A prefix longer than /48 contributes its /48 supernet only when no
@@ -419,7 +437,7 @@ def _stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     return plan
 
 
-def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
+def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     """Partition announcements into /48 subnets and emit each SRA once.
 
     A prefix of length L <= 48 yields its 2^(48-L) component /48s.  A more
@@ -428,15 +446,15 @@ def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
     which case it yields nothing.  Overlaps are deduplicated at the target
     level, so nested announcements emit the union of their /48s exactly once.
     """
-    yield from _walk(_stage2_plan(prefixes))
+    yield from _walk(stage2_plan(prefixes))
 
 
 def count_stage2(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage2 stream, without enumerating it."""
-    return _size(_stage2_plan(prefixes))
+    return _size(stage2_plan(prefixes))
 
 
-def _stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+def stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     plan = []
     for p in _dedup_prefixes(prefixes):
         if p.length == 48:
@@ -445,19 +463,19 @@ def _stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     return plan
 
 
-def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
+def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     """Partition exact /48 announcements into their 2^16 /64 subnets.
 
     Only inputs of length exactly 48 contribute; anything shorter would
     explode combinatorially and anything longer is already more specific
     than the /64 grain this stage probes.
     """
-    yield from _walk(_stage3_plan(prefixes))
+    yield from _walk(stage3_plan(prefixes))
 
 
 def count_stage3(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage3 stream: 2^16 per distinct /48 input."""
-    return _size(_stage3_plan(prefixes))
+    return _size(stage3_plan(prefixes))
 
 
 def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
@@ -519,7 +537,7 @@ class _Route6Samples:
         return (idx for idx in self.draw() if idx not in self.skip)
 
 
-def _route6_plan(
+def route6_plan(
     prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig
 ) -> list[_PlanEntry]:
     """One lazy sample entry per distinct prefix.
@@ -547,7 +565,7 @@ def _route6_plan(
 
 def gen_route6(
     prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig
-) -> Iterator[ProbeTarget]:
+) -> Iterator[int]:
     """Sample random /64 SRA addresses inside each routed prefix.
 
     Each prefix of length L <= 64 yields min(cfg.route6_samples_per_prefix,
@@ -556,7 +574,7 @@ def gen_route6(
     SRA of their /64 supernet.  When inputs overlap, an address sampled for
     two prefixes is emitted only for the first: the stream never repeats.
     """
-    yield from _walk(_route6_plan(prefixes, cfg))
+    yield from _walk(route6_plan(prefixes, cfg))
 
 
 def count_route6(prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig) -> int:
@@ -565,10 +583,10 @@ def count_route6(prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig) -> int:
     Pure arithmetic for prefixes that do not overlap any other input; only
     prefixes touching a contested region run their sampler.
     """
-    return _size(_route6_plan(prefixes, cfg))
+    return _size(route6_plan(prefixes, cfg))
 
 
-def _hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
+def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
     seen: set[int] = set()
     for addr in addresses:
         idx = addr >> 64
@@ -577,41 +595,41 @@ def _hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
             yield Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64, range(idx, idx + 1)
 
 
-def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[ProbeTarget]:
+def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
     """Mask active host addresses to their /64 and emit each SRA once."""
-    yield from _walk(_hitlist_plan(addresses))
+    yield from _walk(hitlist_plan(addresses))
 
 
 def count_hitlist(addresses: Iterable[int]) -> int:
     """Number of distinct /64s in a hitlist."""
-    return _size(_hitlist_plan(addresses))
+    return _size(hitlist_plan(addresses))
 
 
-def _bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+def bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     """Stage 1, 2 and 3 plans, with the stage-1 SRAs cut from the later ranges.
 
     No stage-2 address falls in a stage-3 range except the base of an exact
     /48 announcement, and that is the announcement's own stage-1 SRA.
     """
     prefixes = _dedup_prefixes(prefixes)
-    stage1 = list(_stage1_plan(prefixes))
+    stage1 = list(stage1_plan(prefixes))
     sras = [origin.sra for origin, _, _ in stage1]
     cut48 = sorted({a >> 80 for a in sras if not a & ((1 << 80) - 1)})
     cut64 = sorted({a >> 64 for a in sras if not a & ((1 << 64) - 1)})
     return (
         stage1
-        + _cut(_stage2_plan(prefixes), cut48)
-        + _cut(_stage3_plan(prefixes), cut64)
+        + _cut(stage2_plan(prefixes), cut48)
+        + _cut(stage3_plan(prefixes), cut64)
     )
 
 
-def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[ProbeTarget]:
+def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     """Stages 1-3 back to back with cross-stage address deduplication.
 
     Priority follows emission order: an address produced by an earlier stage
     suppresses the same address from a later one.
     """
-    yield from _walk(_bgp_all_plan(prefixes))
+    yield from _walk(bgp_all_plan(prefixes))
 
 
 def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
@@ -621,18 +639,13 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
         "stage1": count_stage1(prefixes),
         "stage2": count_stage2(prefixes),
         "stage3": count_stage3(prefixes),
-        "deduplicated_total": _size(_bgp_all_plan(prefixes)),
+        "deduplicated_total": _size(bgp_all_plan(prefixes)),
     }
 
 
 def read_prefix_file(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
     """Parse one CIDR prefix per line, by the `read_records` conventions."""
     return read_records(lines, parse_prefix)
-
-
-def target_line(target: ProbeTarget) -> str:
-    """Plain-text output format: one compressed address."""
-    return format_address(target.address)
 
 
 def target_record(target: ProbeTarget) -> dict:

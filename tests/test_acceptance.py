@@ -78,12 +78,12 @@ def test_c01_stage2_counts_match_brute_force(announce):
         prefix = parse_prefix(f"2001:db8::/{length}")
         emitted = list(gen_stage2([prefix]))
         assert len(emitted) == 2 ** (48 - length)
-        assert len({t.address for t in emitted}) == len(emitted)
+        assert len(set(emitted)) == len(emitted)
         want = {
             int(net.network_address)
             for net in ipaddress.IPv6Network(f"2001:db8::/{length}").subnets(new_prefix=48)
         }
-        assert {t.address for t in emitted} == want
+        assert set(emitted) == want
     assert count_stage2([parse_prefix("2001:db8::/32")]) == 65536
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -181,13 +181,13 @@ def test_c04_pipeline_recovers_the_ground_truth_router_set(announce):
         topology, lans, aliased, expected, rnd = _random_star_topology(seed)
         cfg = ProbeConfig(secret=seed + 1, cooldown=0.02, send_rate=1_000_000.0)
         targets = list(gen_route6(lans, GenerationConfig(rng_seed=seed)))
-        assert {t.address for t in targets} == {lan.bits for lan in lans}
+        assert set(targets) == {lan.bits for lan in lans}
         host_probes = [
             lan.bits | rnd.randrange(2, 1 << 64)
             for lan in rnd.sample(lans, min(8, len(lans)))
         ]
         transport = SimTransport(topology, tick=1e-6)
-        probed = [t.address for t in targets] + host_probes
+        probed = targets + host_probes
         records = list(run_scan(probed, transport, cfg))
         result = match_replies(probed, records)
         observations = alias_filter(result, aliased)

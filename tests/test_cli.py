@@ -8,7 +8,7 @@ from collections import Counter, deque
 import pytest
 
 import rfc4443_oracle as oracle
-from srascan import cli, netsim, probe_engine
+from srascan import cli, netsim, probe_engine, target_gen
 
 
 def run(*argv):
@@ -25,6 +25,21 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# Every generation mode, for tests that must hold in each.
+gen_modes = pytest.mark.parametrize(
+    "mode",
+    [
+        ["--mode", "bgp", "--stage", "1"],
+        ["--mode", "bgp", "--stage", "2"],
+        ["--mode", "bgp", "--stage", "3"],
+        ["--mode", "bgp", "--stage", "all"],
+        ["--mode", "route6", "--samples-per-prefix", "7", "--seed", "3"],
+        ["--mode", "hitlist"],
+    ],
+    ids=["bgp1", "bgp2", "bgp3", "bgpall", "route6", "hitlist"],
+)
 
 
 class TestGenTargets:
@@ -81,18 +96,7 @@ class TestGenTargets:
         assert capsys.readouterr().out.strip() == str(4 * 65536)
 
     @pytest.mark.parametrize("max_targets", [None, 0, 3, 10**9])
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            ["--mode", "bgp", "--stage", "1"],
-            ["--mode", "bgp", "--stage", "2"],
-            ["--mode", "bgp", "--stage", "3"],
-            ["--mode", "bgp", "--stage", "all"],
-            ["--mode", "route6", "--samples-per-prefix", "7", "--seed", "3"],
-            ["--mode", "hitlist"],
-        ],
-        ids=["bgp1", "bgp2", "bgp3", "bgpall", "route6", "hitlist"],
-    )
+    @gen_modes
     def test_count_only_equals_lines_written(self, tmp_path, capsys, mode, max_targets):
         # nested, overlapping and repeated announcements, one exact /48
         prefixes = write(
@@ -113,6 +117,23 @@ class TestGenTargets:
         if isinstance(counted, dict):
             counted = counted["deduplicated_total"]
         assert counted == len(out.read_text().splitlines())
+
+    @gen_modes
+    def test_text_output_builds_no_probe_target(self, demo, monkeypatch, mode):
+        def refuse(target):
+            raise AssertionError("a ProbeTarget was built")
+
+        monkeypatch.setattr(target_gen.ProbeTarget, "__post_init__", refuse)
+        argv = [
+            "gen-targets", *mode, "--prefixes", str(demo / "demo_subnets.txt"),
+            "--hitlist", write(demo, "h.txt", "2001:db8:100::1\n2001:db8:200:1::1\n"),
+        ]
+        out = demo / "targets.txt"
+        assert run(*argv, "-o", str(out)) == 0
+        assert out.read_text()
+        # The patch bites: provenance output does build ProbeTargets.
+        with pytest.raises(AssertionError, match="ProbeTarget"):
+            run(*argv, "--ndjson", "-o", str(out))
 
     def test_negative_max_targets_is_refused(self, demo, capsys):
         assert run(
@@ -285,12 +306,27 @@ class TestScan:
         assert probed <= set(kept)
         assert "2001:db8:400::" in probed
 
-    def test_live_mode_requires_explicit_consent(self, demo, capsys):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--interface", "eth0", "--source", "2001:db8::1"], "--i-understand-live"),
+            (["--i-understand-live", "--source", "2001:db8::1"], "needs --interface"),
+            (["--i-understand-live", "--interface", "eth0"], "needs --source ADDRESS"),
+        ],
+        ids=["no-consent", "no-interface", "no-source"],
+    )
+    def test_live_mode_requires_explicit_consent(
+        self, demo, capsys, monkeypatch, flags, message
+    ):
+        opened = []
+        monkeypatch.setattr(probe_engine, "LiveTransport", lambda *a: opened.append(a))
         argv = self.scan_args(demo, "x.ndjson")
-        argv[argv.index("--sim-topology")] = "--interface"
-        argv[argv.index(str(demo / "demo_topology.json"))] = "eth0"
-        assert run(*argv, "--transport", "live") == 2
-        assert "--i-understand-live" in capsys.readouterr().err
+        idx = argv.index("--sim-topology")
+        del argv[idx : idx + 2]
+        assert run(*argv, "--transport", "live", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert opened == []
 
     def test_manifest_records_digests_and_masks_the_secret(self, demo, monkeypatch):
         monkeypatch.setenv(cli.SECRET_ENV_VAR, "0x42")
@@ -447,6 +483,37 @@ class TestConfig:
         )
         assert run("--config", config, "demo") == 2
         assert "warp_speed" in capsys.readouterr().err
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("manifest-verify", "not json"),
+            ("manifest-verify", '{"version": 1, "inputs": [{"sha256": "00"}]}'),
+            ("config", "not json"),
+            ("config", "[1]"),
+            ("config", '{"version": 1, "scan": [1]}'),
+            ("topology", '{"version": 1, "routers": 5}'),
+            ("topology", "[1]"),
+        ],
+        ids=["manifest-not-json", "manifest-entry-without-path", "config-not-json",
+             "config-not-an-object", "config-section-not-an-object",
+             "topology-routers-not-a-list", "topology-not-an-object"],
+    )
+    def test_malformed_json_is_an_error_not_a_traceback(self, demo, capsys, command, text):
+        bad = write(demo, "bad.json", text)
+        targets = write(demo, "t.txt", "2001:db8:100::\n")
+        argv = {
+            "manifest-verify": ["manifest-verify", bad],
+            "config": ["--config", bad, "demo", "--into", str(demo / "copy")],
+            "topology": ["scan", "--targets", targets, "--sim-topology", bad,
+                         "-o", str(demo / "out.ndjson")],
+        }[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
 
 
 class TestBadFlags:

@@ -233,6 +233,53 @@ def test_classify_rejects_bad_checksum():
     assert classify_icmp(bytes(reply), c.secret) is None
 
 
+@st.composite
+def received_bytes(draw):
+    """(bytes, secret, target): random bytes, or a reply to a probe of `target`
+    that is truncated, has bytes overwritten, or both."""
+    secret = draw(st.integers(0, (1 << 64) - 1))
+    target = draw(st.integers(0, (1 << 128) - 1))
+    shape = draw(st.sampled_from(["random", "echo", "error"]))
+    if shape == "random":
+        return draw(st.binary(max_size=160)), secret, target
+    probe = build_echo_request(target, cfg(secret=secret))
+    sender = draw(st.binary(min_size=16, max_size=16))
+    if shape == "echo":
+        data = bytearray(oracle.build_echo_reply(probe, sender))
+    else:
+        data = bytearray(
+            oracle.build_error(
+                probe,
+                sender,
+                draw(st.sampled_from([1, 2, 3, 4]) | st.integers(0, 255)),
+                draw(st.integers(0, 255)),
+                quote_limit=draw(st.none() | st.integers(0, len(probe))),
+            )
+        )
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))) :]
+    for _ in range(draw(st.integers(0, 4))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if len(data) >= 44 and draw(st.booleans()):
+        # Checksum the damaged message again, so that it gets past the
+        # checksum test and into the echo and quote parsers.
+        body = bytes(data[40:42]) + bytes(2) + bytes(data[44:])
+        data = bytearray(oracle.build(bytes(data[8:24]), bytes(data[24:40]), data[7], body))
+    return bytes(data), secret, target
+
+
+@settings(max_examples=1000, deadline=None)
+@given(received=received_bytes(), offset=st.integers(0, 120))
+def test_classify_and_decode_never_raise(received, offset):
+    data, secret, target = received
+    rec = classify_icmp(data, secret)
+    assert rec is None or isinstance(rec, ReplyRecord)
+    # Only the probe's own tag authenticates, however the bytes were damaged.
+    assert rec is None or rec.embedded_target in (None, target)
+    assert decode_payload(data[offset:], secret) in (None, target)
+
+
 def test_reply_record_ndjson_round_trip():
     rec = ReplyRecord(
         kind=ReplyKind.TIME_EXCEEDED,

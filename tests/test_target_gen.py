@@ -22,6 +22,7 @@ from srascan.target_gen import (
     PrefixTable,
     ProbeTarget,
     Stage,
+    bgp_all_plan,
     count_bgp_all,
     count_hitlist,
     count_route6,
@@ -35,11 +36,16 @@ from srascan.target_gen import (
     gen_stage1,
     gen_stage2,
     gen_stage3,
+    hitlist_plan,
     parse_address,
     parse_prefix,
     read_prefix_file,
-    target_line,
+    route6_plan,
+    stage1_plan,
+    stage2_plan,
+    stage3_plan,
     target_record,
+    walk_records,
 )
 
 
@@ -256,10 +262,10 @@ def test_read_prefix_file_reports_line_number():
 
 def test_stage1_one_target_per_distinct_prefix():
     prefixes = [P("2001:db8::/32"), P("2001:db8:1::/48"), P("2001:db8::/32")]
-    targets = list(gen_stage1(prefixes))
-    assert [t.address for t in targets] == [addr("2001:db8::"), addr("2001:db8:1::")]
-    assert all(t.stage is Stage.BGP_AS_ANNOUNCED for t in targets)
-    assert targets[1].origin == P("2001:db8:1::/48")
+    assert list(gen_stage1(prefixes)) == [addr("2001:db8::"), addr("2001:db8:1::")]
+    records = list(walk_records(stage1_plan(prefixes)))
+    assert all(t.stage is Stage.BGP_AS_ANNOUNCED for t in records)
+    assert records[1].origin == P("2001:db8:1::/48")
 
 
 def test_stage1_collapses_shared_sra():
@@ -272,7 +278,7 @@ def test_stage1_collapses_shared_sra():
 
 
 def test_stage2_47_splits_into_two_48s():
-    got = [t.address for t in gen_stage2([P("2001:db8:2::/47")])]
+    got = list(gen_stage2([P("2001:db8:2::/47")]))
     assert got == [addr("2001:db8:2::"), addr("2001:db8:3::")]
 
 
@@ -280,7 +286,7 @@ def test_stage2_47_splits_into_two_48s():
 def test_stage2_counts_by_brute_force(length):
     prefix = f"2001:db8::/{length}"
     expected = oracle_stage2_set([prefix])
-    got = [t.address for t in gen_stage2([P(prefix)])]
+    got = list(gen_stage2([P(prefix)]))
     assert len(got) == 1 << (48 - length)
     assert set(got) == expected
     assert count_stage2([P(prefix)]) == len(expected)
@@ -288,23 +294,23 @@ def test_stage2_counts_by_brute_force(length):
 
 def test_stage2_supernet_rule_for_more_specifics():
     # /56 alone: probe its covering /48
-    got = list(gen_stage2([P("2001:db8:1:200::/56")]))
-    assert [t.address for t in got] == [addr("2001:db8:1::")]
-    assert got[0].origin == P("2001:db8:1::/48")
+    assert list(gen_stage2([P("2001:db8:1:200::/56")])) == [addr("2001:db8:1::")]
+    (record,) = walk_records(stage2_plan([P("2001:db8:1:200::/56")]))
+    assert record.origin == P("2001:db8:1::/48")
     # covered by an announcement of length <= 48: the /56 emits nothing extra
-    both = [t.address for t in gen_stage2([P("2001:db8:1:200::/56"), P("2001:db8::/32")])]
+    both = list(gen_stage2([P("2001:db8:1:200::/56"), P("2001:db8::/32")]))
     assert len(both) == 65536
     assert set(both) == oracle_stage2_set(["2001:db8::/32"])
 
 
 def test_stage2_two_56s_same_supernet_dedup():
-    got = [t.address for t in gen_stage2([P("2001:db8:1:200::/56"), P("2001:db8:1:300::/56")])]
+    got = list(gen_stage2([P("2001:db8:1:200::/56"), P("2001:db8:1:300::/56")]))
     assert got == [addr("2001:db8:1::")]
 
 
 def test_stage2_nested_announcements_emit_union_once():
     prefixes = ["2001:db8::/44", "2001:db8:5::/48", "2001:db8::/46"]
-    got = [t.address for t in gen_stage2([P(s) for s in prefixes])]
+    got = list(gen_stage2([P(s) for s in prefixes]))
     assert len(got) == len(set(got))
     assert set(got) == oracle_stage2_set(prefixes)
     assert count_stage2([P(s) for s in prefixes]) == len(got)
@@ -327,7 +333,7 @@ def prefix_sets(draw):
 @given(prefixes=prefix_sets())
 def test_stage2_matches_oracle_on_random_sets(prefixes):
     strs = [str(p) for p in prefixes]
-    got = [t.address for t in gen_stage2(prefixes)]
+    got = list(gen_stage2(prefixes))
     assert len(got) == len(set(got))
     assert set(got) == oracle_stage2_set(strs)
     assert count_stage2(prefixes) == len(got)
@@ -347,8 +353,7 @@ def test_stage2_count_is_sum_over_nonoverlapping_inputs(blocks, data):
 
 
 def test_stage2_is_lazy_over_the_whole_space():
-    first = list(islice(gen_stage2([P("::/0")]), 3))
-    assert [t.address for t in first] == [0, 1 << 80, 2 << 80]
+    assert list(islice(gen_stage2([P("::/0")]), 3)) == [0, 1 << 80, 2 << 80]
 
 
 # --- stage 3 -----------------------------------------------------------------
@@ -356,19 +361,21 @@ def test_stage2_is_lazy_over_the_whole_space():
 
 def test_stage3_only_exact_48s_contribute():
     prefixes = [P("2001:db8::/47"), P("2001:db8:1::/48"), P("2001:db8:2:300::/56")]
-    got = [t.address for t in gen_stage3(prefixes)]
+    got = list(gen_stage3(prefixes))
     assert len(got) == 65536
     assert set(got) == oracle_stage3_set([str(p) for p in prefixes])
     assert count_stage3(prefixes) == 65536
 
 
 def test_stage3_spot_values_and_dedup():
-    got = list(gen_stage3([P("2001:db8:1::/48"), P("2001:db8:1::/48")]))
+    prefixes = [P("2001:db8:1::/48"), P("2001:db8:1::/48")]
+    got = list(gen_stage3(prefixes))
     assert len(got) == 65536
-    assert got[0].address == addr("2001:db8:1::")
-    assert got[1].address == addr("2001:db8:1:1::")
-    assert got[-1].address == addr("2001:db8:1:ffff::")
-    assert all(t.stage is Stage.BGP_64 for t in got[:4])
+    assert got[0] == addr("2001:db8:1::")
+    assert got[1] == addr("2001:db8:1:1::")
+    assert got[-1] == addr("2001:db8:1:ffff::")
+    records = list(islice(walk_records(stage3_plan(prefixes)), 4))
+    assert all(t.stage is Stage.BGP_64 for t in records)
 
 
 # --- route6 ------------------------------------------------------------------
@@ -376,27 +383,28 @@ def test_stage3_spot_values_and_dedup():
 
 def test_route6_small_space_enumerates_fully():
     cfg = GenerationConfig(rng_seed=7)
-    got = [t.address for t in gen_route6([P("2001:db8:0:10::/60")], cfg)]
+    got = list(gen_route6([P("2001:db8:0:10::/60")], cfg))
     assert len(got) == 16
     assert set(got) == oracle_64s("2001:db8:0:10::/60")
 
 
 def test_route6_exact_64_yields_itself():
     cfg = GenerationConfig(rng_seed=1)
-    got = [t.address for t in gen_route6([P("2001:db8:1:2::/64")], cfg)]
+    got = list(gen_route6([P("2001:db8:1:2::/64")], cfg))
     assert got == [addr("2001:db8:1:2::")]
 
 
 def test_route6_longer_than_64_probes_supernet():
     cfg = GenerationConfig(rng_seed=1)
-    got = list(gen_route6([P("2001:db8:1:2:8000::/72")], cfg))
-    assert [t.address for t in got] == [addr("2001:db8:1:2::")]
-    assert got[0].stage is Stage.ROUTE6_RANDOM_64
+    prefixes = [P("2001:db8:1:2:8000::/72")]
+    assert list(gen_route6(prefixes, cfg)) == [addr("2001:db8:1:2::")]
+    (record,) = walk_records(route6_plan(prefixes, cfg))
+    assert record.stage is Stage.ROUTE6_RANDOM_64
 
 
 def test_route6_sample_size_and_distinctness():
     cfg = GenerationConfig(route6_samples_per_prefix=100, rng_seed=3)
-    got = [t.address for t in gen_route6([P("2001:db8::/48")], cfg)]
+    got = list(gen_route6([P("2001:db8::/48")], cfg))
     assert len(got) == 100
     assert len(set(got)) == 100
     target_space = oracle_64s("2001:db8::/48")
@@ -405,30 +413,59 @@ def test_route6_sample_size_and_distinctness():
 
 def test_route6_deterministic_per_seed():
     p = [P("2001:db8::/48")]
-    a = [t.address for t in gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=11))]
-    b = [t.address for t in gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=11))]
-    c = [t.address for t in gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=12))]
+    a = list(gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=11)))
+    b = list(gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=11)))
+    c = list(gen_route6(p, GenerationConfig(route6_samples_per_prefix=50, rng_seed=12)))
     assert a == b
     assert a != c
 
 
 def test_route6_per_prefix_output_independent_of_shard():
     cfg = GenerationConfig(route6_samples_per_prefix=20, rng_seed=5)
-    alone = [t.address for t in gen_route6([P("2001:db8:7::/48")], cfg)]
+    alone = list(gen_route6([P("2001:db8:7::/48")], cfg))
     shard = [
-        t.address
+        t
         for t in gen_route6([P("2001:db8:6::/48"), P("2001:db8:7::/48")], cfg)
-        if t.origin == P("2001:db8:7::/48")
+        if P("2001:db8:7::/48").covers_address(t)
     ]
     assert alone == shard
+
+
+@st.composite
+def disjoint_prefix_sets(draw):
+    """Two lists of prefixes, A and B, that share no address.
+
+    Each prefix lies in one of a few distinct /44 blocks, and every block
+    belongs to A or to B.  Prefixes of one list may nest, repeat or share a
+    /64 supernet.
+    """
+    blocks = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    sides = {b: draw(st.booleans()) for b in blocks}
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        block = draw(st.sampled_from(blocks))
+        length = draw(st.sampled_from([44, 47, 48, 56, 60, 62, 64, 66]))
+        bits = addr("2001:db8::") | block << 84 | draw(st.integers(0, (1 << 22) - 1)) << 62
+        (a if sides[block] else b).append(Ipv6Prefix(bits & ~((1 << (128 - length)) - 1), length))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets=disjoint_prefix_sets(), k=st.integers(1, 8), seed=st.integers(0, (1 << 64) - 1))
+def test_route6_disjoint_shards_concatenate(sets, k, seed):
+    # Each prefix draws from its own generator, so disjoint shards of a
+    # prefix list can be generated apart and joined.
+    a, b = sets
+    cfg = GenerationConfig(route6_samples_per_prefix=k, rng_seed=seed)
+    assert list(gen_route6(a + b, cfg)) == list(gen_route6(a, cfg)) + list(gen_route6(b, cfg))
 
 
 def test_route6_overlapping_inputs_never_repeat_addresses():
     cfg = GenerationConfig(route6_samples_per_prefix=4, rng_seed=2)
     wide, narrow = P("2001:db8:0:30::/62"), P("2001:db8:0:30::/63")
-    got = [t.address for t in gen_route6([wide, narrow], cfg)]
+    got = list(gen_route6([wide, narrow], cfg))
     assert len(got) == len(set(got)) == 4  # wide emits all 4, narrow adds nothing
-    flipped = [t.address for t in gen_route6([narrow, wide], cfg)]
+    flipped = list(gen_route6([narrow, wide], cfg))
     assert len(flipped) == len(set(flipped)) == 4
     assert count_route6([wide, narrow], cfg) == 4
     assert count_route6([narrow, wide], cfg) == 4
@@ -447,10 +484,10 @@ def test_count_route6_matches_generator_with_and_without_overlap():
 
 def test_hitlist_masks_to_64_and_dedups():
     addresses = [addr("2001:db8:1:2:3::1"), addr("2001:db8:1:2:3::2")]
-    got = list(gen_from_hitlist(addresses))
-    assert [t.address for t in got] == [addr("2001:db8:1:2::")]
-    assert got[0].stage is Stage.HITLIST_64
-    assert got[0].origin == P("2001:db8:1:2::/64")
+    assert list(gen_from_hitlist(addresses)) == [addr("2001:db8:1:2::")]
+    (record,) = walk_records(hitlist_plan(addresses))
+    assert record.stage is Stage.HITLIST_64
+    assert record.origin == P("2001:db8:1:2::/64")
     assert count_hitlist(addresses) == 1
 
 
@@ -459,7 +496,7 @@ def test_hitlist_masks_to_64_and_dedups():
 
 def test_bgp_all_dedups_across_stages():
     prefixes = [P("2001:db8::/47"), P("2001:db8:1::/48")]
-    got = [t.address for t in gen_bgp_all(prefixes)]
+    got = list(gen_bgp_all(prefixes))
     assert len(got) == len(set(got))
     # oracle: union of the three stage sets
     strs = [str(p) for p in prefixes]
@@ -484,7 +521,7 @@ def test_bgp_all_counts_match_enumeration(data):
         base = addr("2001:db8::") | (block << (128 - 48))
         mask = ~((1 << (128 - length)) - 1) & ((1 << 128) - 1)
         prefixes.append(Ipv6Prefix(base & mask, length))
-    got = [t.address for t in gen_bgp_all(prefixes)]
+    got = list(gen_bgp_all(prefixes))
     assert len(got) == len(set(got))
     assert count_bgp_all(prefixes)["deduplicated_total"] == len(got)
 
@@ -506,14 +543,19 @@ def overlapping_prefixes(draw):
 
 _CFG = GenerationConfig(route6_samples_per_prefix=5, rng_seed=9)
 _COUNTED_GENERATORS = {
-    "stage1": (gen_stage1, count_stage1),
-    "stage2": (gen_stage2, count_stage2),
-    "stage3": (gen_stage3, count_stage3),
-    "all": (gen_bgp_all, lambda ps: count_bgp_all(ps)["deduplicated_total"]),
-    "route6": (lambda ps: gen_route6(ps, _CFG), lambda ps: count_route6(ps, _CFG)),
+    "stage1": (gen_stage1, count_stage1, stage1_plan),
+    "stage2": (gen_stage2, count_stage2, stage2_plan),
+    "stage3": (gen_stage3, count_stage3, stage3_plan),
+    "all": (gen_bgp_all, lambda ps: count_bgp_all(ps)["deduplicated_total"], bgp_all_plan),
+    "route6": (
+        lambda ps: gen_route6(ps, _CFG),
+        lambda ps: count_route6(ps, _CFG),
+        lambda ps: route6_plan(ps, _CFG),
+    ),
     "hitlist": (
         lambda ps: gen_from_hitlist(p.bits | 7 for p in ps),
         lambda ps: count_hitlist(p.bits | 7 for p in ps),
+        lambda ps: hitlist_plan(p.bits | 7 for p in ps),
     ),
 }
 
@@ -522,10 +564,17 @@ _COUNTED_GENERATORS = {
 @settings(max_examples=25, deadline=None)
 @given(prefixes=overlapping_prefixes())
 def test_every_count_equals_its_stream_length(name, prefixes):
-    gen, count = _COUNTED_GENERATORS[name]
-    got = [t.address for t in gen(prefixes)]
+    gen, count, plan = _COUNTED_GENERATORS[name]
+    got = list(gen(prefixes))
     assert len(got) == len(set(got))
     assert count(prefixes) == len(got)
+    # The records walker yields the same addresses, in order, with provenance
+    # that passes ProbeTarget's validation when built again.
+    records = list(walk_records(plan(prefixes)))
+    assert [t.address for t in records] == got
+    for t in records:
+        assert type(t) is ProbeTarget
+        assert ProbeTarget(t.address, t.origin, t.stage) == t
 
 
 # --- longest-prefix match ----------------------------------------------------
@@ -550,9 +599,9 @@ def test_prefix_table_stored_none_shadows_a_shorter_prefix():
 
 
 def test_output_formats():
-    t = next(gen_stage2([P("2001:db8:2::/47")]))
-    assert target_line(t) == "2001:db8:2::"
-    assert target_record(t) == {
+    prefixes = [P("2001:db8:2::/47")]
+    assert format_address(next(gen_stage2(prefixes))) == "2001:db8:2::"
+    assert target_record(next(walk_records(stage2_plan(prefixes)))) == {
         "address": "2001:db8:2::",
         "origin": "2001:db8:2::/47",
         "stage": "bgp48",
