@@ -4,18 +4,19 @@ Everything here is pure data manipulation: match replies back to the probes
 that caused them, peel off aliased and self-sourced responses, and reduce
 what remains to router observations, visibility across scans, anycast
 stability, loop detection, and dataset comparisons.  Inputs are iterables
-of ReplyRecord plus the probed target list; nothing touches the network.
+of ReplyRecord plus the probed target list, and results are dataclasses;
+nothing touches the network or a file.  The CLI renders them as JSON and
+CSV reports.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
-from .target_gen import MAX128, Ipv6Prefix, PrefixTable, format_address
+from .target_gen import MAX128, Ipv6Prefix, PrefixTable
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
@@ -361,59 +362,3 @@ def compare_datasets(
         by_label=by_label,
     )
 
-
-# --- CSV output -------------------------------------------------------------------
-
-
-def write_summary_csv(summaries: dict[str, ScanSummary], path) -> None:
-    fields = [
-        "scan",
-        "targets_probed",
-        "replies_total",
-        "echo_replies",
-        "error_replies",
-        "distinct_sources",
-        "echo_only_sources",
-        "error_only_sources",
-        "mixed_sources",
-        "reply_rate",
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for scan, s in summaries.items():
-            row = {"scan": scan}
-            row.update({f: getattr(s, f) for f in fields[1:]})
-            w.writerow(row)
-
-
-def write_visibility_csv(report: VisibilityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scans_present", "routers"])
-        for seen, count in report.histogram.items():
-            w.writerow([seen, count])
-
-
-def write_stability_csv(rows: list[StabilityRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scan_index", "same", "changed", "no_response"])
-        for row in rows:
-            w.writerow([row.scan_index, row.same, row.changed, row.no_response])
-
-
-def write_loops_csv(report: LoopReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["router", "looping_subnets", "amplification"])
-        for ip, src in report.per_router.items():
-            w.writerow([format_address(ip), src.looping_subnets, src.amplification])
-
-
-def write_comparison_csv(report: ComparisonReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["member_of", "addresses"])
-        for members, count in report.exclusive.items():
-            w.writerow(["+".join(members), count])

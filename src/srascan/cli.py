@@ -6,12 +6,14 @@ reduces reply files to findings, `manifest-verify` re-checks a recorded run,
 and `demo` copies the bundled example inputs somewhere writable.
 
 A JSON config file (`--config`) can preload defaults for gen-targets and
-scan; flags given on the command line still win.
+scan; each value is checked like its flag, and flags on the command line
+still win.  `analyze` renders the analysis results as JSON and CSV reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -94,6 +96,21 @@ def load_config(path) -> dict:
                 f"{path}: unknown config keys in {section!r}: {', '.join(sorted(unknown))}"
             )
     return data
+
+
+def _config_value(path, section: str, action, value):
+    """`value` as its flag would read it: a JSON bool for a switch, else the
+    text of a string or number through the flag's `type=`."""
+    try:
+        if action.nargs == 0:
+            if isinstance(value, bool):
+                return value
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return (action.type or str)(str(value))
+    except ValueError:
+        pass
+    want = "true or false" if action.nargs == 0 else getattr(action.type, "__name__", "str")
+    raise CliError(f"{path}: {section}.{action.dest}: expected {want}, got {value!r}")
 
 
 # --- shared input helpers ---------------------------------------------------------
@@ -235,8 +252,11 @@ def cmd_scan(args) -> int:
         targets = [t for t in targets if not ranges.covers(t)]
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
     secret = _resolve_secret(args)
-    if args.output in (None, "-") and args.passes > 1:
-        raise CliError("--passes needs -o so each pass gets its own file")
+    if args.output in (None, "-"):
+        if args.passes > 1:
+            raise CliError("--passes needs -o so each pass gets its own file")
+        if args.manifest:
+            raise CliError("--manifest needs -o FILE: it records a digest of each reply file")
 
     live = args.transport == "live"
     if live:
@@ -287,9 +307,8 @@ def cmd_scan(args) -> int:
             pass_cfg = dataclasses.replace(cfg, scan_pass=scan_pass)
             path = _pass_path(args.output, scan_pass, args.passes) if args.output else None
             out, close = _open_out(path)
-            sent = replies = 0
+            replies = 0
             try:
-                sent = len(targets)
                 for record in probe_engine.run_scan(targets, transport, pass_cfg):
                     out.write(record.to_json() + "\n")
                     replies += 1
@@ -298,10 +317,7 @@ def cmd_scan(args) -> int:
                     out.close()
             if path:
                 outputs.append(path)
-            print(
-                f"pass {scan_pass}: {sent} probes, {replies} replies",
-                file=sys.stderr,
-            )
+            print(f"pass {scan_pass}: {len(targets)} probes, {replies} replies", file=sys.stderr)
     except probe_engine.TransportError as exc:
         raise CliError(f"transport failed mid-scan: {exc.__cause__}", exit_code=1) from None
     finally:
@@ -389,125 +405,125 @@ def _aliased(args):
     return _load(args.aliased, target_gen.parse_prefix) if args.aliased else []
 
 
+# Each action returns its JSON report, its CSV header and its CSV rows.
+
+
+def _summarize(args, targets):
+    names = [Path(path).name for path in args.replies]
+    shared = [path for path, name in zip(args.replies, names) if names.count(name) > 1]
+    if shared:
+        raise CliError(
+            f"summarize keys its report by file name, which {' and '.join(shared)} share"
+        )
+    report = {
+        name: vars(analysis.summarize_scan(_matched(targets, path)))
+        for name, path in zip(names, args.replies)
+    }
+    header = ["scan", *(f.name for f in dataclasses.fields(analysis.ScanSummary))]
+    return report, header, ([name, *s.values()] for name, s in report.items())
+
+
+def _visibility(args, targets):
+    aliased = _aliased(args)
+    per_scan = [
+        {o.router_ip for o in analysis.alias_filter(_matched(targets, path), aliased, index)}
+        for index, path in enumerate(args.replies)
+    ]
+    report = analysis.visibility(analysis.build_visibility_matrix(per_scan))
+    summary = {
+        "scans": report.scans,
+        "always": len(report.always),
+        "sometimes": len(report.sometimes),
+        "never": len(report.never),
+        "histogram": report.histogram,  # json writes the int keys as text
+    }
+    return summary, ["scans_present", "routers"], report.histogram.items()
+
+
+def _stability(args, targets):
+    aliased = _aliased(args)
+    scans = [
+        analysis.stability_mapping(_matched(targets, path), aliased) for path in args.replies
+    ]
+    rows = [vars(r) for r in analysis.sra_stability(scans, baseline=args.baseline)]
+    header = [f.name for f in dataclasses.fields(analysis.StabilityRow)]
+    return rows, header, (r.values() for r in rows)
+
+
+def _loops(args, targets):
+    if len(args.replies) != 1:
+        raise CliError("loops reads exactly one reply file")
+    if not 0 <= args.subnet_length <= 128:
+        raise CliError("--subnet-length must be in 0..128")
+    if args.min_time_exceeded < 1:
+        raise CliError("--min-time-exceeded must be at least 1")
+    (path,) = args.replies
+    report = analysis.detect_loops(
+        _matched(targets, path),
+        subnet_length=args.subnet_length,
+        min_time_exceeded=args.min_time_exceeded,
+    )
+    routers = {
+        target_gen.format_address(ip): vars(src) for ip, src in report.per_router.items()
+    }
+    summary = {
+        "looping_subnets": sorted(str(p) for p in report.looping_subnets),
+        "routers": routers,
+    }
+    header = ["router", *(f.name for f in dataclasses.fields(analysis.LoopSource))]
+    return summary, header, ([ip, *src.values()] for ip, src in routers.items())
+
+
+def _compare(args, targets):
+    named = {}
+    for item in args.set:
+        if "=" not in item:
+            raise CliError(f"--set wants NAME=FILE, got {item!r}")
+        name, _, path = item.partition("=")
+        named[name] = _load(path, _target_address)
+    table = None
+    if args.labels:
+        table = target_gen.PrefixTable(_load(args.labels, target_gen.parse_label_row))
+    report = analysis.compare_datasets(named, table)
+    exclusive = {"+".join(k): v for k, v in report.exclusive.items()}
+    summary = {
+        "sizes": report.sizes,
+        "union": report.union_size,
+        "exclusive": exclusive,
+        "pairwise": {f"{a}&{b}": v for (a, b), v in report.pairwise.items()},
+        "by_label": report.by_label,
+    }
+    return summary, ["member_of", "addresses"], exclusive.items()
+
+
+_ANALYSES = {
+    "summarize": _summarize,
+    "visibility": _visibility,
+    "stability": _stability,
+    "loops": _loops,
+    "compare": _compare,
+}
+
+
 def cmd_analyze(args) -> int:
+    targets = None
     if args.action != "compare":
         if not args.replies:
             raise CliError(f"{args.action} needs --replies FILE [FILE ...]")
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
-    if args.action == "loops":
-        if len(args.replies) != 1:
-            raise CliError("loops reads exactly one reply file")
-        if not 0 <= args.subnet_length <= 128:
-            raise CliError("--subnet-length must be in 0..128")
-        if args.min_time_exceeded < 1:
-            raise CliError("--min-time-exceeded must be at least 1")
-    if args.action != "compare":
         targets = _load(args.targets, _target_address)
 
-    if args.action == "summarize":
-        summaries = {}
-        for path in args.replies:
-            summaries[Path(path).name] = analysis.summarize_scan(_matched(targets, path))
-        print(
-            json.dumps(
-                {name: vars(s) for name, s in summaries.items()}, indent=2
-            )
-        )
-        if args.csv:
-            analysis.write_summary_csv(summaries, args.csv)
-
-    elif args.action == "visibility":
-        per_scan = []
-        aliased = _aliased(args)
-        for index, path in enumerate(args.replies):
-            obs = analysis.alias_filter(_matched(targets, path), aliased, index)
-            per_scan.append({o.router_ip for o in obs})
-        try:
-            report = analysis.visibility(analysis.build_visibility_matrix(per_scan))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        print(
-            json.dumps(
-                {
-                    "scans": report.scans,
-                    "always": len(report.always),
-                    "sometimes": len(report.sometimes),
-                    "never": len(report.never),
-                    "histogram": {str(k): v for k, v in report.histogram.items()},
-                },
-                indent=2,
-            )
-        )
-        if args.csv:
-            analysis.write_visibility_csv(report, args.csv)
-
-    elif args.action == "stability":
-        aliased = _aliased(args)
-        scans = [
-            analysis.stability_mapping(_matched(targets, path), aliased)
-            for path in args.replies
-        ]
-        try:
-            rows = analysis.sra_stability(scans, baseline=args.baseline)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        print(json.dumps([vars(r) for r in rows], indent=2))
-        if args.csv:
-            analysis.write_stability_csv(rows, args.csv)
-
-    elif args.action == "loops":
-        (path,) = args.replies
-        report = analysis.detect_loops(
-            _matched(targets, path),
-            subnet_length=args.subnet_length,
-            min_time_exceeded=args.min_time_exceeded,
-        )
-        print(
-            json.dumps(
-                {
-                    "looping_subnets": sorted(str(p) for p in report.looping_subnets),
-                    "routers": {
-                        target_gen.format_address(ip): vars(src)
-                        for ip, src in report.per_router.items()
-                    },
-                },
-                indent=2,
-            )
-        )
-        if args.csv:
-            analysis.write_loops_csv(report, args.csv)
-
-    elif args.action == "compare":
-        named = {}
-        for item in args.set:
-            if "=" not in item:
-                raise CliError(f"--set wants NAME=FILE, got {item!r}")
-            name, _, path = item.partition("=")
-            named[name] = _load(path, _target_address)
-        table = None
-        if args.labels:
-            table = target_gen.PrefixTable(_load(args.labels, target_gen.parse_label_row))
-        try:
-            report = analysis.compare_datasets(named, table)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        print(
-            json.dumps(
-                {
-                    "sizes": report.sizes,
-                    "union": report.union_size,
-                    "exclusive": {
-                        "+".join(k): v for k, v in report.exclusive.items()
-                    },
-                    "pairwise": {f"{a}&{b}": v for (a, b), v in report.pairwise.items()},
-                    "by_label": report.by_label,
-                },
-                indent=2,
-            )
-        )
-        if args.csv:
-            analysis.write_comparison_csv(report, args.csv)
+    try:
+        report, header, rows = _ANALYSES[args.action](args, targets)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    print(json.dumps(report, indent=2))
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     return 0
 
 
@@ -529,7 +545,7 @@ def cmd_demo(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(config_path=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srascan",
         description="Probe subnet-router anycast addresses and study what answers.",
@@ -586,10 +602,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     an = sub.add_parser("analyze", help="reduce reply files to findings")
-    an.add_argument(
-        "action",
-        choices=("summarize", "visibility", "stability", "loops", "compare"),
-    )
+    an.add_argument("action", choices=_ANALYSES)
     an.add_argument("--replies", metavar="FILE", nargs="*", default=[])
     an.add_argument("--targets", metavar="FILE")
     an.add_argument("--aliased", metavar="FILE", help="known aliased prefixes")
@@ -611,10 +624,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     demo.set_defaults(func=cmd_demo)
 
-    if config:
+    if config_path:
+        config = load_config(config_path)
         for name, subparser in (("gen-targets", gen), ("scan", scan)):
-            if name in config:
-                subparser.set_defaults(**config[name])
+            actions = {a.dest: a for a in subparser._actions}
+            subparser.set_defaults(**{
+                key: _config_value(config_path, name, actions[key], value)
+                for key, value in config.get(name, {}).items()
+            })
     return parser
 
 
@@ -624,8 +641,7 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     try:
-        config = load_config(known.config) if known.config else None
-        args = build_parser(config).parse_args(argv)
+        args = build_parser(known.config).parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

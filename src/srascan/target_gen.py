@@ -160,12 +160,6 @@ class PrefixTable:
                 return True
         return False
 
-    @classmethod
-    def from_csv(cls, path, default: str = "unknown") -> "PrefixTable":
-        """Rows of `prefix,label`, read by `read_records`."""
-        with open(path) as fh:
-            return cls(read_records(fh, parse_label_row), default)
-
 
 @dataclass(frozen=True, slots=True)
 class ProbeTarget:
@@ -641,11 +635,6 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
         "stage3": count_stage3(prefixes),
         "deduplicated_total": _size(bgp_all_plan(prefixes)),
     }
-
-
-def read_prefix_file(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
-    """Parse one CIDR prefix per line, by the `read_records` conventions."""
-    return read_records(lines, parse_prefix)
 
 
 def target_record(target: ProbeTarget) -> dict:

@@ -26,14 +26,10 @@ from srascan.analysis import (
     stability_mapping,
     summarize_scan,
     visibility,
-    write_comparison_csv,
-    write_loops_csv,
-    write_stability_csv,
-    write_summary_csv,
-    write_visibility_csv,
 )
+from srascan import cli
 from srascan.probe_engine import ReplyKind, ReplyRecord
-from srascan.target_gen import parse_address, parse_prefix
+from srascan.target_gen import parse_address, parse_label_row, parse_prefix, read_records
 
 A = parse_address
 
@@ -428,15 +424,16 @@ class TestPrefixTable:
         path.write_text(
             "# prefix,label\n\n2001:db8::/32,backbone\n2001:db8:1::/48, edge \n"
         )
-        table = PrefixTable.from_csv(path)
+        with open(path) as fh:
+            table = PrefixTable(read_records(fh, parse_label_row))
         assert len(table) == 2
         assert table.lookup(A("2001:db8:1::9")) == "edge"
 
     def test_csv_errors_name_the_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("2001:db8::/32,ok\nnot a prefix,broken\n")
-        with pytest.raises(ValueError, match="line 2"):
-            PrefixTable.from_csv(path)
+        with open(path) as fh, pytest.raises(ValueError, match="line 2"):
+            PrefixTable(read_records(fh, parse_label_row))
 
     @settings(max_examples=60)
     @given(
@@ -552,48 +549,58 @@ class TestComparison:
 
 
 class TestCsvOutput:
-    def read(self, path):
+    """Each `analyze --csv` report, from reply files written here."""
+
+    def analyze(self, tmp_path, action, *argv):
+        path = tmp_path / f"{action}.csv"
+        assert cli.main(["analyze", action, *argv, "--csv", str(path)]) == 0
         with open(path, newline="") as fh:
             return list(csv.reader(fh))
 
+    def files(self, tmp_path, *scans):
+        """A targets file holding T1, and one reply file per scan."""
+        (tmp_path / "targets.txt").write_text(f"{T1}\n")
+        paths = []
+        for index, records in enumerate(scans):
+            path = tmp_path / f"pass{index}"
+            path.write_text("".join(r.to_json() + "\n" for r in records))
+            paths.append(str(path))
+        return ["--targets", str(tmp_path / "targets.txt"), "--replies", *paths]
+
     def test_summary_csv(self, tmp_path):
-        result = match_replies([A(T1)], [rec(ReplyKind.ECHO_REPLY, R1, T1)])
-        path = tmp_path / "summary.csv"
-        write_summary_csv({"pass0": summarize_scan(result)}, path)
-        rows = self.read(path)
+        argv = self.files(tmp_path, [rec(ReplyKind.ECHO_REPLY, R1, T1)])
+        rows = self.analyze(tmp_path, "summarize", *argv)
         assert rows[0][0] == "scan"
         assert rows[1][0] == "pass0"
         assert len(rows) == 2
 
     def test_visibility_csv(self, tmp_path):
-        report = visibility({A(R1): [True, True], A(R2): [True, False]})
-        path = tmp_path / "vis.csv"
-        write_visibility_csv(report, path)
-        rows = self.read(path)
+        argv = self.files(
+            tmp_path,
+            [rec(ReplyKind.ECHO_REPLY, R1, T1), rec(ReplyKind.ECHO_REPLY, R2, T1)],
+            [rec(ReplyKind.ECHO_REPLY, R1, T1)],
+        )
+        rows = self.analyze(tmp_path, "visibility", *argv)
         assert rows[0] == ["scans_present", "routers"]
         assert rows[1:] == [["1", "1"], ["2", "1"]]
 
     def test_stability_csv(self, tmp_path):
-        scans = [{A(T1): A(R1)}, {A(T1): A(R1)}]
-        path = tmp_path / "stab.csv"
-        write_stability_csv(sra_stability(scans), path)
-        rows = self.read(path)
+        echo = rec(ReplyKind.ECHO_REPLY, R1, T1)
+        argv = self.files(tmp_path, [echo], [echo])
+        rows = self.analyze(tmp_path, "stability", *argv)
         assert rows[0] == ["scan_index", "same", "changed", "no_response"]
         assert rows[1] == ["1", "1.0", "0.0", "0.0"]
 
     def test_loops_csv(self, tmp_path):
-        records = [rec(ReplyKind.TIME_EXCEEDED, R1, T1)]
-        report = detect_loops(match_replies([A(T1)], records))
-        path = tmp_path / "loops.csv"
-        write_loops_csv(report, path)
-        rows = self.read(path)
+        argv = self.files(tmp_path, [rec(ReplyKind.TIME_EXCEEDED, R1, T1)])
+        rows = self.analyze(tmp_path, "loops", *argv)
         assert rows[0] == ["router", "looping_subnets", "amplification"]
         assert rows[1] == ["2001:db8:fe::1", "1", "1"]
 
     def test_comparison_csv(self, tmp_path):
-        report = compare_datasets({"a": [1, 2], "b": [2]})
-        path = tmp_path / "cmp.csv"
-        write_comparison_csv(report, path)
-        rows = self.read(path)
+        (tmp_path / "a.txt").write_text("::1\n::2\n")
+        (tmp_path / "b.txt").write_text("::2\n")
+        sets = [f"--set={name}={tmp_path / name}.txt" for name in "ab"]
+        rows = self.analyze(tmp_path, "compare", *sets)
         assert rows[0] == ["member_of", "addresses"]
         assert ["a+b", "1"] in rows

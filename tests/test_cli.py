@@ -1,5 +1,6 @@
 """Command line behavior, exercised through main() with real files."""
 
+import csv
 import hashlib
 import ipaddress
 import json
@@ -455,6 +456,21 @@ class TestScan:
         assert run(*argv) == 2
         assert "--sim-topology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", [["-o", "-"], []], ids=["stdout", "no-output"])
+    def test_manifest_needs_an_output_file(self, demo, capsys, monkeypatch, output):
+        argv = self.scan_args(demo, "unused.ndjson")
+        idx = argv.index("-o")
+        del argv[idx : idx + 2]
+        sent = []
+        monkeypatch.setattr(netsim.SimTransport, "send", lambda _, packet: sent.append(packet))
+        manifest = demo / "run.json"
+        assert run(*argv, *output, "--manifest", str(manifest)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--manifest needs -o" in captured.err
+        assert captured.out == ""
+        assert sent == []
+        assert not manifest.exists()
+
 
 class TestConfig:
     def test_config_preloads_defaults_and_flags_win(self, tmp_path, capsys):
@@ -470,6 +486,45 @@ class TestConfig:
             "--prefixes", prefixes, "--samples-per-prefix", "2",
         )
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_config_values_convert_like_their_flags(self, tmp_path, capsys):
+        prefixes = write(tmp_path, "p.txt", "2001:db8::/60\n")
+        config = write(
+            tmp_path, "cfg.json",
+            json.dumps({"version": 1, "gen-targets": {"max_targets": "2", "ndjson": True}}),
+        )
+        argv = ["gen-targets", "--mode", "route6", "--prefixes", prefixes]
+        assert run("--config", config, *argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(json.loads(line)["origin"] == "2001:db8::/60" for line in lines)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("scan", "passes", 2.5),
+            ("scan", "rate", "fast"),
+            ("scan", "hop_limit", True),
+            ("scan", "source", None),
+            ("gen-targets", "ndjson", "no"),
+            ("gen-targets", "seed", [7]),
+        ],
+    )
+    def test_config_values_are_checked_like_their_flags(
+        self, demo, capsys, section, key, value
+    ):
+        config = write(demo, "cfg.json", json.dumps({"version": 1, section: {key: value}}))
+        targets = write(demo, "t.txt", "2001:db8:100::\n")
+        argv = {
+            "scan": ["scan", "--targets", targets,
+                     "--sim-topology", str(demo / "demo_topology.json")],
+            "gen-targets": ["gen-targets", "--mode", "bgp",
+                            "--prefixes", str(demo / "demo_subnets.txt")],
+        }[section]
+        assert run("--config", config, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {config}: {section}.{key}: ")
+        assert captured.out == ""
 
     def test_unsupported_version_is_refused(self, tmp_path, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({"version": 99}))
@@ -579,6 +634,18 @@ class TestAnalyzeCli:
         assert data["r.pass0.ndjson"]["targets_probed"] == 4
         assert (demo / "s.csv").read_text().startswith("scan,")
 
+    def test_summarize_refuses_reply_files_that_share_a_name(self, demo, capsys):
+        targets = write(demo, "t.txt", "2001:db8:100::\n")
+        # Neither file exists: the names are refused before any file is read.
+        first, second = str(demo / "a" / "r.ndjson"), str(demo / "b" / "r.ndjson")
+        assert run(
+            "analyze", "summarize", "--replies", first, second, "--targets", targets,
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert first in captured.err and second in captured.err
+        assert captured.out == ""
+
     def test_visibility_counts_filtered_routers(self, demo, capsys):
         targets, pass0, pass1 = self.prepared(demo)
         assert run(
@@ -610,6 +677,37 @@ class TestAnalyzeCli:
         ) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["looping_subnets"] == []
+
+    def test_loops_csv_lists_the_routers_of_a_real_loop(self, tmp_path, capsys):
+        topology = str(tmp_path / "loop.json")
+        netsim.save_topology(netsim.build_loop_topology(replication_factor=2), topology)
+        # 2001:db8:1::/48 is the customer's own subnet.  Probes into the rest
+        # of 2001:db8::/32 bounce between provider and customer; at hop limit
+        # 3 the customer doubles each one and both copies expire at the
+        # provider's uplink.
+        targets = write(tmp_path, "t.txt", "2001:db8:1::\n2001:db8:5::\n2001:db8:7:1::\n")
+        replies = str(tmp_path / "r.ndjson")
+        assert run(
+            "scan", "--targets", targets, "--sim-topology", topology,
+            "--hop-limit", "3", "--rate", "1e7", "-o", replies,
+        ) == 0
+        csv_path = tmp_path / "loops.csv"
+        assert run(
+            "analyze", "loops", "--replies", replies, "--targets", targets,
+            "--csv", str(csv_path),
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["looping_subnets"] == ["2001:db8:5::/48", "2001:db8:7::/48"]
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["router", "looping_subnets", "amplification"],
+            ["2001:db8:ffff:fffe::1", "2", "2"],
+        ]
+        assert rows[1:] == [
+            [ip, str(src["looping_subnets"]), str(src["amplification"])]
+            for ip, src in report["routers"].items()
+        ]
 
     def test_compare_validates_set_syntax(self, demo, capsys):
         assert run("analyze", "compare", "--set", "nofile") == 2

@@ -39,7 +39,7 @@ from srascan.target_gen import (
     hitlist_plan,
     parse_address,
     parse_prefix,
-    read_prefix_file,
+    read_records,
     route6_plan,
     stage1_plan,
     stage2_plan,
@@ -209,15 +209,24 @@ def test_scoped_address_text_drops_the_scope():
     assert parse_address("fe80::1%eth0") == addr("fe80::1")
 
 
-def test_only_target_gen_imports_ipaddress():
-    """Address text is written and read in one module, so it cannot drift."""
+def importers(module: str) -> set[str]:
+    """The files of the srascan package that import `module`."""
     src = Path(__file__).resolve().parent.parent / "src" / "srascan"
-    importers = {
+    return {
         path.name
         for path in src.glob("*.py")
-        if re.search(r"^\s*(import|from)\s+ipaddress\b", path.read_text(), re.M)
+        if re.search(rf"^\s*(import|from)\s+{module}\b", path.read_text(), re.M)
     }
-    assert importers == {"target_gen.py"}
+
+
+def test_only_target_gen_imports_ipaddress():
+    """Address text is written and read in one module, so it cannot drift."""
+    assert importers("ipaddress") == {"target_gen.py"}
+
+
+def test_only_cli_imports_csv():
+    """Reports are rendered in one module; the analysis computes them."""
+    assert importers("csv") == {"cli.py"}
 
 
 def test_sra_address_is_prefix_with_zero_host_bits():
@@ -254,7 +263,7 @@ def test_generation_config_validation():
 def test_read_prefix_file_reports_line_number():
     lines = ["2001:db8::/32\n", "# comment\n", "\n", "2001:db8::1/48\n"]
     with pytest.raises(ValueError, match="line 4"):
-        list(read_prefix_file(lines))
+        list(read_records(lines, parse_prefix))
 
 
 # --- stage 1 -----------------------------------------------------------------
