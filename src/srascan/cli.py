@@ -238,8 +238,8 @@ def _manifest_entry(path, manifest) -> dict:
 def cmd_scan(args) -> int:
     if not (math.isfinite(args.rate) and args.rate > 0):
         raise CliError("--rate must be a finite number above 0")
-    if args.passes < 1:
-        raise CliError("passes must be at least 1")
+    if not 1 <= args.passes <= 1 << 16:  # the pass index is the 16-bit ICMP identifier
+        raise CliError("--passes must be in 1..65536")
     targets = _load(args.targets, _target_address)
     input_paths = [args.targets]
     if args.exclude:
@@ -475,12 +475,15 @@ def _loops(args, targets):
 
 
 def _compare(args, targets):
-    named = {}
+    paths = {}
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set wants NAME=FILE, got {item!r}")
         name, _, path = item.partition("=")
-        named[name] = _load(path, _target_address)
+        if name in paths:
+            raise CliError(f"--set names {name!r} twice")
+        paths[name] = path
+    named = {name: _load(path, _target_address) for name, path in paths.items()}
     table = None
     if args.labels:
         table = target_gen.PrefixTable(_load(args.labels, target_gen.parse_label_row))
@@ -592,7 +595,7 @@ def build_parser(config_path=None) -> argparse.ArgumentParser:
         help=f"payload authentication key (integer; default ${SECRET_ENV_VAR} or 0)",
     )
     scan.add_argument("--source", metavar="ADDRESS", default=None)
-    scan.add_argument("--passes", type=int, default=1, help="repeat the scan N times")
+    scan.add_argument("--passes", type=int, default=1, help="repeat the scan N times (1..65536)")
     scan.add_argument(
         "--exclude", metavar="FILE", help="prefixes to drop from the target list"
     )

@@ -3,7 +3,10 @@
 Routers forward Echo Requests by longest-prefix match over explicit routes
 plus implicit connected routes, decrementing the hop limit per hop.  Replies
 come back to the scanner directly (reverse paths are not modeled; neither is
-latency: every emission carries the virtual time its request was injected).
+latency).  An Emission is just the reply's bytes and the virtual time its
+request was injected at; whatever else a test wants to know about a reply,
+it reads from the bytes.  Only the hop limit differs between the copies of
+one probe in flight, so that is all the simulator carries per hop.
 
 Per router visit, in order:
 
@@ -17,12 +20,17 @@ Per router visit, in order:
     Reply sourced from it;
  4. otherwise route: no match -> Destination Unreachable code 0; local
     delivery with no such host -> code 3; hop limit expiring on a forward ->
-    Time Exceeded, all token-bucket limited.  Echo Replies are never
+    Time Exceeded, all token-bucket limited.  An error quotes the request
+    with the hop limit it arrived with (0 for Time Exceeded), truncated to
+    1232 bytes.  Echo Replies echo the request's body and are never
     limited.  A router with replication_factor r forwards r copies per
     traversal, which is how a routing loop turns into an amplifier.
 
 Virtual time only advances between injected packets, so a token bucket
 refills according to the probe send rate and the whole run is replayable.
+
+Topology files are JSON; `topology_from_dict` checks each scalar field's
+JSON type, so a quoted number or a `"no"` flag is refused, not misread.
 """
 
 from __future__ import annotations
@@ -123,14 +131,10 @@ class SimTopology:
 
 @dataclass(frozen=True)
 class Emission:
-    """One packet handed back to the scanner."""
+    """One packet handed back to the scanner at a virtual time."""
 
     time: float
     packet: bytes
-    router_id: str
-    icmp_type: int
-    code: int
-    source: int
 
 
 @dataclass
@@ -157,17 +161,6 @@ class _TokenBucket:
             self.tokens -= 1.0
             return True
         return False
-
-
-@dataclass(frozen=True)
-class _Pkt:
-    src: int
-    dst: int
-    hop_limit: int
-    raw: bytes  # original request bytes; hop-limit byte patched when quoted
-
-    def quote(self) -> bytes:
-        return self.raw[:7] + bytes([self.hop_limit]) + self.raw[8:]
 
 
 class _CompiledRouter:
@@ -248,89 +241,54 @@ class Simulation:
             return Delivery([], 0, False)  # routers only answer probes
 
         emissions: list[Emission] = []
+        echo = b"\x81\x00\x00\x00" + packet[44:]  # Echo Reply: the request's body
+
+        def emit(reply_src: int, icmp: bytes) -> None:
+            emissions.append(Emission(now, build_ipv6_icmp(reply_src, src, 64, icmp)))
+
         budget = self.topology.max_events
         events = 0
-        exceeded = False
         seq = 0
-        pkt = _Pkt(src, dst, hop_limit, packet)
         aliased = self._aliased.covers(dst)
-        heap: list[tuple[float, str, int, _Pkt, int]] = []
-        heapq.heappush(heap, (now, self.topology.entry_router, seq, pkt, 0))
-
-        def emit_echo(router_id: str, reply_src: int, request: _Pkt):
-            icmp = bytes([129, 0, 0, 0]) + request.raw[44:]
-            emissions.append(
-                Emission(
-                    time=now,
-                    packet=build_ipv6_icmp(reply_src, request.src, 64, icmp),
-                    router_id=router_id,
-                    icmp_type=129,
-                    code=0,
-                    source=reply_src,
-                )
-            )
-
-        def emit_error(node: _CompiledRouter, icmp_type: int, code: int, request: _Pkt):
-            if not node.bucket.consume(now):
-                return
-            quote = request.quote()[:1232]
-            icmp = bytes([icmp_type, code, 0, 0]) + bytes(4) + quote
-            reply_src = node.router.canonical_address
-            emissions.append(
-                Emission(
-                    time=now,
-                    packet=build_ipv6_icmp(reply_src, request.src, 64, icmp),
-                    router_id=node.router.id,
-                    icmp_type=icmp_type,
-                    code=code,
-                    source=reply_src,
-                )
-            )
-
+        # Every copy of one probe shares its bytes and its time, so an entry
+        # is (router id, arrival order, hop limit, ingress interface index).
+        heap = [(self.topology.entry_router, seq, hop_limit, 0)]
         while heap:
             if events >= budget:
-                exceeded = True
-                break
-            _, rid, _, pkt, ingress_idx = heapq.heappop(heap)
+                return Delivery(emissions, events, True)
+            rid, _, hop, ingress_idx = heapq.heappop(heap)
             events += 1
             node = self._routers[rid]
             router = node.router
             action = node.forward.lookup(dst)
 
             if aliased and (action == LOCAL or node.connected.covers(dst)):
-                emit_echo(rid, dst, pkt)
-                continue
-            if dst in node.sra:
+                emit(dst, echo)
+            elif dst in node.sra:
                 if router.sra_source == "ingress":
-                    reply_src = router.interfaces[ingress_idx].address
+                    emit(router.interfaces[ingress_idx].address, echo)
                 else:
-                    reply_src = router.canonical_address
-                emit_echo(rid, reply_src, pkt)
-                continue
-            if dst in node.own:
-                emit_echo(rid, dst, pkt)
-                continue
-            if action is None:
-                emit_error(node, 1, 0, pkt)  # no route to destination
-                continue
-            if action == LOCAL:
-                emit_error(node, 1, 3, pkt)  # address unreachable
-                continue
-            if pkt.hop_limit <= 1:  # would hit zero on this forward
-                emit_error(node, 3, 0, _Pkt(pkt.src, pkt.dst, 0, pkt.raw))
-                continue
-            forwarded = _Pkt(pkt.src, pkt.dst, pkt.hop_limit - 1, pkt.raw)
-            next_idx = self._ingress.get((rid, action), 0)
-            for _ in range(router.replication_factor):
-                seq += 1
-                heapq.heappush(heap, (now, action, seq, forwarded, next_idx))
+                    emit(router.canonical_address, echo)
+            elif dst in node.own:
+                emit(dst, echo)
+            elif action is not None and action != LOCAL and hop > 1:  # forward
+                next_idx = self._ingress.get((rid, action), 0)
+                for _ in range(router.replication_factor):
+                    seq += 1
+                    heapq.heappush(heap, (action, seq, hop - 1, next_idx))
+            elif node.bucket.consume(now):
+                if action is None:
+                    head = b"\x01\x00"  # Destination Unreachable: no route
+                elif action == LOCAL:
+                    head = b"\x01\x03"  # Destination Unreachable: address unreachable
+                else:
+                    head, hop = b"\x03\x00", 0  # Time Exceeded: the hop limit would hit zero
+                # Quote the request as this router holds it, cut so that the
+                # error fits the IPv6 minimum MTU of 1280 bytes.
+                quote = packet[:7] + bytes((hop,)) + packet[8:1232]
+                emit(router.canonical_address, head + bytes(6) + quote)
 
-        return Delivery(emissions, events, exceeded)
-
-
-def deliver(topology: SimTopology, packet: bytes, now: float = 0.0) -> Delivery:
-    """One-shot delivery against fresh token-bucket state."""
-    return Simulation(topology).inject(packet, now)
+        return Delivery(emissions, events, False)
 
 
 class SimTransport:
@@ -397,6 +355,24 @@ def topology_to_dict(topology: SimTopology) -> dict:
     }
 
 
+_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
+
+
+def _typed(obj: dict, key: str, kind: str, default=None):
+    """obj[key] (or `default` if absent), refused unless its JSON type is `kind`.
+
+    JSON's true and false load as Python bools, which are ints too, so a
+    number or an integer must not be a bool and a boolean must be one.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    if not (
+        isinstance(value, _JSON_TYPES[kind])
+        and isinstance(value, bool) == (kind == "boolean")
+    ):
+        raise ValueError(f"{key}: expected {kind}, got {value!r}")
+    return value
+
+
 def topology_from_dict(data: dict) -> SimTopology:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -407,7 +383,7 @@ def topology_from_dict(data: dict) -> SimTopology:
     for rd in data["routers"]:
         routers.append(
             SimRouter(
-                id=rd["id"],
+                id=_typed(rd, "id", "string"),
                 interfaces=[
                     Interface(
                         address=parse_address(i["addr"]),
@@ -416,21 +392,24 @@ def topology_from_dict(data: dict) -> SimTopology:
                     for i in rd["interfaces"]
                 ],
                 routes=[
-                    Route(prefix=parse_prefix(rt["prefix"]), next_hop=rt["next_hop"])
+                    Route(
+                        prefix=parse_prefix(rt["prefix"]),
+                        next_hop=_typed(rt, "next_hop", "string"),
+                    )
                     for rt in rd.get("routes", [])
                 ],
-                error_rate=rd.get("error_rate", 10.0),
-                error_burst=rd.get("error_burst", 10.0),
-                sra_enabled=rd.get("sra_enabled", True),
-                replication_factor=rd.get("replication_factor", 1),
-                sra_source=rd.get("sra_source", "ingress"),
+                error_rate=_typed(rd, "error_rate", "number", 10.0),
+                error_burst=_typed(rd, "error_burst", "number", 10.0),
+                sra_enabled=_typed(rd, "sra_enabled", "boolean", True),
+                replication_factor=_typed(rd, "replication_factor", "integer", 1),
+                sra_source=_typed(rd, "sra_source", "string", "ingress"),
             )
         )
     return SimTopology(
         routers=routers,
-        entry_router=data["entry_router"],
+        entry_router=_typed(data, "entry_router", "string"),
         aliased_prefixes=[parse_prefix(s) for s in data.get("aliased_prefixes", [])],
-        max_events=data.get("max_events", DEFAULT_MAX_EVENTS),
+        max_events=_typed(data, "max_events", "integer", DEFAULT_MAX_EVENTS),
     )
 
 

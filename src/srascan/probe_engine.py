@@ -58,8 +58,8 @@ class ProbeConfig:
             raise ValueError("send_rate must be finite and > 0")
         if not 1 <= self.hop_limit <= 255:
             raise ValueError("hop_limit must be in 1..255")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        if not (math.isfinite(self.cooldown) and self.cooldown >= 0):
+            raise ValueError("cooldown must be >= 0 and finite")
         if not 0 <= self.secret < (1 << 64):
             raise ValueError("secret must fit in 64 bits")
         if not 0 <= self.source_address < (1 << 128):

@@ -237,6 +237,8 @@ def parse_prefix(text: str) -> Ipv6Prefix:
     Rejects malformed addresses, out-of-range lengths and prefixes with
     host bits set.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a prefix string, got {text!r}")
     text = text.strip()
     if "/" in text:
         addr_part, _, len_part = text.partition("/")

@@ -10,6 +10,7 @@ every emission, event count, budget flag and token state.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 from srascan.netsim import (
     DEFAULT,
@@ -19,10 +20,20 @@ from srascan.netsim import (
     MalformedPacketError,
     SimRouter,
     SimTopology,
-    _Pkt,
     _TokenBucket,
 )
 from srascan.probe_engine import ICMP6_ECHO_REQUEST, build_ipv6_icmp, parse_ipv6
+
+
+@dataclass(frozen=True)
+class _Pkt:
+    src: int
+    dst: int
+    hop_limit: int
+    raw: bytes  # original request bytes; hop-limit byte patched when quoted
+
+    def quote(self) -> bytes:
+        return self.raw[:7] + bytes([self.hop_limit]) + self.raw[8:]
 
 
 def ingress_map(topology: SimTopology) -> dict[tuple[str, str], int]:
@@ -94,27 +105,20 @@ class ReferenceSimulation:
         seq = 0
         heap = [(now, self.topology.entry_router, seq, _Pkt(src, dst, hop_limit, packet), 0)]
 
-        def emit(router_id, reply_src, request_src, icmp, icmp_type, code):
+        def emit(reply_src, request_src, icmp):
             emissions.append(
-                Emission(
-                    time=now,
-                    packet=build_ipv6_icmp(reply_src, request_src, 64, icmp),
-                    router_id=router_id,
-                    icmp_type=icmp_type,
-                    code=code,
-                    source=reply_src,
-                )
+                Emission(time=now, packet=build_ipv6_icmp(reply_src, request_src, 64, icmp))
             )
 
-        def emit_echo(router_id: str, reply_src: int, request: _Pkt):
+        def emit_echo(reply_src: int, request: _Pkt):
             icmp = bytes([129, 0, 0, 0]) + request.raw[44:]
-            emit(router_id, reply_src, request.src, icmp, 129, 0)
+            emit(reply_src, request.src, icmp)
 
         def emit_error(router: SimRouter, icmp_type: int, code: int, request: _Pkt):
             if not self._buckets[router.id].consume(now):
                 return
             icmp = bytes([icmp_type, code, 0, 0]) + bytes(4) + request.quote()[:1232]
-            emit(router.id, router.canonical_address, request.src, icmp, icmp_type, code)
+            emit(router.canonical_address, request.src, icmp)
 
         while heap:
             if events >= self.topology.max_events:
@@ -128,15 +132,15 @@ class ReferenceSimulation:
             aliased = any(p.covers_address(dst) for p in self.topology.aliased_prefixes)
 
             if aliased and (attached or action == LOCAL):
-                emit_echo(rid, dst, pkt)
+                emit_echo(dst, pkt)
             elif router.sra_enabled and any(i.subnet.sra == dst for i in router.interfaces):
                 if router.sra_source == "ingress":
                     reply_src = router.interfaces[ingress_idx].address
                 else:
                     reply_src = router.canonical_address
-                emit_echo(rid, reply_src, pkt)
+                emit_echo(reply_src, pkt)
             elif any(i.address == dst for i in router.interfaces):
-                emit_echo(rid, dst, pkt)
+                emit_echo(dst, pkt)
             elif action is None:
                 emit_error(router, 1, 0, pkt)
             elif action == LOCAL:

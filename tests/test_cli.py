@@ -28,6 +28,10 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def refuse_to_send(transport, packet):
+    raise AssertionError("a probe was sent")
+
+
 # Every generation mode, for tests that must hold in each.
 gen_modes = pytest.mark.parametrize(
     "mode",
@@ -374,6 +378,75 @@ class TestScan:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "points at itself" in err
 
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            ("router", "error_rate", "10"),
+            ("router", "error_burst", True),
+            ("router", "replication_factor", 2.0),
+            ("router", "sra_enabled", "no"),
+            ("router", "id", 5),
+            ("router", "sra_source", None),
+            ("route", "next_hop", ["core"]),
+            ("topology", "entry_router", 0),
+            ("topology", "max_events", "5"),
+        ],
+        ids=["error_rate-text", "error_burst-bool", "replication_factor-float",
+             "sra_enabled-text", "id-int", "sra_source-null", "next_hop-list",
+             "entry_router-int", "max_events-text"],
+    )
+    def test_wrongly_typed_topology_field_is_refused_before_sending(
+        self, demo, capsys, monkeypatch, where, key, value
+    ):
+        topology = json.loads((demo / "demo_topology.json").read_text())
+        border = topology["routers"][0]
+        {"router": border, "route": border["routes"][0], "topology": topology}[where][key] = value
+        (demo / "demo_topology.json").write_text(json.dumps(topology))
+        monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+        assert run(*self.scan_args(demo, "x.ndjson")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {demo / 'demo_topology.json'}: {key}: expected ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["subnet", "route", "aliased"])
+    def test_non_string_prefix_in_topology_is_refused_before_sending(
+        self, demo, capsys, monkeypatch, where
+    ):
+        topology = json.loads((demo / "demo_topology.json").read_text())
+        border = topology["routers"][0]
+        if where == "subnet":
+            border["interfaces"][0]["subnet"] = 64
+        elif where == "route":
+            border["routes"][0]["prefix"] = 64
+        else:
+            topology["aliased_prefixes"] = [64]
+        (demo / "demo_topology.json").write_text(json.dumps(topology))
+        monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+        assert run(*self.scan_args(demo, "x.ndjson")) == 2
+        err = capsys.readouterr().err
+        path = demo / "demo_topology.json"
+        assert err == f"error: {path}: expected a prefix string, got 64\n"
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--cooldown", "inf"], "cooldown must be >= 0 and finite"),
+            (["--cooldown", "nan"], "cooldown must be >= 0 and finite"),
+            (["--passes", "65537"], "--passes must be in 1..65536"),
+            (["--passes", "0"], "--passes must be in 1..65536"),
+        ],
+        ids=["cooldown-inf", "cooldown-nan", "passes-65537", "passes-0"],
+    )
+    def test_out_of_range_scan_flag_is_refused_before_sending(
+        self, demo, capsys, monkeypatch, extra, message
+    ):
+        monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+        assert run(*self.scan_args(demo, "x.ndjson", extra)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (demo / "x.ndjson").exists()
+
     def test_bad_secret_is_refused(self, demo, capsys):
         assert run(*self.scan_args(demo, "x.ndjson", ["--secret", "banana"])) == 2
         assert "secret" in capsys.readouterr().err
@@ -712,6 +785,17 @@ class TestAnalyzeCli:
     def test_compare_validates_set_syntax(self, demo, capsys):
         assert run("analyze", "compare", "--set", "nofile") == 2
         assert "NAME=FILE" in capsys.readouterr().err
+
+    def test_compare_refuses_a_repeated_set_name(self, demo, capsys):
+        # None of the files exists: the name is refused before any file is read.
+        missing = str(demo / "missing.txt")
+        assert run(
+            "analyze", "compare",
+            "--set", f"a={missing}", "--set", f"a={missing}", "--set", f"b={missing}",
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --set names 'a' twice\n"
+        assert captured.out == ""
 
     def test_missing_required_inputs_are_reported(self, demo, capsys):
         assert run("analyze", "summarize") == 2

@@ -6,7 +6,9 @@ so the two must agree independently.
 """
 
 import pytest
+from hypothesis import given, settings
 
+import rfc4443_oracle as oracle
 from srascan.netsim import (
     DEFAULT_MAX_EVENTS,
     Interface,
@@ -18,7 +20,6 @@ from srascan.netsim import (
     Simulation,
     build_gateway_fanout,
     build_loop_topology,
-    deliver,
     load_topology,
     save_topology,
     topology_from_dict,
@@ -33,6 +34,7 @@ from srascan.probe_engine import (
     run_scan,
 )
 from srascan.target_gen import parse_address, parse_prefix
+from test_netsim_reference import scenarios
 
 SECRET = 0xC0FFEE
 CFG = ProbeConfig(secret=SECRET, cooldown=0.05)
@@ -68,7 +70,7 @@ def two_router_path(core_iface_order=("link", "lan"), sra_source="ingress"):
 
 class TestReplyRules:
     def test_anycast_reply_comes_from_ingress_interface(self):
-        delivery = deliver(two_router_path(), probe("2001:db8:20::"))
+        delivery = Simulation(two_router_path()).inject(probe("2001:db8:20::"))
         (rec,) = classified(delivery)
         assert rec.kind is ReplyKind.ECHO_REPLY
         assert rec.source == addr("2001:db8:10::2")
@@ -76,16 +78,16 @@ class TestReplyRules:
 
     def test_anycast_reply_source_can_be_pinned_to_first_interface(self):
         topo = two_router_path(core_iface_order=("lan", "link"), sra_source="first_interface")
-        (rec,) = classified(deliver(topo, probe("2001:db8:20::")))
+        (rec,) = classified(Simulation(topo).inject(probe("2001:db8:20::")))
         assert rec.source == addr("2001:db8:20::1")
 
     def test_ingress_lookup_still_works_with_reordered_interfaces(self):
         topo = two_router_path(core_iface_order=("lan", "link"))
-        (rec,) = classified(deliver(topo, probe("2001:db8:20::")))
+        (rec,) = classified(Simulation(topo).inject(probe("2001:db8:20::")))
         assert rec.source == addr("2001:db8:10::2")
 
     def test_interface_address_replies_as_itself(self):
-        (rec,) = classified(deliver(two_router_path(), probe("2001:db8:20::1")))
+        (rec,) = classified(Simulation(two_router_path()).inject(probe("2001:db8:20::1")))
         assert rec.kind is ReplyKind.ECHO_REPLY
         assert rec.source == addr("2001:db8:20::1")
 
@@ -93,7 +95,7 @@ class TestReplyRules:
         topo = two_router_path()
         (core,) = [r for r in topo.routers if r.id == "core"]
         core.sra_enabled = False
-        delivery = deliver(topo, probe("2001:db8:20::"))
+        delivery = Simulation(topo).inject(probe("2001:db8:20::"))
         (rec,) = classified(delivery)
         # falls through to local delivery, which has no such host
         assert rec.kind is ReplyKind.DEST_UNREACHABLE
@@ -101,27 +103,29 @@ class TestReplyRules:
         assert rec.source == addr("2001:db8:10::2")
 
     def test_no_route_yields_unreachable_code_0(self):
-        (rec,) = classified(deliver(two_router_path(), probe("2001:db8:30::")))
+        (rec,) = classified(Simulation(two_router_path()).inject(probe("2001:db8:30::")))
         assert rec.kind is ReplyKind.DEST_UNREACHABLE
         assert rec.code == 0
         assert rec.source == addr("2001:db8:10::1")
         assert rec.embedded_target == addr("2001:db8:30::")
 
     def test_attached_subnet_with_no_host_yields_code_3(self):
-        (rec,) = classified(deliver(two_router_path(), probe("2001:db8:20::42")))
+        (rec,) = classified(Simulation(two_router_path()).inject(probe("2001:db8:20::42")))
         assert rec.kind is ReplyKind.DEST_UNREACHABLE
         assert rec.code == 3
         assert rec.source == addr("2001:db8:10::2")
 
     def test_hop_limit_expires_before_forwarding(self):
-        (rec,) = classified(deliver(two_router_path(), probe("2001:db8:20::", hop_limit=1)))
+        delivery = Simulation(two_router_path()).inject(probe("2001:db8:20::", hop_limit=1))
+        (rec,) = classified(delivery)
         assert rec.kind is ReplyKind.TIME_EXCEEDED
         assert rec.code == 0
         assert rec.source == addr("2001:db8:10::1")
         assert rec.embedded_target == addr("2001:db8:20::")
 
     def test_hop_limit_2_reaches_the_second_router(self):
-        (rec,) = classified(deliver(two_router_path(), probe("2001:db8:20::", hop_limit=2)))
+        delivery = Simulation(two_router_path()).inject(probe("2001:db8:20::", hop_limit=2))
+        (rec,) = classified(delivery)
         assert rec.kind is ReplyKind.ECHO_REPLY
 
     def test_default_route_resolves_through_the_catch_all(self):
@@ -141,9 +145,47 @@ class TestReplyRules:
             ],
         )
         topo = SimTopology(routers=[edge, core], entry_router="edge")
-        (rec,) = classified(deliver(topo, probe("2001:db8:20::")))
+        (rec,) = classified(Simulation(topo).inject(probe("2001:db8:20::")))
         assert rec.kind is ReplyKind.ECHO_REPLY
         assert rec.source == addr("2001:db8:10::2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_every_emission_is_an_rfc4443_reply_to_its_probe(scenario):
+    """Rebuild each emission with the oracle from its source, type and code.
+
+    An Echo Reply must echo the probe; an error must quote the probe with a
+    hop limit it could have had at the router: 0 for Time Exceeded, 1 up to
+    the probe's own for Destination Unreachable.  Sources must be addresses
+    of the topology, or the destination itself for an echo.
+    """
+    topology, stream = scenario
+    interfaces = {i.address for r in topology.routers for i in r.interfaces}
+    canonical = {r.canonical_address for r in topology.routers}
+    sim = Simulation(topology)
+    now = 0.0
+    for dst, hop_limit, step in stream:
+        now += step
+        packet = build_echo_request(dst, ProbeConfig(secret=7, hop_limit=hop_limit))
+        for em in sim.inject(packet, now).emissions:
+            assert em.time == now
+            src, icmp_type, code = em.packet[8:24], em.packet[40], em.packet[41]
+            if icmp_type == 129:
+                assert int.from_bytes(src, "big") in interfaces | {dst}
+                assert em.packet == oracle.build_echo_reply(packet, src)
+                continue
+            assert int.from_bytes(src, "big") in canonical
+            hops = {(1, 0): range(1, hop_limit + 1), (1, 3): range(1, hop_limit + 1),
+                    (3, 0): [0]}[(icmp_type, code)]
+            rebuilt = [
+                oracle.build_error(
+                    packet[:7] + bytes([hop]) + packet[8:], src, icmp_type, code,
+                    quote_limit=1232,
+                )
+                for hop in hops
+            ]
+            assert em.packet in rebuilt
 
 
 class TestTokenBuckets:
@@ -203,7 +245,7 @@ class TestLoops:
     def test_replicating_loop_grows_by_powers_of_two(self, hop_limit, expected):
         assert expected_loop_replies(hop_limit, 2) == expected  # sanity on the oracle
         topo = build_loop_topology(replication_factor=2)
-        delivery = deliver(topo, probe("2001:db8:2::", hop_limit=hop_limit))
+        delivery = Simulation(topo).inject(probe("2001:db8:2::", hop_limit=hop_limit))
         recs = classified(delivery)
         assert len(recs) == expected
         assert all(r.kind is ReplyKind.TIME_EXCEEDED for r in recs)
@@ -216,14 +258,14 @@ class TestLoops:
 
     def test_plain_loop_yields_exactly_one_expiry(self):
         topo = build_loop_topology(replication_factor=1)
-        delivery = deliver(topo, probe("2001:db8:2::", hop_limit=64))
+        delivery = Simulation(topo).inject(probe("2001:db8:2::", hop_limit=64))
         assert len(delivery.emissions) == 1
         (rec,) = classified(delivery)
         assert rec.kind is ReplyKind.TIME_EXCEEDED
 
     def test_used_subnet_is_answered_not_looped(self):
         topo = build_loop_topology(replication_factor=2)
-        (rec,) = classified(deliver(topo, probe("2001:db8:1::")))
+        (rec,) = classified(Simulation(topo).inject(probe("2001:db8:1::")))
         assert rec.kind is ReplyKind.ECHO_REPLY
         assert rec.source == addr("2001:db8:ffff:ffff::2")  # customer link side
 
@@ -231,7 +273,7 @@ class TestLoops:
         # visits for hop limit 6, replication 2 at the customer:
         # p(6)=1, c(5)=1, p(4)=2, c(3)=2, p(2)=4, c(1)=4 -> 14 events, 4 replies
         topo = build_loop_topology(replication_factor=2)
-        delivery = deliver(topo, probe("2001:db8:2::", hop_limit=6))
+        delivery = Simulation(topo).inject(probe("2001:db8:2::", hop_limit=6))
         assert delivery.events == 14
         assert len(delivery.emissions) == 4
         assert not delivery.budget_exceeded
@@ -246,13 +288,13 @@ class TestLoops:
 
         topo = build_loop_topology(replication_factor=3, replicate_on="provider")
         for hop_limit in (4, 6, 8):
-            delivery = deliver(topo, probe("2001:db8:2::", hop_limit=hop_limit))
+            delivery = Simulation(topo).inject(probe("2001:db8:2::", hop_limit=hop_limit))
             assert len(delivery.emissions) == count_p(hop_limit)
 
     def test_budget_cap_is_reported_not_silent(self):
         topo = build_loop_topology(replication_factor=2)
         topo.max_events = 50
-        delivery = deliver(topo, probe("2001:db8:2::", hop_limit=40))
+        delivery = Simulation(topo).inject(probe("2001:db8:2::", hop_limit=40))
         assert delivery.budget_exceeded
         assert delivery.events == 50
 
@@ -262,7 +304,7 @@ class TestAliasedPrefixes:
         topo, meta = build_gateway_fanout(n_inactive=1, m_active=1, aliased=1, seed=7)
         aprefix = meta["aliased_prefixes"][0]
         for suffix in (0, 1, 0xDEADBEEF):
-            (rec,) = classified(deliver(topo, probe(aprefix.bits | suffix)))
+            (rec,) = classified(Simulation(topo).inject(probe(aprefix.bits | suffix)))
             assert rec.kind is ReplyKind.ECHO_REPLY
             assert rec.source == (aprefix.bits | suffix)
 
@@ -271,7 +313,7 @@ class TestAliasedPrefixes:
         # not from an ingress interface, which is what gives aliases away
         topo, meta = build_gateway_fanout(n_inactive=1, m_active=1, aliased=1, seed=7)
         aprefix = meta["aliased_prefixes"][0]
-        (rec,) = classified(deliver(topo, probe(aprefix.sra)))
+        (rec,) = classified(Simulation(topo).inject(probe(aprefix.sra)))
         assert rec.source == aprefix.sra
 
 
@@ -279,18 +321,18 @@ class TestInputHandling:
     def test_garbage_is_rejected(self):
         topo = two_router_path()
         with pytest.raises(MalformedPacketError):
-            deliver(topo, b"not a packet")
+            Simulation(topo).inject(b"not a packet")
 
     def test_wrong_ip_version_is_rejected(self):
         topo = two_router_path()
         with pytest.raises(MalformedPacketError):
-            deliver(topo, bytes([0x45]) + bytes(50))
+            Simulation(topo).inject(bytes([0x45]) + bytes(50))
 
     def test_non_echo_icmp_is_ignored_not_answered(self):
         topo = two_router_path()
         icmp = bytes([129, 0, 0, 0]) + bytes(20)  # an echo reply, not a request
         packet = build_ipv6_icmp(addr("2001:db8:10::9"), addr("2001:db8:20::"), 64, icmp)
-        delivery = deliver(topo, packet)
+        delivery = Simulation(topo).inject(packet)
         assert delivery.emissions == [] and delivery.events == 0
 
 
@@ -341,6 +383,18 @@ class TestTopologyFiles:
         data = topology_to_dict(build_loop_topology())
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            topology_from_dict(data)
+
+    def test_field_types_are_checked(self):
+        data = topology_to_dict(build_loop_topology())
+        data["routers"][0]["error_rate"] = 10  # an integer is a number
+        assert topology_from_dict(data).routers[0].error_rate == 10
+        data["routers"][0]["sra_enabled"] = 0
+        with pytest.raises(ValueError, match="sra_enabled: expected boolean, got 0"):
+            topology_from_dict(data)
+        data["routers"][0]["sra_enabled"] = True
+        data["max_events"] = True
+        with pytest.raises(ValueError, match="max_events: expected integer, got True"):
             topology_from_dict(data)
 
     def test_unknown_next_hop_is_refused(self):
