@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
 from .target_gen import MAX128, Ipv6Prefix, PrefixTable
@@ -39,8 +40,16 @@ class MatchResult:
     outcomes: dict[int, list[ReplyRecord]]
     unsolicited: list[ReplyRecord]
 
+    def answered(self) -> Iterator[tuple[int, list[ReplyRecord]]]:
+        """(target, replies) of each target that drew a reply, in probe order.
+
+        Silent targets are skipped inside `compress`, with no Python step
+        per target, so a mostly silent sweep costs about its replies.
+        """
+        return compress(self.outcomes.items(), self.outcomes.values())
+
     def responded(self) -> set[int]:
-        return {t for t, recs in self.outcomes.items() if recs}
+        return set(compress(self.outcomes, self.outcomes.values()))
 
 
 def match_replies(
@@ -83,7 +92,7 @@ def alias_filter(
     """
     aliased = PrefixTable((p, True) for p in aliased)
     evidence: dict[int, set] = defaultdict(set)
-    for target, recs in result.outcomes.items():
+    for target, recs in result.answered():
         for rec in recs:
             if rec.source == target or aliased.covers(rec.source):
                 continue
@@ -114,7 +123,7 @@ def summarize_scan(result: MatchResult) -> ScanSummary:
     echo = error = 0
     kinds_by_source: dict[int, set[ReplyKind]] = defaultdict(set)
     matched = 0
-    for recs in result.outcomes.values():
+    for recs in filter(None, result.outcomes.values()):
         for rec in recs:
             matched += 1
             kinds_by_source[rec.source].add(rec.kind)
@@ -205,15 +214,16 @@ def stability_mapping(
     address so repeated runs agree.
     """
     aliased = PrefixTable((p, True) for p in aliased)
-    out: dict[int, int | None] = {}
-    for target, recs in result.outcomes.items():
+    out: dict[int, int | None] = dict.fromkeys(result.outcomes)
+    for target, recs in result.answered():
         echo, other = [], []
         for rec in recs:
             if aliased.covers(rec.source):
                 continue
             (echo if rec.kind is ReplyKind.ECHO_REPLY else other).append(rec.source)
         pool = echo or other
-        out[target] = min(pool) if pool else None
+        if pool:
+            out[target] = min(pool)
     return out
 
 
@@ -287,11 +297,14 @@ def detect_loops(
     Exceeded messages marks its enclosing subnet as looping.  Per reply
     source, reports how many looping subnets it participated in and the
     worst per-probe amplification (replies per single probe).
+    `min_time_exceeded` is at least 1, so a silent target never loops.
     """
+    if min_time_exceeded < 1:
+        raise ValueError("min_time_exceeded must be at least 1")
     looping: set[Ipv6Prefix] = set()
     subnets_by_router: dict[int, set[Ipv6Prefix]] = defaultdict(set)
     worst_by_router: Counter = Counter()
-    for target, recs in result.outcomes.items():
+    for target, recs in result.answered():
         te = [r for r in recs if r.kind is ReplyKind.TIME_EXCEEDED]
         if len(te) < min_time_exceeded:
             continue

@@ -116,22 +116,19 @@ def _config_value(path, section: str, action, value):
 # --- shared input helpers ---------------------------------------------------------
 
 
-def _load(path, parse) -> list:
-    """Records of a line-oriented input file, read by `target_gen.read_records`."""
+def _load(path, read, *args) -> list:
+    """`read(lines, *args)` over a line-oriented input file, as a list.
+
+    `read` is `target_gen.read_addresses` for a probe list, or
+    `target_gen.read_records` with the parser of one line.
+    """
     try:
         with open(path) as fh:
-            return list(target_gen.read_records(fh, parse))
+            return list(read(fh, *args))
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def _target_address(line: str) -> int:
-    """A probe-list line: one address, or an NDJSON record with `address`."""
-    if line.startswith("{"):
-        line = json.loads(line)["address"]
-    return target_gen.parse_address(line)
 
 
 def _open_out(path):
@@ -156,14 +153,14 @@ def cmd_gen_targets(args) -> int:
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
-        source = _load(args.hitlist, target_gen.parse_address)
+        source = _load(args.hitlist, target_gen.read_records, target_gen.parse_address)
         gen, count, plan = (
             target_gen.gen_from_hitlist, target_gen.count_hitlist, target_gen.hitlist_plan
         )
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        source = _load(args.prefixes, target_gen.parse_prefix)
+        source = _load(args.prefixes, target_gen.read_records, target_gen.parse_prefix)
         if args.mode == "route6":
             gen, count, plan = (
                 functools.partial(fn, cfg=cfg)
@@ -240,10 +237,10 @@ def cmd_scan(args) -> int:
         raise CliError("--rate must be a finite number above 0")
     if not 1 <= args.passes <= 1 << 16:  # the pass index is the 16-bit ICMP identifier
         raise CliError("--passes must be in 1..65536")
-    targets = _load(args.targets, _target_address)
+    targets = _load(args.targets, target_gen.read_addresses)
     input_paths = [args.targets]
     if args.exclude:
-        excluded = _load(args.exclude, target_gen.parse_prefix)
+        excluded = _load(args.exclude, target_gen.read_records, target_gen.parse_prefix)
         input_paths.append(args.exclude)
         ranges = target_gen._IntervalSet()
         for p in excluded:
@@ -398,11 +395,14 @@ def cmd_manifest_verify(args) -> int:
 
 
 def _matched(targets, path):
-    return analysis.match_replies(targets, _load(path, probe_engine.ReplyRecord.from_json))
+    records = _load(path, target_gen.read_records, probe_engine.ReplyRecord.from_json)
+    return analysis.match_replies(targets, records)
 
 
 def _aliased(args):
-    return _load(args.aliased, target_gen.parse_prefix) if args.aliased else []
+    if not args.aliased:
+        return []
+    return _load(args.aliased, target_gen.read_records, target_gen.parse_prefix)
 
 
 # Each action returns its JSON report, its CSV header and its CSV rows.
@@ -483,10 +483,11 @@ def _compare(args, targets):
         if name in paths:
             raise CliError(f"--set names {name!r} twice")
         paths[name] = path
-    named = {name: _load(path, _target_address) for name, path in paths.items()}
+    named = {name: _load(path, target_gen.read_addresses) for name, path in paths.items()}
     table = None
     if args.labels:
-        table = target_gen.PrefixTable(_load(args.labels, target_gen.parse_label_row))
+        rows = _load(args.labels, target_gen.read_records, target_gen.parse_label_row)
+        table = target_gen.PrefixTable(rows)
     report = analysis.compare_datasets(named, table)
     exclusive = {"+".join(k): v for k, v in report.exclusive.items()}
     summary = {
@@ -515,7 +516,7 @@ def cmd_analyze(args) -> int:
             raise CliError(f"{args.action} needs --replies FILE [FILE ...]")
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
-        targets = _load(args.targets, _target_address)
+        targets = _load(args.targets, target_gen.read_addresses)
 
     try:
         report, header, rows = _ANALYSES[args.action](args, targets)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,6 +93,11 @@ class SimRouter:
     def __post_init__(self):
         if not self.interfaces:
             raise ValueError(f"router {self.id!r} needs at least one interface")
+        for name, value in (("error_rate", self.error_rate), ("error_burst", self.error_burst)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"router {self.id!r}: {name} must be a finite number >= 0"
+                )
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         if self.sra_source not in ("ingress", "first_interface"):
@@ -110,6 +116,8 @@ class SimTopology:
     max_events: int = DEFAULT_MAX_EVENTS
 
     def __post_init__(self):
+        if self.max_events < 1:
+            raise ValueError("max_events must be >= 1")
         ids = [r.id for r in self.routers]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate router ids")

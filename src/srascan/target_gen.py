@@ -21,6 +21,7 @@ import enum
 import hashlib
 import ipaddress
 import itertools
+import json
 import random
 import socket
 import struct
@@ -257,13 +258,15 @@ def parse_label_row(line: str) -> tuple[Ipv6Prefix, str]:
     return parse_prefix(prefix_text), label.strip()
 
 
-def read_records(lines: Iterable[str], parse: Callable[[str], object]) -> Iterator:
+def read_records(
+    lines: Iterable[str], parse: Callable[[str], object], start: int = 1
+) -> Iterator:
     """Parse every line of a line-oriented input, stripped.
 
     Blank lines and lines starting with # are skipped.  A line that `parse`
-    refuses raises ValueError naming its 1-based line number.
+    refuses raises ValueError naming its line number, counted from `start`.
     """
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(lines, start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -272,6 +275,42 @@ def read_records(lines: Iterable[str], parse: Callable[[str], object]) -> Iterat
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         yield record
+
+
+def parse_target_line(line: str) -> int:
+    """A probe-list line: one address, or an NDJSON record with `address`."""
+    if line.startswith("{"):
+        line = json.loads(line)["address"]
+    return parse_address(line)
+
+
+# Lines of a probe list parsed per step of `read_addresses`.
+READ_BLOCK = 4096
+
+
+def read_addresses(lines: Iterable[str]) -> Iterator[int]:
+    """The addresses of a probe list: `read_records(lines, parse_target_line)`,
+    parsed a block of lines at a time.
+
+    A block of bare addresses goes through inet_pton with no Python frame
+    per line.  A block that holds anything else (a blank, #, NDJSON or
+    scoped line, or a bad one) is parsed again line by line, so it yields
+    the same addresses, or raises the same error, as `read_records`.
+    """
+    lines = iter(lines)
+    start = 1
+    # The file is read outside the try, so a decode error is not retried.
+    while block := list(itertools.islice(lines, READ_BLOCK)):
+        try:
+            addresses = list(map(
+                int.from_bytes,
+                map(socket.inet_pton, itertools.repeat(socket.AF_INET6), map(str.strip, block)),
+                itertools.repeat("big"),
+            ))
+        except (OSError, ValueError):
+            addresses = read_records(block, parse_target_line, start=start)
+        yield from addresses
+        start += len(block)
 
 
 class _IntervalSet:

@@ -381,6 +381,12 @@ class TestLoopDetection:
         report = detect_loops(self.fixture(), subnet_length=48, min_time_exceeded=2)
         assert report.looping_subnets == {parse_prefix("2001:db8:aaaa::/48")}
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_a_threshold_below_one_is_refused(self, threshold):
+        """At 0 every silent target would count as looping."""
+        with pytest.raises(ValueError, match="min_time_exceeded"):
+            detect_loops(self.fixture(), 48, threshold)
+
     def test_raising_the_threshold_never_adds_subnets(self):
         result = self.fixture()
         previous = None

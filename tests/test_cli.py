@@ -231,6 +231,19 @@ class TestGenTargets:
         assert err.startswith("error: ") and "bad.txt: line 3:" in err
         assert "Traceback" not in err
 
+    def test_bad_target_line_past_the_first_block_names_its_line(self, demo, capsys):
+        """A probe list is parsed in blocks; the line number still counts from 1."""
+        lines = [target_gen.format_address(0x20010DB8 << 96 | i << 64) for i in range(5000)]
+        lines[4500] = "2001:db8::/64"
+        targets = write(demo, "t.txt", "\n".join(lines) + "\n")
+        replies = write(demo, "r.ndjson", "")
+        assert run("analyze", "summarize", "--replies", replies, "--targets", targets) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {targets}: line 4501: expected a bare address, got '2001:db8::/64'\n"
+        )
+        assert captured.out == ""
+
     def test_mode_needs_its_input_file(self, capsys):
         assert run("gen-targets", "--mode", "hitlist") == 2
         assert "--hitlist" in capsys.readouterr().err
@@ -407,6 +420,36 @@ class TestScan:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {demo / 'demo_topology.json'}: {key}: expected ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where,key,value,message",
+        [
+            ("topology", "max_events", 0, "max_events must be >= 1"),
+            ("topology", "max_events", -5, "max_events must be >= 1"),
+            ("router", "error_rate", -1, "error_rate must be a finite number >= 0"),
+            ("router", "error_rate", float("nan"), "error_rate must be a finite number >= 0"),
+            ("router", "error_burst", -0.5, "error_burst must be a finite number >= 0"),
+            ("router", "error_burst", float("nan"), "error_burst must be a finite number >= 0"),
+        ],
+        ids=["max_events-0", "max_events-negative", "error_rate-negative", "error_rate-nan",
+             "error_burst-negative", "error_burst-nan"],
+    )
+    def test_out_of_range_topology_value_is_refused_before_the_transport_opens(
+        self, demo, capsys, monkeypatch, where, key, value, message
+    ):
+        topology = json.loads((demo / "demo_topology.json").read_text())
+        {"router": topology["routers"][0], "topology": topology}[where][key] = value
+        (demo / "demo_topology.json").write_text(json.dumps(topology))  # NaN is written as NaN
+
+        def refuse_to_open(*args, **kwargs):
+            raise AssertionError("the transport was opened")
+
+        monkeypatch.setattr(netsim, "SimTransport", refuse_to_open)
+        assert run(*self.scan_args(demo, "x.ndjson")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {demo / 'demo_topology.json'}: ") and message in err
+        assert "Traceback" not in err
+        assert not (demo / "x.ndjson").exists()
 
     @pytest.mark.parametrize("where", ["subnet", "route", "aliased"])
     def test_non_string_prefix_in_topology_is_refused_before_sending(

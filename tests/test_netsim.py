@@ -149,6 +149,26 @@ class TestReplyRules:
         assert rec.kind is ReplyKind.ECHO_REPLY
         assert rec.source == addr("2001:db8:10::2")
 
+    def test_error_quote_is_cut_to_the_minimum_mtu_and_an_echo_is_not(self):
+        """A probe of 1440 bytes draws a 1280-byte error and a whole echo."""
+        body = bytes(range(256)) * 5 + bytes(112)
+        icmp = bytes([128, 0, 0, 0, 0, 7, 0, 9]) + body
+        packet = build_ipv6_icmp(addr("2001:db8:10::9"), addr("2001:db8:20::"), 64, icmp)
+        assert len(packet) == 1440
+
+        (echo,) = Simulation(two_router_path()).inject(packet).emissions
+        core_link = addr("2001:db8:10::2").to_bytes(16, "big")
+        assert echo.packet == oracle.build_echo_reply(packet, core_link)
+        assert echo.packet[48:] == body
+
+        topo = two_router_path()
+        topo.routers[1].sra_enabled = False  # the same probe now draws code 3 at core
+        (error,) = Simulation(topo).inject(packet).emissions
+        assert len(error.packet) == 1280
+        assert error.packet == oracle.build_error(
+            packet[:7] + bytes([63]) + packet[8:], core_link, 1, 3, quote_limit=1232
+        )
+
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
@@ -444,6 +464,23 @@ class TestTopologyFiles:
     def test_interface_outside_its_subnet_is_refused(self):
         with pytest.raises(ValueError, match="not inside"):
             Interface(addr("2001:db9::1"), parse_prefix("2001:db8::/64"))
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_max_events_below_one_is_refused(self, value):
+        data = topology_to_dict(build_loop_topology())
+        data["max_events"] = value
+        with pytest.raises(ValueError, match="max_events must be >= 1"):
+            topology_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["error_rate", "error_burst"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_error_bucket_out_of_range_is_refused(self, field, value):
+        data = topology_to_dict(build_loop_topology())
+        data["routers"][0][field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            topology_from_dict(data)
+        data["routers"][0][field] = 0  # zero is in range: no errors at all
+        assert getattr(topology_from_dict(data).routers[0], field) == 0
 
     def test_replication_below_one_is_refused(self):
         with pytest.raises(ValueError, match="replication_factor"):

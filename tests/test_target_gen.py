@@ -7,15 +7,18 @@ module (subnets/supernet enumeration), not from the code under test.
 from __future__ import annotations
 
 import ipaddress
+import json
 import re
 import socket
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srascan import target_gen
 from srascan.target_gen import (
     GenerationConfig,
     Ipv6Prefix,
@@ -39,6 +42,8 @@ from srascan.target_gen import (
     hitlist_plan,
     parse_address,
     parse_prefix,
+    parse_target_line,
+    read_addresses,
     read_records,
     route6_plan,
     stage1_plan,
@@ -264,6 +269,56 @@ def test_read_prefix_file_reports_line_number():
     lines = ["2001:db8::/32\n", "# comment\n", "\n", "2001:db8::1/48\n"]
     with pytest.raises(ValueError, match="line 4"):
         list(read_records(lines, parse_prefix))
+
+
+# --- probe lists ---------------------------------------------------------------
+
+probe_list_lines = st.one_of(
+    addresses.map(format_address),
+    addresses.map(lambda a: ipaddress.IPv6Address(a).exploded),
+    addresses.map(lambda a: format_address(a).upper()),
+    st.sampled_from(["::ffff:1.2.3.4", "::1.2.3.4", "fe80::1%eth0", "", "   ", "# note"]),
+    addresses.map(lambda a: json.dumps({"address": format_address(a), "stage": "bgp64"})),
+    st.sampled_from([
+        "2001:db8::/64",
+        "2001:db8::\x001",
+        "2001:db8::\ud800",
+        "2001:db8::\u00e9",
+        "\u0663::1",
+        '{"address": 5}',
+    ]),
+)
+
+
+def _read(read, lines):
+    try:
+        return list(read(lines))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(["", " ", "\t "]), probe_list_lines, st.sampled_from(["", " "]))
+        .map(lambda parts: "".join(parts) + "\n"),
+        max_size=30,
+    ),
+    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+)
+def test_read_addresses_matches_read_records(lines, block):
+    """Block parsing yields what line-by-line parsing yields, or its error."""
+    expected = _read(lambda ls: read_records(ls, parse_target_line), lines)
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        assert _read(read_addresses, lines) == expected
+        assert _read(read_addresses, iter(lines)) == expected
+
+
+def test_read_addresses_names_a_bad_line_past_the_first_block():
+    lines = ["2001:db8::\n"] * 4096 + ["2001:db8::zz\n", "::1\n"]
+    with pytest.raises(ValueError, match="^line 4097: "):
+        list(read_addresses(lines))
+    assert list(read_addresses(lines[:4096] + lines[-1:])) == [addr("2001:db8::")] * 4096 + [1]
 
 
 # --- stage 1 -----------------------------------------------------------------
