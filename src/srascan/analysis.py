@@ -4,17 +4,17 @@ Everything here is pure data manipulation: match replies back to the probes
 that caused them, peel off aliased and self-sourced responses, and reduce
 what remains to router observations, visibility across scans, anycast
 stability, loop detection, and dataset comparisons.  Inputs are iterables
-of ReplyRecord plus the probed target list, and results are dataclasses;
-nothing touches the network or a file.  The CLI renders them as JSON and
-CSV reports.
+of ReplyRecord plus the probed target set; a probed target that drew no
+reply is silent and has no entry among the answers, so a mostly silent
+sweep costs about its replies.  Results are dataclasses; nothing touches
+the network or a file.  The CLI renders them as JSON and CSV reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
 from .target_gen import MAX128, Ipv6Prefix, PrefixTable
@@ -32,38 +32,29 @@ def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
 class MatchResult:
     """Replies grouped by the probe that elicited them.
 
-    `outcomes` has an entry for every probed target, empty list included,
-    so silence is visible.  Replies whose authenticated payload is missing
-    or names an address that was never probed land in `unsolicited`.
+    `answers` holds only the targets that drew a reply, in first-reply
+    order; a target in `probed` with no entry was silent.  Replies with no
+    authenticated payload, or naming an unprobed address, are `unsolicited`.
     """
 
-    outcomes: dict[int, list[ReplyRecord]]
+    probed: frozenset[int]
+    answers: dict[int, list[ReplyRecord]]
     unsolicited: list[ReplyRecord]
-
-    def answered(self) -> Iterator[tuple[int, list[ReplyRecord]]]:
-        """(target, replies) of each target that drew a reply, in probe order.
-
-        Silent targets are skipped inside `compress`, with no Python step
-        per target, so a mostly silent sweep costs about its replies.
-        """
-        return compress(self.outcomes.items(), self.outcomes.values())
-
-    def responded(self) -> set[int]:
-        return set(compress(self.outcomes, self.outcomes.values()))
 
 
 def match_replies(
     targets: Iterable[int], records: Iterable[ReplyRecord]
 ) -> MatchResult:
-    outcomes: dict[int, list[ReplyRecord]] = {a: [] for a in targets}
+    probed = frozenset(targets)
+    answers: dict[int, list[ReplyRecord]] = {}
     unsolicited = []
     for rec in records:
         t = rec.embedded_target
-        if t is None or t not in outcomes:
-            unsolicited.append(rec)
+        if t in probed:
+            answers.setdefault(t, []).append(rec)
         else:
-            outcomes[t].append(rec)
-    return MatchResult(outcomes, unsolicited)
+            unsolicited.append(rec)
+    return MatchResult(probed, answers, unsolicited)
 
 
 # --- alias and self-reply filtering ---------------------------------------------
@@ -92,7 +83,7 @@ def alias_filter(
     """
     aliased = PrefixTable((p, True) for p in aliased)
     evidence: dict[int, set] = defaultdict(set)
-    for target, recs in result.answered():
+    for target, recs in result.answers.items():
         for rec in recs:
             if rec.source == target or aliased.covers(rec.source):
                 continue
@@ -120,17 +111,12 @@ class ScanSummary:
 
 
 def summarize_scan(result: MatchResult) -> ScanSummary:
-    echo = error = 0
+    per_kind: Counter = Counter()
     kinds_by_source: dict[int, set[ReplyKind]] = defaultdict(set)
-    matched = 0
-    for recs in filter(None, result.outcomes.values()):
+    for recs in result.answers.values():
         for rec in recs:
-            matched += 1
+            per_kind[rec.kind] += 1
             kinds_by_source[rec.source].add(rec.kind)
-            if rec.kind is ReplyKind.ECHO_REPLY:
-                echo += 1
-            elif rec.kind in ERROR_KINDS:
-                error += 1
     echo_only = error_only = mixed = 0
     for kinds in kinds_by_source.values():
         has_echo = ReplyKind.ECHO_REPLY in kinds
@@ -141,17 +127,17 @@ def summarize_scan(result: MatchResult) -> ScanSummary:
             echo_only += 1
         else:
             error_only += 1
-    n = len(result.outcomes)
+    n = len(result.probed)
     return ScanSummary(
         targets_probed=n,
-        replies_total=matched + len(result.unsolicited),
-        echo_replies=echo,
-        error_replies=error,
+        replies_total=per_kind.total() + len(result.unsolicited),
+        echo_replies=per_kind[ReplyKind.ECHO_REPLY],
+        error_replies=sum(per_kind[k] for k in ERROR_KINDS),
         distinct_sources=len(kinds_by_source),
         echo_only_sources=echo_only,
         error_only_sources=error_only,
         mixed_sources=mixed,
-        reply_rate=(len(result.responded()) / n) if n else 0.0,
+        reply_rate=(len(result.answers) / n) if n else 0.0,
     )
 
 
@@ -214,8 +200,8 @@ def stability_mapping(
     address so repeated runs agree.
     """
     aliased = PrefixTable((p, True) for p in aliased)
-    out: dict[int, int | None] = dict.fromkeys(result.outcomes)
-    for target, recs in result.answered():
+    out: dict[int, int | None] = dict.fromkeys(result.probed)
+    for target, recs in result.answers.items():
         echo, other = [], []
         for rec in recs:
             if aliased.covers(rec.source):
@@ -304,7 +290,7 @@ def detect_loops(
     looping: set[Ipv6Prefix] = set()
     subnets_by_router: dict[int, set[Ipv6Prefix]] = defaultdict(set)
     worst_by_router: Counter = Counter()
-    for target, recs in result.answered():
+    for target, recs in result.answers.items():
         te = [r for r in recs if r.kind is ReplyKind.TIME_EXCEEDED]
         if len(te) < min_time_exceeded:
             continue

@@ -516,7 +516,8 @@ def cmd_analyze(args) -> int:
             raise CliError(f"{args.action} needs --replies FILE [FILE ...]")
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
-        targets = _load(args.targets, target_gen.read_addresses)
+        # One set for every reply file: match_replies keeps a frozenset uncopied.
+        targets = frozenset(_load(args.targets, target_gen.read_addresses))
 
     try:
         report, header, rows = _ANALYSES[args.action](args, targets)

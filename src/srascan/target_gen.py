@@ -299,8 +299,17 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     """
     lines = iter(lines)
     start = 1
-    # The file is read outside the try, so a decode error is not retried.
-    while block := list(itertools.islice(lines, READ_BLOCK)):
+    while True:
+        # A decode error is raised as it is, but after the lines read before
+        # it (`extend` keeps them) are parsed, as `read_records` would.
+        block: list[str] = []
+        try:
+            block.extend(itertools.islice(lines, READ_BLOCK))
+        except UnicodeDecodeError:
+            yield from read_records(block, parse_target_line, start=start)
+            raise
+        if not block:
+            return
         try:
             addresses = list(map(
                 int.from_bytes,

@@ -63,9 +63,8 @@ R1, R2 = "2001:db8:fe::1", "2001:db8:fe::2"
 class TestMatching:
     def test_every_probe_appears_even_in_silence(self):
         result = match_replies([A(T1), A(T2), A(T3)], [])
-        assert set(result.outcomes) == {A(T1), A(T2), A(T3)}
-        assert all(v == [] for v in result.outcomes.values())
-        assert result.responded() == set()
+        assert result.probed == {A(T1), A(T2), A(T3)}
+        assert result.answers == {}
 
     def test_replies_land_on_their_probe(self):
         records = [
@@ -74,10 +73,10 @@ class TestMatching:
             rec(ReplyKind.ECHO_REPLY, R2, T2),
         ]
         result = match_replies([A(T1), A(T2), A(T3)], records)
-        assert len(result.outcomes[A(T1)]) == 2
-        assert len(result.outcomes[A(T2)]) == 1
-        assert result.outcomes[A(T3)] == []
-        assert result.responded() == {A(T1), A(T2)}
+        assert len(result.answers[A(T1)]) == 2
+        assert len(result.answers[A(T2)]) == 1
+        assert A(T3) in result.probed and A(T3) not in result.answers
+        assert set(result.answers) == {A(T1), A(T2)}
 
     def test_unauthenticated_and_unknown_targets_are_unsolicited(self):
         records = [
@@ -85,7 +84,7 @@ class TestMatching:
             rec(ReplyKind.ECHO_REPLY, R1, "2001:db8:ffff::"),  # never probed
         ]
         result = match_replies([A(T1)], records)
-        assert result.outcomes[A(T1)] == []
+        assert A(T1) not in result.answers
         assert len(result.unsolicited) == 2
 
 
@@ -122,8 +121,8 @@ def linear_alias_filter(result, aliased, scan_id=0):
     """alias_filter with one covers_address test per aliased prefix."""
     aliased = list(aliased)
     evidence = defaultdict(set)
-    for target, recs in result.outcomes.items():
-        for r in recs:
+    for target in result.probed:
+        for r in result.answers.get(target, ()):
             if r.source == target:
                 continue
             if any(p.covers_address(r.source) for p in aliased):
@@ -139,9 +138,9 @@ def linear_stability_mapping(result, aliased):
     """stability_mapping with one covers_address test per aliased prefix."""
     aliased = list(aliased)
     out = {}
-    for target, recs in result.outcomes.items():
+    for target in result.probed:
         echo, other = [], []
-        for r in recs:
+        for r in result.answers.get(target, ()):
             if any(p.covers_address(r.source) for p in aliased):
                 continue
             (echo if r.kind is ReplyKind.ECHO_REPLY else other).append(r.source)
@@ -176,15 +175,34 @@ class TestAliasedPrefixFilter:
             ),
             max_size=30,
         ),
+        # Never probed: None is unauthenticated, low bit 1 is off every target.
+        stray=st.lists(st.one_of(st.none(), _HI), max_size=5),
+        rnd=st.randoms(use_true_random=False),
     )
-    def test_matches_a_linear_scan_of_the_prefixes(self, aliased, targets, replies):
+    def test_matches_a_linear_scan_of_the_prefixes(
+        self, aliased, targets, replies, stray, rnd
+    ):
         prefixes = [enclosing_prefix(_place(hi, low), length) for hi, low, length in aliased]
         probed = [_place(hi) for hi in targets]
         records = []
         for i, src, kind in replies:
             target = probed[i % len(probed)]
             records.append(rec(kind, target if src is None else _place(*src), target))
+        for hi in stray:
+            records.append(rec(ReplyKind.ECHO_REPLY, R1, None if hi is None else _place(hi, 1)))
+        rnd.shuffle(records)
         result = match_replies(probed, records)
+
+        # Every record lands once, in `answers` under its own target or in
+        # `unsolicited`, and only probed targets have answers.
+        assert result.probed == set(probed)
+        assert set(result.answers) <= result.probed
+        for target, recs in result.answers.items():
+            assert recs and all(r.embedded_target == target for r in recs)
+        landed = [r for recs in result.answers.values() for r in recs] + result.unsolicited
+        assert sorted(map(id, landed)) == sorted(map(id, records))
+        assert len(result.unsolicited) == len(stray)
+
         got = alias_filter(result, iter(prefixes), scan_id=3)
         want = linear_alias_filter(result, prefixes, scan_id=3)
         assert [(o.router_ip, o.elicited_by, o.scan_id) for o in got] == [
@@ -193,6 +211,18 @@ class TestAliasedPrefixFilter:
         assert stability_mapping(result, iter(prefixes)) == linear_stability_mapping(
             result, prefixes
         )
+
+        # Neither the order of the replies nor that of the probe list
+        # changes any result.
+        rnd.shuffle(records)
+        rnd.shuffle(probed)
+        again = match_replies(probed, records)
+        assert [(o.router_ip, o.elicited_by) for o in alias_filter(again, prefixes, 3)] == [
+            (o.router_ip, o.elicited_by) for o in got
+        ]
+        assert summarize_scan(again) == summarize_scan(result)
+        assert stability_mapping(again, prefixes) == stability_mapping(result, prefixes)
+        assert detect_loops(again, 56) == detect_loops(result, 56)
 
 
 class TestSummary:

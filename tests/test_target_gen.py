@@ -321,6 +321,21 @@ def test_read_addresses_names_a_bad_line_past_the_first_block():
     assert list(read_addresses(lines[:4096] + lines[-1:])) == [addr("2001:db8::")] * 4096 + [1]
 
 
+def test_a_bad_line_is_named_before_a_later_undecodable_byte(tmp_path):
+    """Both errors sit in one block, and the file is decoded in chunks of a
+    few KiB, so the decode error fires after line 2 has been read."""
+    path = tmp_path / "targets.txt"
+    tail = b"2001:db8::1\n" * 3000 + b"\xff\n"
+    path.write_bytes(b"::1\nzz\n" + tail)
+    for read in (read_addresses, lambda ls: read_records(ls, parse_target_line)):
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError, match="^line 2: "):
+            list(read(fh))
+    # With no bad line, the decode error itself is raised.
+    path.write_bytes(b"::1\n::2\n" + tail)
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
+        list(read_addresses(fh))
+
+
 # --- stage 1 -----------------------------------------------------------------
 
 
