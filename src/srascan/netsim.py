@@ -249,11 +249,6 @@ class Simulation:
             return Delivery([], 0, False)  # routers only answer probes
 
         emissions: list[Emission] = []
-        echo = b"\x81\x00\x00\x00" + packet[44:]  # Echo Reply: the request's body
-
-        def emit(reply_src: int, icmp: bytes) -> None:
-            emissions.append(Emission(now, build_ipv6_icmp(reply_src, src, 64, icmp)))
-
         budget = self.topology.max_events
         events = 0
         seq = 0
@@ -270,20 +265,22 @@ class Simulation:
             router = node.router
             action = node.forward.lookup(dst)
 
+            icmp = None  # an Echo Reply unless an error is built below
             if aliased and (action == LOCAL or node.connected.covers(dst)):
-                emit(dst, echo)
+                reply_src = dst
             elif dst in node.sra:
                 if router.sra_source == "ingress":
-                    emit(router.interfaces[ingress_idx].address, echo)
+                    reply_src = router.interfaces[ingress_idx].address
                 else:
-                    emit(router.canonical_address, echo)
+                    reply_src = router.canonical_address
             elif dst in node.own:
-                emit(dst, echo)
+                reply_src = dst
             elif action is not None and action != LOCAL and hop > 1:  # forward
                 next_idx = self._ingress.get((rid, action), 0)
                 for _ in range(router.replication_factor):
                     seq += 1
                     heapq.heappush(heap, (action, seq, hop - 1, next_idx))
+                continue
             elif node.bucket.consume(now):
                 if action is None:
                     head = b"\x01\x00"  # Destination Unreachable: no route
@@ -294,7 +291,12 @@ class Simulation:
                 # Quote the request as this router holds it, cut so that the
                 # error fits the IPv6 minimum MTU of 1280 bytes.
                 quote = packet[:7] + bytes((hop,)) + packet[8:1232]
-                emit(router.canonical_address, head + bytes(6) + quote)
+                reply_src, icmp = router.canonical_address, head + bytes(6) + quote
+            else:
+                continue
+            if icmp is None:
+                icmp = b"\x81\x00\x00\x00" + packet[44:]  # Echo Reply: the request's body
+            emissions.append(Emission(now, build_ipv6_icmp(reply_src, src, 64, icmp)))
 
         return Delivery(emissions, events, False)
 
@@ -323,7 +325,8 @@ class SimTransport:
         self.clock += self.tick
         if delivery.budget_exceeded:
             self.budget_hits += 1
-        self._rx.extend((em.packet, em.time) for em in delivery.emissions)
+        if delivery.emissions:
+            self._rx.extend((em.packet, em.time) for em in delivery.emissions)
 
     def receive(self, timeout: float) -> tuple[bytes, float] | None:
         if self._rx:

@@ -203,15 +203,62 @@ def build_ipv6_icmp(src: int, dst: int, hop_limit: int, icmp: bytes) -> bytes:
     return header + icmp
 
 
+class ProbeTemplate:
+    """One pass's Echo Request, packed once; `build` fills in a target.
+
+    Within a pass only the destination, the payload MAC and the checksum
+    change from probe to probe, so the IPv6 head with the source, the ICMP
+    identifier and sequence, the keyed MAC state and the checksum's sum of
+    every constant word are computed here, once.
+
+    The checksum is the RFC 1071 sum taken by congruence: 2**16 is 1 modulo
+    0xFFFF, so a run of big-endian words adds the same as the run read as
+    one integer, and the one's complement of the folded sum is its negation
+    modulo 0xFFFF (the sum is never zero: the next-header word is 58).
+    """
+
+    __slots__ = ("_head", "_ident", "_mac", "_sum")
+
+    def __init__(self, cfg: ProbeConfig):
+        src = cfg.source_address.to_bytes(16, "big")
+        self._head = struct.pack(
+            "!IHBB", 6 << 28, ICMP6_HEADER_LEN + PAYLOAD_LEN, 58, cfg.hop_limit
+        ) + src
+        self._ident = struct.pack("!HH", cfg.scan_pass, cfg.shard)
+        self._mac = hashlib.blake2b(key=cfg.secret.to_bytes(8, "big"), digest_size=8)
+        # The source, the upper-layer length and next header of the
+        # pseudo-header, then type and code, identifier and sequence.
+        constant = (
+            src
+            + struct.pack("!I3xB", ICMP6_HEADER_LEN + PAYLOAD_LEN, 58)
+            + bytes((ICMP6_ECHO_REQUEST, 0))
+            + self._ident
+        )
+        self._sum = int.from_bytes(constant, "big") % 0xFFFF
+
+    def build(self, address: int) -> bytes:
+        """Full IPv6 packet probing `address`, byte-identical to
+        `build_ipv6_icmp` over the same Echo Request."""
+        dst = address.to_bytes(16, "big")
+        mac = self._mac.copy()
+        mac.update(dst)
+        tag = mac.digest()
+        # The destination sits in the pseudo-header and in the payload.
+        cksum = -(self._sum + 2 * address + int.from_bytes(tag, "big")) % 0xFFFF
+        return b"".join(
+            (self._head, dst, b"\x80\x00", cksum.to_bytes(2, "big"), self._ident, dst, tag)
+        )
+
+
 def build_echo_request(address: int, cfg: ProbeConfig) -> bytes:
     """Full IPv6 packet for one probe, checksummed and ready to send.
 
     The ICMP identifier carries cfg.scan_pass and the sequence cfg.shard.
     """
-    icmp = struct.pack(
-        "!BBHHH", ICMP6_ECHO_REQUEST, 0, 0, cfg.scan_pass, cfg.shard
-    ) + encode_payload(address, cfg.secret)
-    return build_ipv6_icmp(cfg.source_address, address, cfg.hop_limit, icmp)
+    return ProbeTemplate(cfg).build(address)
+
+
+_IPV6_HEADER = struct.Struct("!IHBB16s16s")
 
 
 def parse_ipv6(packet: bytes) -> tuple[int, int, int, int, bytes] | None:
@@ -222,14 +269,14 @@ def parse_ipv6(packet: bytes) -> tuple[int, int, int, int, bytes] | None:
     """
     if len(packet) < IPV6_HEADER_LEN:
         return None
-    vtf, plen, nh, hlim = struct.unpack("!IHBB", packet[:8])
+    vtf, plen, nh, hlim, src, dst = _IPV6_HEADER.unpack_from(packet)
     if vtf >> 28 != 6:
         return None
-    if len(packet) < IPV6_HEADER_LEN + plen:
+    end = IPV6_HEADER_LEN + plen
+    if len(packet) < end:
         return None
-    src = int.from_bytes(packet[8:24], "big")
-    dst = int.from_bytes(packet[24:40], "big")
-    return src, dst, hlim, nh, packet[IPV6_HEADER_LEN : IPV6_HEADER_LEN + plen]
+    src, dst = int.from_bytes(src, "big"), int.from_bytes(dst, "big")
+    return src, dst, hlim, nh, packet[IPV6_HEADER_LEN:end]
 
 
 def _embedded_from_quote(quoted: bytes, secret: int) -> int | None:
@@ -304,12 +351,17 @@ class Transport(Protocol):
 
 
 class _Pacer:
-    """Token bucket smoothing sends to cfg.send_rate; burst capped at 1 ms."""
+    """Token bucket smoothing sends to cfg.send_rate.
+
+    It starts with one token, so no send runs ahead of the rate counted from
+    the scan's start; only sends held up by a stall may catch up, in a burst
+    capped at 1 ms.
+    """
 
     def __init__(self, rate: float, clock):
         self.rate = rate
         self.burst = max(1.0, rate / 1000.0)
-        self.tokens = self.burst
+        self.tokens = 1.0
         self.clock = clock
         self.last = clock()
 
@@ -338,32 +390,41 @@ def run_scan(
     the transport fails to send or to receive, the replies received before
     the failure have been yielded, and TransportError is raised.
     """
+    secret = cfg.secret
+
+    def receive(timeout: float) -> tuple[bytes, float] | None:
+        try:
+            return transport.receive(timeout)
+        except Exception as exc:
+            raise TransportError("transport failed mid-scan") from exc
 
     def receive_until(deadline: float) -> Iterator[ReplyRecord]:
         """Replies received until `deadline`, then those still queued."""
         while True:
             timeout = max(0.0, deadline - clock())
-            try:
-                item = transport.receive(timeout)
-            except Exception as exc:
-                raise TransportError("transport failed mid-scan") from exc
+            item = receive(timeout)
             if item is not None:
-                rec = classify_icmp(item[0], cfg.secret, timestamp=item[1])
+                rec = classify_icmp(item[0], secret, timestamp=item[1])
                 if rec is not None:
                     yield rec
             elif timeout == 0.0:
                 return
 
+    build = ProbeTemplate(cfg).build
+    send = transport.send
     pacer = _Pacer(cfg.send_rate, clock)
     for target in targets:
         while (delay := pacer.delay()) > 0:
             yield from receive_until(clock() + delay)
-        packet = build_echo_request(target, cfg)
+        packet = build(target)
         try:
-            transport.send(packet)
+            send(packet)
         except Exception as exc:
             raise TransportError("transport failed mid-scan") from exc
-        yield from receive_until(clock())
+        while (item := receive(0.0)) is not None:
+            rec = classify_icmp(item[0], secret, timestamp=item[1])
+            if rec is not None:
+                yield rec
     yield from receive_until(clock() + cfg.cooldown)
 
 

@@ -295,9 +295,14 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     A block of bare addresses goes through inet_pton with no Python frame
     per line.  A block that holds anything else (a blank, #, NDJSON or
     scoped line, or a bad one) is parsed again line by line, so it yields
-    the same addresses, or raises the same error, as `read_records`.
+    the same addresses, or raises the same error, as `read_records`.  The
+    blocks are flattened in C, so no Python frame is resumed per address.
     """
-    lines = iter(lines)
+    return itertools.chain.from_iterable(_address_blocks(iter(lines)))
+
+
+def _address_blocks(lines: Iterator[str]) -> Iterator[list[int]]:
+    """One list of addresses per READ_BLOCK lines, for `read_addresses`."""
     start = 1
     while True:
         # A decode error is raised as it is, but after the lines read before
@@ -306,7 +311,7 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
         try:
             block.extend(itertools.islice(lines, READ_BLOCK))
         except UnicodeDecodeError:
-            yield from read_records(block, parse_target_line, start=start)
+            yield list(read_records(block, parse_target_line, start=start))
             raise
         if not block:
             return
@@ -317,8 +322,8 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
                 itertools.repeat("big"),
             ))
         except (OSError, ValueError):
-            addresses = read_records(block, parse_target_line, start=start)
-        yield from addresses
+            addresses = list(read_records(block, parse_target_line, start=start))
+        yield addresses
         start += len(block)
 
 

@@ -4,7 +4,11 @@ import csv
 import hashlib
 import ipaddress
 import json
+import os
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -855,3 +859,14 @@ class TestDemo:
             "demo_subnets.txt",
             "demo_topology.json",
         }
+
+
+def test_the_package_runs_as_a_module_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "srascan", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: srascan")

@@ -7,6 +7,7 @@ implementation of the checksum and header rules.
 from __future__ import annotations
 
 import ipaddress
+import struct
 import threading
 import time
 from collections import deque
@@ -19,10 +20,12 @@ import rfc4443_oracle as oracle
 from srascan.probe_engine import (
     PAYLOAD_LEN,
     ProbeConfig,
+    ProbeTemplate,
     ReplyKind,
     ReplyRecord,
     TransportError,
     build_echo_request,
+    build_ipv6_icmp,
     classify_icmp,
     decode_payload,
     encode_payload,
@@ -129,6 +132,36 @@ def test_echo_request_carries_pass_and_shard():
     ident, seq = int.from_bytes(payload[4:6], "big"), int.from_bytes(payload[6:8], "big")
     assert (ident, seq) == (9, 2)
     assert decode_payload(payload[8:], 5) == t.address
+
+
+ALL_ONES = (1 << 128) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    address=st.integers(0, ALL_ONES),
+    secret=st.integers(0, (1 << 64) - 1),
+    source=st.integers(0, ALL_ONES),
+    hop_limit=st.integers(1, 255),
+    scan_pass=st.integers(0, 0xFFFF),
+    shard=st.integers(0, 0xFFFF),
+)
+@example(address=0, secret=0, source=0, hop_limit=1, scan_pass=0, shard=0)
+@example(address=ALL_ONES, secret=(1 << 64) - 1, source=ALL_ONES, hop_limit=255,
+         scan_pass=0xFFFF, shard=0xFFFF)
+@example(address=0, secret=1, source=ALL_ONES, hop_limit=64, scan_pass=0, shard=0)
+@example(address=ALL_ONES, secret=1, source=0, hop_limit=64, scan_pass=1, shard=2)
+def test_template_matches_the_generic_packer(address, secret, source, hop_limit, scan_pass, shard):
+    """The template's precomputed checksum and header give the bytes the
+    generic IPv6/ICMPv6 packer gives for the same Echo Request."""
+    c = ProbeConfig(secret=secret, source_address=source, hop_limit=hop_limit,
+                    scan_pass=scan_pass, shard=shard)
+    packet = ProbeTemplate(c).build(address)
+    icmp = struct.pack("!BBHHH", 128, 0, 0, scan_pass, shard) + encode_payload(address, secret)
+    assert packet == build_ipv6_icmp(source, address, hop_limit, icmp)
+    assert build_echo_request(address, c) == packet
+    assert oracle.validate_echo_request(packet) == []
+    assert parse_ipv6(packet)[:3] == (source, address, hop_limit)
 
 
 def test_probe_config_validation():
@@ -356,6 +389,28 @@ def test_run_scan_respects_send_rate():
     assert elapsed >= 0.005  # 1000 sends at 200k pps need at least 5 ms
 
 
+def test_run_scan_never_runs_ahead_of_the_rate_from_its_start():
+    """On a virtual clock, probe k leaves no earlier than k / send_rate after
+    the scan starts: the 1 ms burst makes up for stalls, not for the start."""
+    now = [0.0]
+    sent_at = []
+
+    class ClockedTransport:
+        def send(self, packet):
+            sent_at.append(now[0])
+
+        def receive(self, timeout):
+            now[0] += timeout  # waiting is the only thing that moves the clock
+            return None
+
+    rate = float(1 << 17)  # a power of two keeps k / rate and the token sums exact
+    targets = [addr("2001:db8::") + (i << 64) for i in range(500)]
+    list(run_scan(targets, ClockedTransport(), cfg(send_rate=rate, cooldown=0.0),
+                  clock=lambda: now[0]))
+    assert len(sent_at) == len(targets)
+    assert sent_at == [k / rate for k in range(len(targets))]
+
+
 def test_run_scan_flushes_partials_then_raises_on_transport_failure():
     targets = [addr(f"2001:db8:{i:x}::") for i in range(1, 11)]
     transport = ReplyingTransport(fail_after=4)
@@ -376,6 +431,43 @@ def test_run_scan_raises_when_the_receiver_fails():
     with pytest.raises(TransportError) as info:
         list(run_scan(targets, DeafTransport(), cfg(send_rate=1e6)))
     assert isinstance(info.value.__cause__, OSError)
+
+
+def test_run_scan_passes_a_consumer_exception_through():
+    """An exception thrown in at a yielded reply is the consumer's own, not a
+    transport failure."""
+    targets = [addr(f"2001:db8:{i:x}::") for i in range(1, 11)]
+    transport = ReplyingTransport()
+    scan = run_scan(targets, transport, cfg(send_rate=1e6))
+    first = next(scan)
+    assert first.embedded_target == targets[0]
+    with pytest.raises(KeyError, match="consumer"):
+        scan.throw(KeyError("consumer"))
+    assert len(transport.sent) == 1
+
+
+def test_run_scan_yields_earlier_replies_before_a_drain_failure():
+    """A receive that fails while draining after a send comes out as
+    TransportError only after every reply received before it."""
+
+    class FlakyTransport(ReplyingTransport):
+        def __init__(self):
+            super().__init__(responder=lambda req: [oracle.build_echo_reply(req, req[24:40])] * 2)
+            self.receives = 0
+
+        def receive(self, timeout):
+            self.receives += 1
+            if self.receives == 8:  # three receives per probe: two replies, then None
+                raise OSError("receive socket closed")
+            return super().receive(timeout)
+
+    targets = [addr(f"2001:db8:{i:x}::") for i in range(1, 11)]
+    got = []
+    with pytest.raises(TransportError) as info:
+        for rec in run_scan(targets, FlakyTransport(), cfg(send_rate=1e6)):
+            got.append(rec.embedded_target)
+    assert isinstance(info.value.__cause__, OSError)
+    assert got == [targets[0]] * 2 + [targets[1]] * 2 + [targets[2]]
 
 
 def test_run_scan_cooldown_catches_late_replies():
