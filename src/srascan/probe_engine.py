@@ -23,7 +23,6 @@ import json
 import math
 import socket
 import struct
-import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
@@ -174,23 +173,19 @@ def decode_payload(data: bytes, secret: int) -> int | None:
 
 
 def icmpv6_checksum(src: int, dst: int, message: bytes) -> int:
-    """RFC 4443 checksum: one's complement sum over the IPv6 pseudo-header."""
-    data = (
-        src.to_bytes(16, "big")
-        + dst.to_bytes(16, "big")
-        + struct.pack("!I3xB", len(message), 58)
-        + message
-    )
-    if len(data) % 2:
-        data += b"\x00"
-    # The one's complement sum is byte-order independent (RFC 1071), so sum
-    # native-order words and swap the folded result on little-endian hosts.
-    total = sum(memoryview(data).cast("H"))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    if sys.byteorder == "little":
-        total = ((total & 0xFF) << 8) | (total >> 8)
-    return ~total & 0xFFFF
+    """RFC 4443 checksum: one's complement sum over the IPv6 pseudo-header.
+
+    The RFC 1071 sum is taken by congruence: 2**16 is 1 modulo 0xFFFF, so a
+    run of big-endian words adds the same as the run read as one integer
+    (an odd run padded with a zero byte), and the one's complement of the
+    folded sum is its negation modulo 0xFFFF (the sum is never zero: the
+    next-header word is 58).  The same congruence lets a caller add or take
+    away whole words, at any even offset, after the fact.
+    """
+    words = int.from_bytes(message, "big")
+    if len(message) % 2:
+        words <<= 8
+    return -(src + dst + len(message) + 58 + words) % 0xFFFF
 
 
 def build_ipv6_icmp(src: int, dst: int, hop_limit: int, icmp: bytes) -> bytes:
@@ -208,33 +203,21 @@ class ProbeTemplate:
 
     Within a pass only the destination, the payload MAC and the checksum
     change from probe to probe, so the IPv6 head with the source, the ICMP
-    identifier and sequence, the keyed MAC state and the checksum's sum of
-    every constant word are computed here, once.
-
-    The checksum is the RFC 1071 sum taken by congruence: 2**16 is 1 modulo
-    0xFFFF, so a run of big-endian words adds the same as the run read as
-    one integer, and the one's complement of the folded sum is its negation
-    modulo 0xFFFF (the sum is never zero: the next-header word is 58).
+    identifier and sequence, the keyed MAC state and the checksum of the
+    probe with every changing word zeroed are computed here, once.
     """
 
-    __slots__ = ("_head", "_ident", "_mac", "_sum")
+    __slots__ = ("_head", "_ident", "_mac", "_cksum")
 
     def __init__(self, cfg: ProbeConfig):
-        src = cfg.source_address.to_bytes(16, "big")
         self._head = struct.pack(
             "!IHBB", 6 << 28, ICMP6_HEADER_LEN + PAYLOAD_LEN, 58, cfg.hop_limit
-        ) + src
+        ) + cfg.source_address.to_bytes(16, "big")
         self._ident = struct.pack("!HH", cfg.scan_pass, cfg.shard)
         self._mac = hashlib.blake2b(key=cfg.secret.to_bytes(8, "big"), digest_size=8)
-        # The source, the upper-layer length and next header of the
-        # pseudo-header, then type and code, identifier and sequence.
-        constant = (
-            src
-            + struct.pack("!I3xB", ICMP6_HEADER_LEN + PAYLOAD_LEN, 58)
-            + bytes((ICMP6_ECHO_REQUEST, 0))
-            + self._ident
+        self._cksum = icmpv6_checksum(
+            cfg.source_address, 0, b"\x80\x00\x00\x00" + self._ident + bytes(PAYLOAD_LEN)
         )
-        self._sum = int.from_bytes(constant, "big") % 0xFFFF
 
     def build(self, address: int) -> bytes:
         """Full IPv6 packet probing `address`, byte-identical to
@@ -243,8 +226,9 @@ class ProbeTemplate:
         mac = self._mac.copy()
         mac.update(dst)
         tag = mac.digest()
-        # The destination sits in the pseudo-header and in the payload.
-        cksum = -(self._sum + 2 * address + int.from_bytes(tag, "big")) % 0xFFFF
+        # The destination, in the pseudo-header and the payload, and the tag
+        # fill words that are zero in the template's checksum.
+        cksum = (self._cksum - 2 * address - int.from_bytes(tag, "big")) % 0xFFFF
         return b"".join(
             (self._head, dst, b"\x80\x00", cksum.to_bytes(2, "big"), self._ident, dst, tag)
         )
@@ -310,9 +294,10 @@ def classify_icmp(packet: bytes, secret: int, timestamp: float = 0.0) -> ReplyRe
     src, dst, hlim, nh, payload = parsed
     if nh != 58 or len(payload) < 4:
         return None
-    if icmpv6_checksum(src, dst, payload[:2] + b"\x00\x00" + payload[4:]) != struct.unpack(
-        "!H", payload[2:4]
-    )[0]:
+    # Summed as received, the message counts its stored checksum once more
+    # than the sender did; adding it back gives the sender's checksum.
+    stored = int.from_bytes(payload[2:4], "big")
+    if (icmpv6_checksum(src, dst, payload) + stored) % 0xFFFF != stored:
         return None
     icmp_type, code = payload[0], payload[1]
     kind = _KIND_BY_TYPE.get(icmp_type, ReplyKind.OTHER)
@@ -350,32 +335,6 @@ class Transport(Protocol):
     def receive(self, timeout: float) -> tuple[bytes, float] | None: ...
 
 
-class _Pacer:
-    """Token bucket smoothing sends to cfg.send_rate.
-
-    It starts with one token, so no send runs ahead of the rate counted from
-    the scan's start; only sends held up by a stall may catch up, in a burst
-    capped at 1 ms.
-    """
-
-    def __init__(self, rate: float, clock):
-        self.rate = rate
-        self.burst = max(1.0, rate / 1000.0)
-        self.tokens = 1.0
-        self.clock = clock
-        self.last = clock()
-
-    def delay(self) -> float:
-        """Take a send slot and return 0, or return the seconds until one frees."""
-        now = self.clock()
-        self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
-        self.last = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return 0.0
-        return (1.0 - self.tokens) / self.rate
-
-
 def run_scan(
     targets: Iterable[int],
     transport: Transport,
@@ -386,9 +345,11 @@ def run_scan(
 
     One loop, no per-target state: wait for the send slot by receiving,
     send, then receive without waiting until the transport has nothing
-    queued.  Reception continues for cfg.cooldown after the last send.  If
-    the transport fails to send or to receive, the replies received before
-    the failure have been yielded, and TransportError is raised.
+    queued.  Probe k is due k / cfg.send_rate after the scan starts; probes
+    held up by a stall catch up, in a burst of at most 1 ms.  Reception
+    continues for cfg.cooldown after the last send.  If the transport fails
+    to send or to receive, the replies received before the failure have
+    been yielded, and TransportError is raised.
     """
     secret = cfg.secret
 
@@ -412,10 +373,16 @@ def run_scan(
 
     build = ProbeTemplate(cfg).build
     send = transport.send
-    pacer = _Pacer(cfg.send_rate, clock)
+    interval = 1.0 / cfg.send_rate
+    slack = max(0.0, 0.001 - interval)  # how far the schedule may trail the clock
+    due = clock()
     for target in targets:
-        while (delay := pacer.delay()) > 0:
-            yield from receive_until(clock() + delay)
+        now = clock()
+        if now < due:
+            yield from receive_until(due)
+        elif due < now - slack:
+            due = now - slack
+        due += interval
         packet = build(target)
         try:
             send(packet)

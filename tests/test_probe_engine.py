@@ -10,7 +10,7 @@ import ipaddress
 import struct
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +266,41 @@ def test_classify_rejects_bad_checksum():
     assert classify_icmp(bytes(reply), c.secret) is None
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    src=st.integers(0, (1 << 128) - 1),
+    dst=st.integers(0, (1 << 128) - 1),
+    body=st.binary(min_size=4, max_size=1300),
+    zero_sum=st.booleans(),
+    stored=st.sampled_from(["correct", "other zero"]) | st.integers(0, 0xFFFF),
+)
+@example(src=0, dst=0, body=bytes(4), zero_sum=True, stored="correct")
+@example(src=0, dst=0, body=bytes(4), zero_sum=True, stored="other zero")
+@example(src=1, dst=0, body=bytes(5), zero_sum=True, stored="other zero")  # odd: padded
+@example(src=(1 << 128) - 1, dst=0, body=b"\x81\x00\x00\x00" + b"\xff" * 1295,
+         zero_sum=True, stored=0xFFFF)
+def test_classify_checksum_gate_matches_independent_fold(src, dst, body, zero_sum, stored):
+    """A message gets a record exactly when its stored checksum is the one the
+    oracle computes; in particular 0xFFFF never stands in for 0x0000."""
+    message = body[:2] + bytes(2) + body[4:]
+    src_b = src.to_bytes(16, "big")
+    if zero_sum:
+        # This destination brings the sum to 0 modulo 0xFFFF: the correct
+        # checksum is 0x0000, and 0xFFFF is the other encoding of that zero.
+        dst = oracle.fold_checksum(src_b, bytes(16), message)
+    dst_b = dst.to_bytes(16, "big")
+    want = oracle.fold_checksum(src_b, dst_b, message)
+    assert want == 0 or not zero_sum
+    if stored == "correct":
+        stored = want
+    elif stored == "other zero":
+        stored = 0xFFFF if want == 0 else want
+    packet = bytearray(oracle.build(src_b, dst_b, 64, message))
+    packet[42:44] = stored.to_bytes(2, "big")
+    rec = classify_icmp(bytes(packet), 0)
+    assert (rec is not None) == (stored == want)
+
+
 @st.composite
 def received_bytes(draw):
     """(bytes, secret, target): random bytes, or a reply to a probe of `target`
@@ -409,6 +444,56 @@ def test_run_scan_never_runs_ahead_of_the_rate_from_its_start():
                   clock=lambda: now[0]))
     assert len(sent_at) == len(targets)
     assert sent_at == [k / rate for k in range(len(targets))]
+
+
+class VirtualClockTransport:
+    """A silent transport whose clock moves only when the scan waits, as
+    receive(timeout) adds its timeout, or when a send stalls.  Too many
+    receives per send raise, so a pacer that never reaches its due time
+    fails instead of hanging."""
+
+    def __init__(self, stall_after: int = 0, stall: float = 0.0):
+        self.now = 0.0
+        self.sent_at: list[float] = []
+        self.receives = 0
+        self._stall_after, self._stall = stall_after, stall
+
+    def clock(self) -> float:
+        return self.now
+
+    def send(self, packet):
+        self.sent_at.append(self.now)
+        if len(self.sent_at) == self._stall_after:
+            self.now += self._stall
+
+    def receive(self, timeout):
+        self.receives += 1
+        if self.receives > 5 * (len(self.sent_at) + 1):
+            raise RuntimeError("receive called without end")
+        self.now += timeout
+        return None
+
+
+def test_run_scan_reaches_every_due_time_on_a_clock_moved_only_by_waiting():
+    """At 200,000/s an interval is not a power of two, so the waits do not
+    add up exactly; each wait still ends at its absolute due time."""
+    rate = 200_000.0
+    transport = VirtualClockTransport()
+    targets = [addr("2001:db8::") + (i << 64) for i in range(2000)]
+    list(run_scan(targets, transport, cfg(send_rate=rate, cooldown=0.0), clock=transport.clock))
+    assert len(transport.sent_at) == len(targets)
+    assert transport.sent_at == sorted(transport.sent_at)
+    assert transport.sent_at[-1] == pytest.approx((len(targets) - 1) / rate)
+
+
+@pytest.mark.parametrize("rate", [500.0, 1000.0, float(1 << 17), 200_000.0, 1e6])
+def test_run_scan_catches_up_a_stall_in_bursts_of_at_most_1_ms(rate):
+    transport = VirtualClockTransport(stall_after=10, stall=0.010)
+    targets = [addr("2001:db8::") + (i << 64) for i in range(3000)]
+    list(run_scan(targets, transport, cfg(send_rate=rate, cooldown=0.0), clock=transport.clock))
+    assert len(transport.sent_at) == len(targets)
+    [(_, burst)] = Counter(transport.sent_at).most_common(1)
+    assert burst <= max(1.0, rate / 1000)
 
 
 def test_run_scan_flushes_partials_then_raises_on_transport_failure():
