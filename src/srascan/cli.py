@@ -119,8 +119,9 @@ def _config_value(path, section: str, action, value):
 def _load(path, read, *args) -> list:
     """`read(lines, *args)` over a line-oriented input file, as a list.
 
-    `read` is `target_gen.read_addresses` for a probe list, or
-    `target_gen.read_records` with the parser of one line.
+    `read` is `target_gen.read_addresses` for a probe list,
+    `probe_engine.read_replies` for a reply file, or `target_gen.read_records`
+    with the parser of one line.
     """
     try:
         with open(path) as fh:
@@ -290,6 +291,7 @@ def cmd_scan(args) -> int:
 
     if live:
         transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)
+        scan = probe_engine.run_scan
     else:
         input_paths.append(args.sim_topology)
         try:
@@ -297,6 +299,8 @@ def cmd_scan(args) -> int:
         except (ValueError, OSError, KeyError, TypeError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
+        # A simulated scan runs on the simulator's clock and never sleeps.
+        scan = functools.partial(probe_engine.run_scan, clock=transport.clock)
 
     outputs = []
     try:
@@ -306,7 +310,7 @@ def cmd_scan(args) -> int:
             out, close = _open_out(path)
             replies = 0
             try:
-                for record in probe_engine.run_scan(targets, transport, pass_cfg):
+                for record in scan(targets, transport, pass_cfg):
                     out.write(record.to_json() + "\n")
                     replies += 1
             finally:
@@ -395,7 +399,7 @@ def cmd_manifest_verify(args) -> int:
 
 
 def _matched(targets, path):
-    records = _load(path, target_gen.read_records, probe_engine.ReplyRecord.from_json)
+    records = _load(path, probe_engine.read_replies)
     return analysis.match_replies(targets, records)
 
 

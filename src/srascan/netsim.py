@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -302,27 +301,32 @@ class Simulation:
 
 
 class SimTransport:
-    """probe_engine.Transport backed by a Simulation and a virtual clock.
+    """probe_engine.Transport backed by a Simulation, with its own clock.
 
-    Each send advances virtual time by one tick (the probe interval), so
-    router token buckets see the same pacing a live scan would produce.
-    Idle time does not advance it.  A send queues every reply the probe
-    causes before it returns, so nothing arrives while the caller waits:
-    receive pops the queue, and on an empty queue returns None at once for
-    a zero timeout and after sleeping `timeout` otherwise.  Drive it from
-    one thread.
+    Each send injects its probe at `send_time` and moves that on by one
+    tick (the probe interval), so router token buckets see the same pacing
+    a live scan would produce; idle time does not reach them.  `clock` is
+    the scan's time for run_scan: a send moves it one tick, and a receive
+    that finds nothing queued moves it on by the timeout instead of
+    sleeping.  A send queues every reply the probe causes before it returns,
+    so nothing can arrive while the caller waits.  Drive it from one thread.
     """
 
     def __init__(self, topology: SimTopology, tick: float = 1.0 / 200_000):
         self.sim = Simulation(topology)
         self.tick = tick
-        self.clock = 0.0
+        self.send_time = 0.0
+        self._now = 0.0
         self.budget_hits = 0
         self._rx: deque[tuple[bytes, float]] = deque()
 
+    def clock(self) -> float:
+        return self._now
+
     def send(self, packet: bytes) -> None:
-        delivery = self.sim.inject(packet, self.clock)
-        self.clock += self.tick
+        delivery = self.sim.inject(packet, self.send_time)
+        self.send_time += self.tick
+        self._now += self.tick
         if delivery.budget_exceeded:
             self.budget_hits += 1
         if delivery.emissions:
@@ -331,8 +335,10 @@ class SimTransport:
     def receive(self, timeout: float) -> tuple[bytes, float] | None:
         if self._rx:
             return self._rx.popleft()
-        if timeout > 0:
-            time.sleep(timeout)
+        # run_scan waits deadline - clock().  That difference is exact once
+        # the clock is within a factor of two of the deadline (Sterbenz), and
+        # one wait brings it there, so a second wait at most lands on it.
+        self._now += timeout
         return None
 
 

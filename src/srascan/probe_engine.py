@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
 
-from .target_gen import format_address, parse_address
+from .target_gen import format_address, parse_address, read_blocks
 
 
 ICMP6_ECHO_REQUEST = 128
@@ -105,19 +105,31 @@ class ReplyRecord:
     timestamp: float
 
     def to_json(self) -> str:
+        """One reply line: `json.dumps` of the fields in a fixed key order,
+        with no spaces."""
+        ts, icmp_type, code = self.timestamp, self.icmp_type, self.code
+        hop_limit, embedded = self.received_hop_limit, self.embedded_target
+        if (
+            type(ts) is float and math.isfinite(ts)
+            and type(icmp_type) is type(code) is type(hop_limit) is int
+        ):
+            # json.dumps writes a finite float as its repr and an int as its
+            # text; address text and kind values need no escaping.
+            embedded = "null" if embedded is None else f'"{format_address(embedded)}"'
+            return (
+                f'{{"ts":{ts!r},"kind":"{self.kind.value}","type":{icmp_type},'
+                f'"code":{code},"src":"{format_address(self.source)}",'
+                f'"embedded_target":{embedded},"hop_limit":{hop_limit}}}'
+            )
         return json.dumps(
             {
-                "ts": self.timestamp,
+                "ts": ts,
                 "kind": self.kind.value,
-                "type": self.icmp_type,
-                "code": self.code,
+                "type": icmp_type,
+                "code": code,
                 "src": format_address(self.source),
-                "embedded_target": (
-                    format_address(self.embedded_target)
-                    if self.embedded_target is not None
-                    else None
-                ),
-                "hop_limit": self.received_hop_limit,
+                "embedded_target": None if embedded is None else format_address(embedded),
+                "hop_limit": hop_limit,
             },
             separators=(",", ":"),
         )
@@ -125,19 +137,75 @@ class ReplyRecord:
     @classmethod
     def from_json(cls, line: str) -> "ReplyRecord":
         d = json.loads(line)
-        return cls(
-            kind=ReplyKind(d["kind"]),
-            icmp_type=d["type"],
-            code=d["code"],
-            source=parse_address(d["src"]),
-            embedded_target=(
-                parse_address(d["embedded_target"])
-                if d["embedded_target"] is not None
-                else None
-            ),
-            received_hop_limit=d["hop_limit"],
-            timestamp=d["ts"],
-        )
+        if not isinstance(d, dict):
+            raise ValueError("expected a JSON object")
+        try:
+            return cls(
+                kind=ReplyKind(d["kind"]),
+                icmp_type=d["type"],
+                code=d["code"],
+                source=parse_address(d["src"]),
+                embedded_target=(
+                    parse_address(d["embedded_target"])
+                    if d["embedded_target"] is not None
+                    else None
+                ),
+                received_hop_limit=d["hop_limit"],
+                timestamp=d["ts"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
+
+
+_KIND_BY_VALUE = {kind.value: kind for kind in ReplyKind}
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _reply_block(block: list[str]) -> list[ReplyRecord]:
+    """The records of a block of reply lines, each line a JSON object with
+    the seven keys and bare addresses; raises on any other block.
+
+    Each line goes through the C JSON scanner with no Python frame, and must
+    be used up to its end.  A record is built by handing it its attribute
+    dict: a frozen dataclass's __init__ sets each field through
+    object.__setattr__, which costs more than the rest of the record.
+    """
+    lines = list(map(str.strip, block))
+    records = []
+    append = records.append
+    new, set_attr = object.__new__, object.__setattr__
+    pton, af, from_bytes = socket.inet_pton, socket.AF_INET6, int.from_bytes
+    for (d, end), line in zip(map(_scan_json, lines, [0] * len(lines)), lines):
+        if end != len(line):
+            raise ValueError("extra data after the JSON value")
+        embedded = d["embedded_target"]
+        record = new(ReplyRecord)
+        set_attr(record, "__dict__", {
+            "kind": _KIND_BY_VALUE[d["kind"]],
+            "icmp_type": d["type"],
+            "code": d["code"],
+            "source": from_bytes(pton(af, d["src"]), "big"),
+            "embedded_target": None if embedded is None else from_bytes(pton(af, embedded), "big"),
+            "received_hop_limit": d["hop_limit"],
+            "timestamp": d["ts"],
+        })
+        append(record)
+    # A line with no JSON value at its start (a blank or # line) makes the
+    # scanner raise StopIteration, which ends `map` early.
+    if len(records) != len(lines):
+        raise ValueError("a line holds no JSON value")
+    return records
+
+
+def read_replies(lines: Iterable[str]) -> Iterator[ReplyRecord]:
+    """The records of a reply file: `read_records(lines, ReplyRecord.from_json)`,
+    decoded a block of lines at a time.
+
+    A block that holds anything but plain record lines (a blank, # or scoped
+    line, or a bad one) is parsed line by line (`read_blocks`), so it yields
+    the same records, or names the same `line N`, as `from_json`.
+    """
+    return read_blocks(lines, _reply_block, ReplyRecord.from_json)
 
 
 # --- payload tagging ----------------------------------------------------------

@@ -284,25 +284,28 @@ def parse_target_line(line: str) -> int:
     return parse_address(line)
 
 
-# Lines of a probe list parsed per step of `read_addresses`.
+# Lines of an input parsed per step of `read_blocks`.
 READ_BLOCK = 4096
 
 
-def read_addresses(lines: Iterable[str]) -> Iterator[int]:
-    """The addresses of a probe list: `read_records(lines, parse_target_line)`,
-    parsed a block of lines at a time.
+def read_blocks(
+    lines: Iterable[str],
+    parse_block: Callable[[list[str]], list],
+    parse_line: Callable[[str], object],
+) -> Iterator:
+    """`read_records(lines, parse_line)`, parsed READ_BLOCK lines at a time.
 
-    A block of bare addresses goes through inet_pton with no Python frame
-    per line.  A block that holds anything else (a blank, #, NDJSON or
-    scoped line, or a bad one) is parsed again line by line, so it yields
-    the same addresses, or raises the same error, as `read_records`.  The
-    blocks are flattened in C, so no Python frame is resumed per address.
+    `parse_block` turns a block of raw lines into its values at once, and
+    raises on any block it does not take whole.  Such a block is parsed
+    again line by line, so it yields the same values, or raises the same
+    error, as `read_records`.  The blocks are flattened in C, so no Python
+    frame is resumed per value.
     """
-    return itertools.chain.from_iterable(_address_blocks(iter(lines)))
+    return itertools.chain.from_iterable(_blocks(iter(lines), parse_block, parse_line))
 
 
-def _address_blocks(lines: Iterator[str]) -> Iterator[list[int]]:
-    """One list of addresses per READ_BLOCK lines, for `read_addresses`."""
+def _blocks(lines: Iterator[str], parse_block, parse_line) -> Iterator[list]:
+    """One list of values per READ_BLOCK lines, for `read_blocks`."""
     start = 1
     while True:
         # A decode error is raised as it is, but after the lines read before
@@ -311,20 +314,37 @@ def _address_blocks(lines: Iterator[str]) -> Iterator[list[int]]:
         try:
             block.extend(itertools.islice(lines, READ_BLOCK))
         except UnicodeDecodeError:
-            yield list(read_records(block, parse_target_line, start=start))
+            yield list(read_records(block, parse_line, start=start))
             raise
         if not block:
             return
         try:
-            addresses = list(map(
-                int.from_bytes,
-                map(socket.inet_pton, itertools.repeat(socket.AF_INET6), map(str.strip, block)),
-                itertools.repeat("big"),
-            ))
-        except (OSError, ValueError):
-            addresses = list(read_records(block, parse_target_line, start=start))
-        yield addresses
+            values = parse_block(block)
+        except Exception:
+            # Whatever stopped the block, the reference parse below yields its
+            # values or raises its fault, named by line, as read_records does.
+            values = list(read_records(block, parse_line, start=start))
+        yield values
         start += len(block)
+
+
+def _address_block(block: list[str]) -> list[int]:
+    """A block of bare addresses through inet_pton, with no Python frame per line."""
+    return list(map(
+        int.from_bytes,
+        map(socket.inet_pton, itertools.repeat(socket.AF_INET6), map(str.strip, block)),
+        itertools.repeat("big"),
+    ))
+
+
+def read_addresses(lines: Iterable[str]) -> Iterator[int]:
+    """The addresses of a probe list: `read_records(lines, parse_target_line)`,
+    parsed a block of lines at a time.
+
+    A block that holds anything but bare addresses (a blank, #, NDJSON or
+    scoped line, or a bad one) is parsed line by line (`read_blocks`).
+    """
+    return read_blocks(lines, _address_block, parse_target_line)
 
 
 class _IntervalSet:

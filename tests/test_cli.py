@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter, deque
 from pathlib import Path
 
@@ -248,6 +249,89 @@ class TestGenTargets:
         )
         assert captured.out == ""
 
+    @staticmethod
+    def reply_lines(n):
+        """n reply lines as `scan` writes them: echoes from the probed /48s'
+        leaves, errors from fe80::1, for ten targets in turn."""
+        targets = [0x20010DB8_0100 << 80 | i << 64 for i in range(10)]
+        kinds = (probe_engine.ReplyKind.ECHO_REPLY, probe_engine.ReplyKind.DEST_UNREACHABLE)
+        lines = []
+        for i in range(n):
+            target = targets[i % 10]
+            kind = kinds[i % 3 == 0]
+            source = target_gen.parse_address("fe80::1") if i % 3 == 0 else target | 1
+            record = probe_engine.ReplyRecord(
+                kind, 129 if i % 3 else 1, 0, source, target, 64, i / 1000
+            )
+            lines.append(record.to_json())
+        return lines, "".join(target_gen.format_address(t) + "\n" for t in targets)
+
+    def test_bad_reply_line_past_the_first_block_names_its_line(self, demo, capsys):
+        """A reply file is decoded in blocks; the line number still counts from 1."""
+        lines, targets = self.reply_lines(5000)
+        lines[4500] = '{"ts":0.0}'
+        replies = write(demo, "r.ndjson", "\n".join(lines) + "\n")
+        targets = write(demo, "t.txt", targets)
+        assert run("analyze", "summarize", "--replies", replies, "--targets", targets) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {replies}: line 4501: missing key 'kind'\n"
+        assert captured.out == ""
+
+    def test_reply_file_with_skipped_and_loose_lines_reads_as_the_clean_file(
+        self, demo, capsys
+    ):
+        """Blank, # and extra-key lines and a scoped source, in the first block
+        and past it, give the clean file's summary."""
+        lines, targets = self.reply_lines(5000)
+        targets = write(demo, "t.txt", targets)
+        (demo / "clean").mkdir()
+        (demo / "loose").mkdir()
+        clean = write(demo / "clean", "r.ndjson", "\n".join(lines) + "\n")
+        for i in (30, 4200):
+            assert '"src":"fe80::1"' in lines[i]
+            lines[i] = lines[i].replace('"src":"fe80::1"', '"src":"fe80::1%eth0"')
+            lines[i + 1] = lines[i + 1][:-1] + ',"note":{"seen":[1,2]}}'
+        for i in (4600, 4095, 17, 0):
+            lines[i:i] = ["", "# replies of the demo scan", "   "]
+        loose = write(demo / "loose", "r.ndjson", "\n".join(lines) + "\n")
+        summaries = []
+        for replies in (clean, loose):
+            assert run("analyze", "summarize", "--replies", replies, "--targets", targets) == 0
+            summaries.append(capsys.readouterr().out)
+        assert summaries[0] == summaries[1]
+        summary = json.loads(summaries[0])["r.ndjson"]
+        assert summary["replies_total"] == 5000 and summary["error_replies"] == 1667
+
+    def test_bad_reply_line_is_named_before_a_later_undecodable_byte(self, demo, capsys):
+        """Line 2 and the byte that is not UTF-8 share a block, but the file is
+        decoded in chunks of 8 KiB, so line 2 is read before the decode error."""
+        lines, targets = self.reply_lines(101)
+        targets = write(demo, "t.txt", targets)
+        path = demo / "r.ndjson"
+        body = "\n".join(lines[1:]).encode() + b"\n\xff\n"
+        assert len(body) > 8192
+        path.write_bytes(lines[0].encode() + b"\nzz\n" + body)
+        assert run("analyze", "summarize", "--replies", str(path), "--targets", targets) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: Expecting value")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ("null", "expected a JSON object"),
+            ('{"ts":0.0,"type":129}', "missing key 'kind'"),
+            ('{"ts":0.0,"kind":"echo_reply","type":129,"code":0,"src":"::1",'
+             '"hop_limit":64}', "missing key 'embedded_target'"),
+        ],
+        ids=["list", "null", "no-kind", "no-embedded_target"],
+    )
+    def test_malformed_reply_line_says_what_is_wrong(self, demo, capsys, line, message):
+        lines, targets = self.reply_lines(2)
+        replies = write(demo, "r.ndjson", f"{lines[0]}\n\n{line}\n{lines[1]}\n")
+        targets = write(demo, "t.txt", targets)
+        assert run("analyze", "summarize", "--replies", replies, "--targets", targets) == 2
+        assert capsys.readouterr().err == f"error: {replies}: line 3: {message}\n"
+
     def test_mode_needs_its_input_file(self, capsys):
         assert run("gen-targets", "--mode", "hitlist") == 2
         assert "--hitlist" in capsys.readouterr().err
@@ -290,6 +374,37 @@ class TestScan:
         pass1 = (demo / "multi.pass1.ndjson").read_text().splitlines()
         assert len(pass0) == 4
         assert len(pass1) >= 3  # the border bucket may be low, echoes always come
+
+    def test_sim_scan_runs_on_the_simulators_clock(self, demo, monkeypatch):
+        """A simulated scan never sleeps, even through a cooldown, and idle
+        time reaches no router: a 5 s cooldown writes the same replies."""
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept for {seconds} s")
+
+        receive, idle = netsim.SimTransport.receive, []
+
+        def receive_or_give_up(transport, timeout):
+            item = receive(transport, timeout)
+            idle.append(item is None)
+            assert sum(idle) < 100, "the clock does not reach its deadline"
+            return item
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        monkeypatch.setattr(netsim.SimTransport, "receive", receive_or_give_up)
+        start = time.monotonic()
+        assert run(*self.scan_args(demo, "tour.ndjson", ["--passes", "2"])) == 0
+        assert run(*self.scan_args(
+            demo, "cool.ndjson", ["--passes", "2", "--cooldown", "5", "--rate", "3"]
+        )) == 0
+        assert run(*self.scan_args(demo, "slow.ndjson", ["--passes", "2", "--rate", "3"])) == 0
+        assert time.monotonic() - start < 5  # the cooldowns alone would take 10 s
+        for i in range(2):
+            tour = (demo / f"tour.pass{i}.ndjson").read_text()
+            assert len(tour.splitlines()) >= 3
+            assert (demo / f"cool.pass{i}.ndjson").read_text() == (
+                demo / f"slow.pass{i}.ndjson"
+            ).read_text()
 
     def test_exclusions_apply_before_sending(self, demo, capsys):
         exclude = write(demo, "exclude.txt", "::/0\n")

@@ -5,8 +5,11 @@ The loop amplification counts are computed from first principles below
 so the two must agree independently.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
 from srascan.netsim import (
@@ -38,6 +41,7 @@ from test_netsim_reference import scenarios
 
 SECRET = 0xC0FFEE
 CFG = ProbeConfig(secret=SECRET, cooldown=0.05)
+LOOP = build_loop_topology()
 
 
 def addr(text: str) -> int:
@@ -518,6 +522,61 @@ class TestSimTransport:
         transport = SimTransport(topo, tick=0.5)
         records = sorted(run_scan(targets, transport, CFG), key=lambda r: r.timestamp)
         assert [r.timestamp for r in records] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("rate", [3.0, 7.0, 1000.0, 200_000.0, 1e7])
+    def test_scan_on_the_transport_clock_never_sleeps_and_ignores_cooldown(
+        self, monkeypatch, rate
+    ):
+        """Idle time moves the scan's clock, not the routers': two passes with
+        any cooldown reply as with none, each wait taking a receive or two."""
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept for {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        topo, meta = build_gateway_fanout(
+            n_inactive=4, m_active=3, seed=11, gw_error_rate=1.0, gw_error_burst=2.0
+        )
+        targets = [p.sra for p in meta["active_prefixes"] + meta["inactive_prefixes"]]
+        runs = []
+        for cooldown in (0.0, 1e-9, 0.1, 5.0, 123.456):
+            transport = SimTransport(topo, tick=1 / rate)
+            receive, waits = transport.receive, []
+
+            def counted(timeout):
+                item = receive(timeout)
+                if item is None and timeout > 0:
+                    waits.append(timeout)
+                    assert len(waits) <= 4, "the clock does not reach its deadline"
+                return item
+
+            transport.receive = counted
+            runs.append([
+                list(run_scan(targets, transport, ProbeConfig(
+                    secret=SECRET, send_rate=rate, cooldown=cooldown, scan_pass=scan_pass
+                ), clock=transport.clock))
+                for scan_pass in range(2)
+            ])
+            assert transport.clock() >= 2 * cooldown + (2 * len(targets) - 1) / rate
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(0, 1e9) | st.integers(1, 10**6).map(lambda k: k * 0.1),
+        wait=st.floats(0, 1e9) | st.floats(0, 1e-6),
+    )
+    def test_an_idle_wait_reaches_its_deadline_in_at_most_two_receives(self, start, wait):
+        """run_scan waits as receive_until does: deadline minus the clock."""
+        transport = SimTransport(LOOP)
+        transport.receive(start)
+        deadline = transport.clock() + wait
+        receives = 0
+        while (timeout := max(0.0, deadline - transport.clock())) > 0:
+            assert transport.receive(timeout) is None
+            receives += 1
+            assert receives <= 2
+        assert transport.clock() >= deadline
 
     def test_budget_hits_are_counted(self):
         topo = build_loop_topology(replication_factor=2)

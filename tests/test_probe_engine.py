@@ -6,11 +6,15 @@ implementation of the checksum and header rules.
 
 from __future__ import annotations
 
+import enum
 import ipaddress
+import json
+import math
 import struct
 import threading
 import time
 from collections import Counter, deque
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,9 +35,11 @@ from srascan.probe_engine import (
     encode_payload,
     icmpv6_checksum,
     parse_ipv6,
+    read_replies,
     run_scan,
 )
-from srascan.target_gen import ProbeTarget, Stage, parse_prefix
+from srascan import target_gen
+from srascan.target_gen import ProbeTarget, Stage, format_address, parse_prefix, read_records
 
 
 def addr(text: str) -> int:
@@ -362,6 +368,158 @@ def test_reply_record_ndjson_round_trip():
     assert ReplyRecord.from_json(line) == rec
     none_rec = ReplyRecord(ReplyKind.OTHER, 135, 0, 0, None, 1, 0.0)
     assert ReplyRecord.from_json(none_rec.to_json()) == none_rec
+
+
+class Level(enum.IntEnum):
+    HIGH = 255
+
+
+addresses = st.one_of(
+    st.integers(0, (1 << 128) - 1),
+    st.integers(0, (1 << 32) - 1),                       # ::/96
+    st.integers(0, (1 << 32) - 1).map(lambda a: 0xFFFF << 32 | a),  # ::ffff:0:0/96
+)
+byte_fields = st.integers(0, 255)
+# Values a field typed int can still hold: json.dumps writes each its own way.
+mistyped_ints = st.one_of(
+    st.integers(-(1 << 70), 1 << 70), st.booleans(), st.floats(), st.just(Level.HIGH)
+)
+timestamps = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+    st.integers(-(1 << 70), 1 << 70),
+    st.booleans(),
+)
+
+
+@st.composite
+def reply_records(draw, ints=byte_fields, ts=st.floats(0, 1e6)):
+    return ReplyRecord(
+        kind=draw(st.sampled_from(ReplyKind)),
+        icmp_type=draw(ints),
+        code=draw(ints),
+        source=draw(addresses),
+        embedded_target=draw(st.none() | addresses),
+        received_hop_limit=draw(ints),
+        timestamp=draw(ts),
+    )
+
+
+def dumps(rec: ReplyRecord) -> str:
+    """The reply line as the parent's encoder wrote it, through json.dumps."""
+    embedded = rec.embedded_target
+    return json.dumps(
+        {
+            "ts": rec.timestamp,
+            "kind": rec.kind.value,
+            "type": rec.icmp_type,
+            "code": rec.code,
+            "src": format_address(rec.source),
+            "embedded_target": None if embedded is None else format_address(embedded),
+            "hop_limit": rec.received_hop_limit,
+        },
+        separators=(",", ":"),
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rec=reply_records(ints=byte_fields | mistyped_ints, ts=timestamps))
+@example(rec=ReplyRecord(ReplyKind.OTHER, 1, 2, 0xFFFF_0102_0304, None, 3, 5e-324))
+@example(rec=ReplyRecord(ReplyKind.OTHER, True, 2.0, 0x0102_0304, 0, Level.HIGH, math.nan))
+def test_to_json_matches_json_dumps(rec):
+    assert rec.to_json() == dumps(rec)
+
+
+def _line_variants(rec: ReplyRecord) -> st.SearchStrategy[str]:
+    d = json.loads(rec.to_json())
+    return st.sampled_from([
+        rec.to_json(),
+        json.dumps(d),                                   # spaces after separators
+        json.dumps(dict(reversed(list(d.items())))),     # another key order
+        json.dumps({**d, "extra": [1, {"x": None}]}),    # an extra key
+        json.dumps({**d, "src": "fe80::1%eth0"}),        # a scoped address
+        " \t" + rec.to_json() + " ",
+    ])
+
+
+@st.composite
+def reply_lines(draw):
+    """One line of a reply file: good, odd, skipped, or refused."""
+    rec = draw(reply_records())
+    d = json.loads(rec.to_json())
+    line = draw(st.one_of(
+        _line_variants(rec),
+        st.sampled_from(["", "   ", "# a comment", "#"]),
+        st.sampled_from(["[]", "null", "5", '"text"', "[1, 2]"]),    # not an object
+        st.sampled_from(list(d)).map(lambda k: json.dumps({x: v for x, v in d.items() if x != k})),
+        st.sampled_from([
+            "{", "zz", rec.to_json() + "x", rec.to_json() + rec.to_json(),
+            "\ufeff" + rec.to_json(),
+            json.dumps({**d, "kind": "pong"}),
+            json.dumps({**d, "src": "2001:db8::/64"}),
+            json.dumps({**d, "src": 5}),
+            json.dumps({**d, "embedded_target": "2001:db8::zz"}),
+            json.dumps({**d, "embedded_target": False}),
+            json.dumps({**d, "kind": ["echo_reply"]}),
+        ]),
+        st.sampled_from([                                   # accepted, values as they are
+            json.dumps({**d, "ts": math.nan}),
+            json.dumps({**d, "type": "x", "code": 1.5, "hop_limit": True}),
+        ]),
+    ))
+    return line + "\n"
+
+
+def _decode(read, lines):
+    """Each record's repr (which tells 1 from 1.0 and True), or the error."""
+    try:
+        return [repr(rec) for rec in read(lines)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(reply_records().map(lambda r: r.to_json() + "\n"), reply_lines()),
+        max_size=30,
+    ),
+    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+)
+def test_read_replies_matches_from_json_line_by_line(lines, block):
+    """Block decoding yields what `from_json` yields per line, or its error."""
+    expected = _decode(lambda ls: read_records(ls, ReplyRecord.from_json), lines)
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        assert _decode(read_replies, lines) == expected
+        assert _decode(read_replies, iter(lines)) == expected
+
+
+def test_read_replies_builds_records_equal_by_value():
+    recs = [
+        ReplyRecord(ReplyKind.ECHO_REPLY, 129, 0, addr("2001:db8::1"), addr("2001:db8:1::"), 64, 0.5),
+        ReplyRecord(ReplyKind.TIME_EXCEEDED, 3, 0, addr("2001:db8::2"), None, 61, 1e-07),
+    ]
+    decoded = list(read_replies(rec.to_json() + "\n" for rec in recs))
+    assert decoded == recs
+    assert {hash(r) for r in decoded} == {hash(r) for r in recs}
+    with pytest.raises(AttributeError):
+        decoded[0].code = 1
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("[]", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ('"2001:db8::1"', "expected a JSON object"),
+        ('{"ts":0.0}', "missing key 'kind'"),
+        ('{"ts":0.0,"kind":"other","type":1,"code":0,"src":"::1","embedded_target":null}',
+         "missing key 'hop_limit'"),
+    ],
+)
+def test_from_json_names_what_a_line_lacks(line, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReplyRecord.from_json(line)
 
 
 # --- scanning -----------------------------------------------------------------
