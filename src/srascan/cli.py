@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import hashlib
 import importlib.resources
-import itertools
 import json
 import math
 import os
@@ -71,7 +69,7 @@ def _read_json_object(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"{path}: expected a JSON object")
@@ -155,50 +153,40 @@ def cmd_gen_targets(args) -> int:
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
         source = _load(args.hitlist, target_gen.read_records, target_gen.parse_address)
-        gen, count, plan = (
-            target_gen.gen_from_hitlist, target_gen.count_hitlist, target_gen.hitlist_plan
-        )
+        plan = target_gen.hitlist_plan(source)
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
         source = _load(args.prefixes, target_gen.read_records, target_gen.parse_prefix)
         if args.mode == "route6":
-            gen, count, plan = (
-                functools.partial(fn, cfg=cfg)
-                for fn in (target_gen.gen_route6, target_gen.count_route6, target_gen.route6_plan)
-            )
+            plan = target_gen.route6_plan(source, cfg)
         else:
-            gen, count, plan = {
-                "1": (target_gen.gen_stage1, target_gen.count_stage1, target_gen.stage1_plan),
-                "2": (target_gen.gen_stage2, target_gen.count_stage2, target_gen.stage2_plan),
-                "3": (target_gen.gen_stage3, target_gen.count_stage3, target_gen.stage3_plan),
-                "all": (target_gen.gen_bgp_all, target_gen.count_bgp_all, target_gen.bgp_all_plan),
-            }[args.stage]
+            plan = {
+                "1": target_gen.stage1_plan,
+                "2": target_gen.stage2_plan,
+                "3": target_gen.stage3_plan,
+                "all": target_gen.bgp_all_plan,
+            }[args.stage](source)
+    if args.max_targets is not None:
+        plan = target_gen.take(plan, args.max_targets)
 
     if args.count_only:
-        counts = count(source)  # a number, or a per-stage dict for --stage all
-        if args.max_targets is not None:
-            if isinstance(counts, dict):
-                total = counts["deduplicated_total"]
-                counts["deduplicated_total"] = min(total, args.max_targets)
-            else:
-                counts = min(counts, args.max_targets)
+        counts = target_gen.plan_size(plan)
+        if args.mode == "bgp" and args.stage == "all":
+            # The per-stage counts, then the total of the (cut) plan.
+            counts = {**target_gen.count_bgp_all(source), "deduplicated_total": counts}
         print(json.dumps(counts, indent=2))
         return 0
 
-    # Only --ndjson needs provenance; the text path renders the bare ints.
+    # Only --ndjson needs provenance; the text path writes the plan's ints.
     if args.ndjson:
-        records = target_gen.walk_records(plan(source))
-        lines = (json.dumps(target_gen.target_record(t)) for t in records)
+        records = map(target_gen.target_record, target_gen.walk_records(plan))
+        blocks = target_gen.line_blocks(map(json.dumps, records))
     else:
-        lines = map(target_gen.format_address, gen(source))
-    if args.max_targets is not None:
-        lines = itertools.islice(lines, args.max_targets)
+        blocks = target_gen.plan_text(plan)
     out, close = _open_out(args.output)
     try:
-        # One write per block of lines rather than per line.
-        while block := list(itertools.islice(lines, 4096)):
-            out.write("\n".join(block) + "\n")
+        out.writelines(blocks)
     finally:
         if close:
             out.close()
@@ -291,16 +279,14 @@ def cmd_scan(args) -> int:
 
     if live:
         transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)
-        scan = probe_engine.run_scan
     else:
         input_paths.append(args.sim_topology)
         try:
             topology = netsim.load_topology(args.sim_topology)
-        except (ValueError, OSError, KeyError, TypeError) as exc:
+        except (ValueError, OSError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
+        # A simulated scan runs on the transport's clock and never sleeps.
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
-        # A simulated scan runs on the simulator's clock and never sleeps.
-        scan = functools.partial(probe_engine.run_scan, clock=transport.clock)
 
     outputs = []
     try:
@@ -310,7 +296,7 @@ def cmd_scan(args) -> int:
             out, close = _open_out(path)
             replies = 0
             try:
-                for record in scan(targets, transport, pass_cfg):
+                for record in probe_engine.run_scan(targets, transport, pass_cfg):
                     out.write(record.to_json() + "\n")
                     replies += 1
             finally:

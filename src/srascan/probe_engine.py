@@ -395,7 +395,8 @@ class Transport(Protocol):
     packet with its receive time, or None once `timeout` seconds pass without
     one; receive(0) must not block.  A None may come before the timeout ends:
     the caller treats it as "nothing yet" and keeps waiting until its own
-    deadline.
+    deadline.  A transport may also provide clock(), the scan's time in
+    seconds; run_scan then reads it in place of time.monotonic.
     """
 
     def send(self, packet: bytes) -> None: ...
@@ -407,7 +408,7 @@ def run_scan(
     targets: Iterable[int],
     transport: Transport,
     cfg: ProbeConfig,
-    clock=time.monotonic,
+    clock=None,
 ) -> Iterator[ReplyRecord]:
     """Send one Echo Request per target, yield classified replies.
 
@@ -417,8 +418,11 @@ def run_scan(
     held up by a stall catch up, in a burst of at most 1 ms.  Reception
     continues for cfg.cooldown after the last send.  If the transport fails
     to send or to receive, the replies received before the failure have
-    been yielded, and TransportError is raised.
+    been yielded, and TransportError is raised.  `clock` defaults to the
+    transport's own clock() when it has one, else to time.monotonic.
     """
+    if clock is None:
+        clock = getattr(transport, "clock", time.monotonic)
     secret = cfg.secret
 
     def receive(timeout: float) -> tuple[bytes, float] | None:

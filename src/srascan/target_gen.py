@@ -8,10 +8,12 @@ of known-active host addresses.
 Generators are lazy: they yield targets one by one, as 128-bit integers,
 and never materialize a full target list, so prefix sets that expand to
 billions of addresses can be streamed to a sender or counted.  Each mode's
-plan is walked three ways: `gen_*` yields its addresses, `count_*` sums its
-sizes, and `walk_records` yields each address as a `ProbeTarget` with the
-prefix and rule that produced it.  Deduplication is exact and runs on
-interval arithmetic over subnet index space, not on per-address sets.
+plan is walked four ways: `gen_*` yields its addresses, `count_*` sums its
+sizes, `walk_records` yields each address as a `ProbeTarget` with the
+prefix and rule that produced it, and `plan_text` writes the probe list as
+text.  `take` cuts a plan to its first n targets.  Deduplication is exact
+and runs on interval arithmetic over subnet index space, not on per-address
+sets.
 """
 
 from __future__ import annotations
@@ -264,7 +266,8 @@ def read_records(
     """Parse every line of a line-oriented input, stripped.
 
     Blank lines and lines starting with # are skipped.  A line that `parse`
-    refuses raises ValueError naming its line number, counted from `start`.
+    refuses, or holds JSON nested too deep to parse, raises ValueError naming
+    its line number, counted from `start`.
     """
     for lineno, raw in enumerate(lines, start):
         line = raw.strip()
@@ -272,7 +275,7 @@ def read_records(
             continue
         try:
             record = parse(line)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         yield record
 
@@ -284,7 +287,8 @@ def parse_target_line(line: str) -> int:
     return parse_address(line)
 
 
-# Lines of an input parsed per step of `read_blocks`.
+# Lines of an input parsed per step of `read_blocks`, and of a probe list
+# written per block of `plan_text`.
 READ_BLOCK = 4096
 
 
@@ -435,8 +439,86 @@ def walk_records(plan: Iterable[_PlanEntry]) -> Iterator[ProbeTarget]:
             yield ProbeTarget(idx << shift, origin, stage)
 
 
-def _size(plan: Iterable[_PlanEntry]) -> int:
+def plan_size(plan: Iterable[_PlanEntry]) -> int:
+    """Number of targets in `plan`: the sum of its entry lengths."""
     return sum(len(indices) for _, _, indices in plan)
+
+
+def take(plan: Iterable[_PlanEntry], n: int) -> Iterator[_PlanEntry]:
+    """The plan of the first `n` targets of `plan`, in walk order."""
+    for origin, stage, indices in plan:
+        if n <= 0:
+            return
+        if len(indices) > n:
+            if type(indices) is range:
+                indices = indices[:n]
+            else:
+                indices = list(itertools.islice(indices, n))
+        n -= len(indices)
+        yield origin, stage, indices
+
+
+def line_blocks(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` joined READ_BLOCK at a time, each line ending in a newline."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, READ_BLOCK)):
+        yield "\n".join(block) + "\n"
+
+
+def _fills_one_group(entry: _PlanEntry) -> bool:
+    """Whether `plan_text` writes an entry by filling in one group per line:
+    a range of at least two targets whose shift is a multiple of 16, >= 64."""
+    origin, stage, indices = entry
+    if type(indices) is not range or len(indices) < 2 or indices.step != 1:
+        return False
+    shift = _shift(origin, stage)
+    return shift >= 64 and shift % 16 == 0
+
+
+def _grid_text(start: int, stop: int, shift: int) -> Iterator[str]:
+    """The lines of targets `idx << shift` for idx in [start, stop), in
+    blocks that end at multiples of READ_BLOCK.
+
+    The low shift/16 >= 4 groups of a target are zero.  When the group above
+    them, w = idx & 0xFFFF, is not zero, that tail is the only run of four or
+    more zero groups (at most three groups lie above w), so RFC 5952
+    compresses exactly the tail, and the text is a head, then w in hex, then
+    `::` (the target is at least 2^64, so no dotted quad).  A block never
+    crosses a multiple of 2^16, so only w changes within it; the head is cut
+    once per block from `format_address`.  An address with w == 0 goes
+    through `format_address`.
+    """
+    while start < stop:
+        end = min(stop, (start // READ_BLOCK + 1) * READ_BLOCK)
+        base = start & ~0xFFFF
+        w, w_end = start - base, end - base
+        text = ""
+        if w == 0:
+            text = format_address(start << shift) + "\n"
+            w = 1
+        if w < w_end:
+            head = format_address((base + w) << shift)[: -len(f"{w:x}::")]
+            words = map(format, range(w, w_end), itertools.repeat("x"))
+            text += head + f"::\n{head}".join(words) + "::\n"
+        yield text
+        start = end
+
+
+def plan_text(plan: Iterable[_PlanEntry]) -> Iterator[str]:
+    """The probe list of `plan` as text blocks: `format_address` of each
+    target, in walk order, one per line, at most READ_BLOCK lines a block.
+
+    A range entry of /64-grid targets (`_fills_one_group`) is written by
+    filling in only the group that changes from one address to the next.
+    Runs of other entries (single addresses, samples) are formatted one
+    address at a time.
+    """
+    for fills, run in itertools.groupby(plan, _fills_one_group):
+        if fills:
+            for origin, stage, indices in run:
+                yield from _grid_text(indices.start, indices.stop, _shift(origin, stage))
+        else:
+            yield from line_blocks(map(format_address, _walk(run)))
 
 
 def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
@@ -478,7 +560,7 @@ def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
 
 def count_stage1(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage1 stream."""
-    return _size(stage1_plan(prefixes))
+    return plan_size(stage1_plan(prefixes))
 
 
 def stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
@@ -520,7 +602,7 @@ def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
 
 def count_stage2(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage2 stream, without enumerating it."""
-    return _size(stage2_plan(prefixes))
+    return plan_size(stage2_plan(prefixes))
 
 
 def stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
@@ -544,7 +626,7 @@ def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
 
 def count_stage3(prefixes: Iterable[Ipv6Prefix]) -> int:
     """Exact size of the gen_stage3 stream: 2^16 per distinct /48 input."""
-    return _size(stage3_plan(prefixes))
+    return plan_size(stage3_plan(prefixes))
 
 
 def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
@@ -652,7 +734,7 @@ def count_route6(prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig) -> int:
     Pure arithmetic for prefixes that do not overlap any other input; only
     prefixes touching a contested region run their sampler.
     """
-    return _size(route6_plan(prefixes, cfg))
+    return plan_size(route6_plan(prefixes, cfg))
 
 
 def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
@@ -671,7 +753,7 @@ def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
 
 def count_hitlist(addresses: Iterable[int]) -> int:
     """Number of distinct /64s in a hitlist."""
-    return _size(hitlist_plan(addresses))
+    return plan_size(hitlist_plan(addresses))
 
 
 def bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
@@ -708,7 +790,7 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
         "stage1": count_stage1(prefixes),
         "stage2": count_stage2(prefixes),
         "stage3": count_stage3(prefixes),
-        "deduplicated_total": _size(bgp_all_plan(prefixes)),
+        "deduplicated_total": plan_size(bgp_all_plan(prefixes)),
     }
 
 

@@ -69,3 +69,13 @@ def test_traced_analyze_runs_and_reports_its_spans(demo):
     spans = trace["spans"]
     for name in ("cli.main", "analysis.match_replies", "analysis.summarize_scan"):
         assert spans[name]["calls"] > 0, name
+
+
+def test_traced_gen_targets_runs(demo):
+    # The text path writes the plan without calling the gen_* generators, so
+    # only the CLI span is required; the tracer must still install.
+    trace = traced_step(demo, [
+        "gen-targets", "--mode", "bgp", "--stage", "all",
+        "--prefixes", "demo_subnets.txt", "-o", "traced.txt",
+    ])
+    assert trace["spans"]["cli.main"]["calls"] > 0

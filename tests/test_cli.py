@@ -105,7 +105,7 @@ class TestGenTargets:
         )
         assert capsys.readouterr().out.strip() == str(4 * 65536)
 
-    @pytest.mark.parametrize("max_targets", [None, 0, 3, 10**9])
+    @pytest.mark.parametrize("max_targets", [None, 0, 3, 65537, 10**9])
     @gen_modes
     def test_count_only_equals_lines_written(self, tmp_path, capsys, mode, max_targets):
         # nested, overlapping and repeated announcements, one exact /48
@@ -194,6 +194,30 @@ class TestGenTargets:
             "--max-targets", "2",
         )
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.fixture(scope="class")
+    def two_48s(self, tmp_path_factory):
+        """A stage-3 input of two /48s, and its uncut text and NDJSON output."""
+        work = tmp_path_factory.mktemp("two48s")
+        argv = [
+            "gen-targets", "--mode", "bgp", "--stage", "3",
+            "--prefixes", write(work, "p.txt", "2001:db8:5::/48\n2001:db8:ffff::/48\n"),
+        ]
+        for name, extra in (("text", []), ("ndjson", ["--ndjson"])):
+            assert run(*argv, *extra, "-o", str(work / name)) == 0
+        return argv, work
+
+    @pytest.mark.parametrize("max_targets", [0, 1, 4096, 65536, 65537, 10**9])
+    def test_max_targets_cuts_the_plan(self, two_48s, tmp_path, capsys, max_targets):
+        argv, work = two_48s
+        argv = [*argv, "--max-targets", str(max_targets)]
+        for name, extra in (("text", []), ("ndjson", ["--ndjson"])):
+            whole = (work / name).read_text().splitlines(keepends=True)
+            assert len(whole) == 2 * 65536
+            assert run(*argv, *extra, "-o", str(tmp_path / name)) == 0
+            assert (tmp_path / name).read_text() == "".join(whole[:max_targets])
+        assert run(*argv, "--count-only") == 0
+        assert json.loads(capsys.readouterr().out) == min(max_targets, 2 * 65536)
 
     REPLY = (
         '{"ts":0.0,"kind":"echo_reply","type":129,"code":0,"src":"2001:db8:100::",'
@@ -775,6 +799,9 @@ class TestConfig:
         assert "warp_speed" in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000  # JSON nested past the interpreter's recursion limit
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize(
         "command,text",
@@ -786,10 +813,17 @@ class TestMalformedJson:
             ("config", '{"version": 1, "scan": [1]}'),
             ("topology", '{"version": 1, "routers": 5}'),
             ("topology", "[1]"),
+            ("manifest-verify", '{"version":1,"inputs":' + DEEP),
+            ("config", '{"version":1,"scan":' + DEEP),
+            ("topology", '{"version":1,"routers":' + DEEP),
+            ("replies", DEEP),
+            ("targets", '{"address":' + DEEP),
         ],
         ids=["manifest-not-json", "manifest-entry-without-path", "config-not-json",
              "config-not-an-object", "config-section-not-an-object",
-             "topology-routers-not-a-list", "topology-not-an-object"],
+             "topology-routers-not-a-list", "topology-not-an-object",
+             "manifest-too-deep", "config-too-deep", "topology-too-deep",
+             "reply-line-too-deep", "target-line-too-deep"],
     )
     def test_malformed_json_is_an_error_not_a_traceback(self, demo, capsys, command, text):
         bad = write(demo, "bad.json", text)
@@ -799,10 +833,14 @@ class TestMalformedJson:
             "config": ["--config", bad, "demo", "--into", str(demo / "copy")],
             "topology": ["scan", "--targets", targets, "--sim-topology", bad,
                          "-o", str(demo / "out.ndjson")],
+            "replies": ["analyze", "summarize", "--replies", bad, "--targets", targets],
+            "targets": ["analyze", "summarize", "--targets", bad,
+                        "--replies", write(demo, "r.ndjson", "")],
         }[command]
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
 

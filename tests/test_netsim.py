@@ -561,6 +561,29 @@ class TestSimTransport:
         assert all(run == runs[0] for run in runs)
         assert runs[0][0]
 
+    def test_scan_without_a_clock_runs_on_the_transports(self, monkeypatch):
+        """run_scan's default clock is the transport's own: a simulated scan
+        never reads the wall clock, waits out its cooldown on the transport's
+        clock, and replies as with that clock passed."""
+        topo, meta = build_gateway_fanout(
+            n_inactive=4, m_active=3, seed=11, gw_error_rate=1.0, gw_error_burst=2.0
+        )
+        targets = [p.sra for p in meta["active_prefixes"] + meta["inactive_prefixes"]]
+        cfg = ProbeConfig(secret=SECRET, send_rate=1000.0, cooldown=0.2)
+        transport = SimTransport(topo, tick=1e-3)
+        expected = list(run_scan(targets, transport, cfg, clock=transport.clock))
+
+        def no_wall_clock():
+            raise AssertionError("time.monotonic was read")
+
+        monkeypatch.setattr(time, "monotonic", no_wall_clock)
+        transport = SimTransport(topo, tick=1e-3)
+        assert list(run_scan(targets, transport, cfg)) == expected
+        assert expected
+        # Waiting on the wall clock would move the transport's on by every
+        # idle receive of the wait.
+        assert transport.clock() == pytest.approx(len(targets) / cfg.send_rate + cfg.cooldown)
+
     @settings(max_examples=300, deadline=None)
     @given(
         start=st.floats(0, 1e9) | st.integers(1, 10**6).map(lambda k: k * 0.1),

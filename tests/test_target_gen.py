@@ -685,3 +685,85 @@ def test_output_formats():
         "origin": "2001:db8:2::/47",
         "stage": "bgp48",
     }
+
+
+# --- probe-list text ---------------------------------------------------------
+
+# Shifts that the text writer fills in one group at a time, and shifts that
+# it must format address by address (not a multiple of 16, or below 64).
+_GRID_SHIFTS = (64, 80, 96, 112)
+_OTHER_SHIFTS = (72, 48, 0)
+_GROUPS = st.sampled_from([0, 1, 0xFFFF]) | st.integers(0, 0xFFFF)
+
+
+def _range_entry(shift: int, start: int, length: int) -> tuple:
+    """A plan entry of targets `idx << shift`, idx in [start, start + length)."""
+    sublen = 128 - shift
+    stop = min(start + length, 1 << sublen)
+    if shift == 64:
+        return Ipv6Prefix(0, 0), Stage.BGP_64, range(start, stop)
+    if shift == 80:
+        return Ipv6Prefix(0, 0), Stage.BGP_48, range(start, stop)
+    # A stage-1 entry's subnets have its origin's length.
+    return Ipv6Prefix(0, sublen), Stage.BGP_AS_ANNOUNCED, range(start, stop)
+
+
+@st.composite
+def text_plans(draw):
+    """Plans that mix grid ranges, ranges the writer must not fill in,
+    single indices and route6 samples, starting at and crossing multiples
+    of 4096 and 2^16."""
+    plan = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            length = draw(st.sampled_from([56, 60, 63, 64]))
+            bits = addr("2001:db8::") | draw(st.integers(0, 0xFF)) << 72
+            prefix = Ipv6Prefix(bits & ~((1 << (128 - length)) - 1), length)
+            cfg = GenerationConfig(
+                route6_samples_per_prefix=draw(st.integers(1, 20)),
+                rng_seed=draw(st.integers(0, 9)),
+            )
+            plan.append((prefix, Stage.ROUTE6_RANDOM_64, target_gen._Route6Samples(prefix, cfg)))
+            continue
+        shift = draw(st.sampled_from(_GRID_SHIFTS + _OTHER_SHIFTS))
+        upper = 0
+        # Mostly zero groups, so that runs of zeros tie and compete.
+        for group in draw(st.lists(st.just(0) | _GROUPS, min_size=7, max_size=7)):
+            upper = upper << 16 | group
+        w = draw(st.sampled_from([0, 1, 4095, 4096, 0xF000, 0xFFFE, 0xFFFF]) | _GROUPS)
+        start = (upper << 16 | w) & ((1 << (128 - shift)) - 1)
+        length = draw(st.sampled_from([1, 2, 3, 4096, 4097]) | st.integers(1, 9000))
+        plan.append(_range_entry(shift, start, length))
+    return plan
+
+
+def _expected_text(plan) -> str:
+    return "".join(f"{format_address(a)}\n" for a in target_gen._walk(plan))
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first line that differs: pytest's own
+    diff of two long texts takes minutes."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        first = next(((i, g, w) for i, (g, w) in enumerate(pairs, 1) if g != w), None)
+        pytest.fail(f"first differing line (number, got, expected): {first}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=text_plans(), n=st.integers(0, 20_000))
+# address 0, and ::/96 formatted by ipaddress
+@example(plan=[_range_entry(64, 0, 3), _range_entry(0, 0, 3)], n=6)
+# a range that starts at w == 0 and crosses into the next /48
+@example(plan=[_range_entry(64, 0x2001_0DB8_0001_0000, 3), _range_entry(64, 0x2001_0DB8_FFFF, 3)], n=6)
+# 2001:0:0:0:1:: ties two runs of three zero groups: 2001::1:0:0:0
+@example(plan=[_range_entry(48, 0x2001_0000_0000_0000_0001, 2)], n=2)
+@example(plan=[_range_entry(64, 0x2001_0000_0000_0001, 2)], n=2)
+def test_plan_text_equals_format_address_per_target(plan, n):
+    expected = _expected_text(plan)
+    blocks = list(target_gen.plan_text(plan))
+    _assert_same_text("".join(blocks), expected)
+    assert all(0 < block.count("\n") <= target_gen.READ_BLOCK for block in blocks)
+    # The cut plan writes exactly the first n lines of the whole.
+    head = "".join(expected.splitlines(keepends=True)[:n])
+    _assert_same_text("".join(target_gen.plan_text(target_gen.take(plan, n))), head)
