@@ -118,8 +118,8 @@ def _load(path, read, *args) -> list:
     """`read(lines, *args)` over a line-oriented input file, as a list.
 
     `read` is `target_gen.read_addresses` for a probe list,
-    `probe_engine.read_replies` for a reply file, or `target_gen.read_records`
-    with the parser of one line.
+    `target_gen.read_prefixes` for a prefix file, `probe_engine.read_replies`
+    for a reply file, or `target_gen.read_records` with the parser of one line.
     """
     try:
         with open(path) as fh:
@@ -157,7 +157,7 @@ def cmd_gen_targets(args) -> int:
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        source = _load(args.prefixes, target_gen.read_records, target_gen.parse_prefix)
+        source = _load(args.prefixes, target_gen.read_prefixes)
         if args.mode == "route6":
             plan = target_gen.route6_plan(source, cfg)
         else:
@@ -229,13 +229,10 @@ def cmd_scan(args) -> int:
     targets = _load(args.targets, target_gen.read_addresses)
     input_paths = [args.targets]
     if args.exclude:
-        excluded = _load(args.exclude, target_gen.read_records, target_gen.parse_prefix)
+        excluded = _load(args.exclude, target_gen.read_prefixes)
         input_paths.append(args.exclude)
-        ranges = target_gen._IntervalSet()
-        for p in excluded:
-            ranges.add(p.bits, p.bits + (1 << (128 - p.length)))
         before = len(targets)
-        targets = [t for t in targets if not ranges.covers(t)]
+        targets = target_gen.exclude(targets, excluded)
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
     secret = _resolve_secret(args)
     if args.output in (None, "-"):
@@ -392,7 +389,7 @@ def _matched(targets, path):
 def _aliased(args):
     if not args.aliased:
         return []
-    return _load(args.aliased, target_gen.read_records, target_gen.parse_prefix)
+    return _load(args.aliased, target_gen.read_prefixes)
 
 
 # Each action returns its JSON report, its CSV header and its CSV rows.

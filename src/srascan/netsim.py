@@ -42,17 +42,17 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .target_gen import Ipv6Prefix, PrefixTable, format_address, parse_address, parse_prefix
-from .probe_engine import (
-    ICMP6_ECHO_REQUEST,
-    build_ipv6_icmp,
-    parse_ipv6,
-)
+from .probe_engine import ICMP6_ECHO_REQUEST, IPV6_HEADER_LEN, build_ipv6_icmp
 
 TOPOLOGY_FORMAT_VERSION = 1
 DEFAULT_MAX_EVENTS = 10_000_000
 
 LOCAL = "local"
 DEFAULT = "default"
+
+# Looked up once: on a per-packet path, reading the classmethod off `int`
+# costs about as much as the conversion itself.
+_from_bytes = int.from_bytes
 
 
 class MalformedPacketError(ValueError):
@@ -144,7 +144,7 @@ class Emission:
     packet: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     emissions: list[Emission]
     events: int
@@ -162,8 +162,9 @@ class _TokenBucket:
         if self.rate <= 0:
             return False
         if now > self.stamp:
-            self.tokens = min(self.burst, self.tokens + (now - self.stamp) * self.rate)
-        self.stamp = max(self.stamp, now)
+            tokens = self.tokens + (now - self.stamp) * self.rate
+            self.tokens = tokens if tokens < self.burst else self.burst
+            self.stamp = now
         if self.tokens >= 1.0:
             self.tokens -= 1.0
             return True
@@ -178,14 +179,16 @@ class _CompiledRouter:
     def __init__(self, router: SimRouter):
         self.router = router
         self.bucket = _TokenBucket(router.error_rate, router.error_burst)
-        # Best (length, explicit, action) per prefix: an explicit route beats
-        # a connected subnet of equal length; duplicates keep the max next hop.
-        best: dict[Ipv6Prefix, tuple[int, str]] = {}
+        # Best (explicit, action) per prefix, keyed by (bits, length): an
+        # explicit route beats a connected subnet of equal length; duplicates
+        # keep the max next hop.
+        best: dict[tuple[int, int], tuple[tuple[int, str], Ipv6Prefix]] = {}
         candidates = [(i.subnet, (0, LOCAL)) for i in router.interfaces]
         candidates += [(r.prefix, (1, r.next_hop)) for r in router.routes]
         for prefix, cand in candidates:
-            if prefix not in best or cand > best[prefix]:
-                best[prefix] = cand
+            key = (prefix.bits, prefix.length)
+            if key not in best or cand > best[key][0]:
+                best[key] = cand, prefix
         # DEFAULT resolves through the first /0 route in list order.
         fallback = next((r.next_hop for r in router.routes if r.prefix.length == 0), None)
         if fallback == DEFAULT:
@@ -194,7 +197,7 @@ class _CompiledRouter:
         self.forward = PrefixTable(
             [
                 (prefix, fallback if action == DEFAULT else action)
-                for prefix, (_, action) in best.items()
+                for (_, action), prefix in best.values()
             ],
             default=None,
         )
@@ -222,10 +225,11 @@ class Simulation:
         # Interface index a packet from `a` arrives on at `b`: the first
         # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
         # are absent and arrive on interface 0.
-        on_subnet: dict[Ipv6Prefix, dict[str, int]] = {}
+        on_subnet: dict[tuple[int, int], dict[str, int]] = {}
         for r in topology.routers:
             for n, iface in enumerate(r.interfaces):
-                on_subnet.setdefault(iface.subnet, {}).setdefault(r.id, n)
+                key = (iface.subnet.bits, iface.subnet.length)
+                on_subnet.setdefault(key, {}).setdefault(r.id, n)
         self._ingress: dict[tuple[str, str], int] = {}
         for members in on_subnet.values():
             for a in members:
@@ -237,30 +241,41 @@ class Simulation:
         return {rid: round(n.bucket.tokens, 9) for rid, n in sorted(self._routers.items())}
 
     def inject(self, packet: bytes, now: float = 0.0) -> Delivery:
-        """Run one Echo Request through the topology at virtual time `now`."""
-        parsed = parse_ipv6(packet)
-        if parsed is None:
+        """Run one Echo Request through the topology at virtual time `now`.
+
+        A packet that `parse_ipv6` refuses, or that is not an ICMPv6 message
+        of at least 8 bytes, raises MalformedPacketError.  Only the header
+        fields the routing rules read are decoded; the source is read when a
+        reply is addressed to it.
+        """
+        size = len(packet)
+        if (
+            size < IPV6_HEADER_LEN
+            or packet[0] >> 4 != 6
+            or size < IPV6_HEADER_LEN + (payload_len := packet[4] << 8 | packet[5])
+        ):
             raise MalformedPacketError("not an IPv6 packet")
-        src, dst, hop_limit, nh, payload = parsed
-        if nh != 58 or len(payload) < 8:
+        if packet[6] != 58 or payload_len < 8:
             raise MalformedPacketError("not an ICMPv6 message")
-        if payload[0] != ICMP6_ECHO_REQUEST:
+        if packet[IPV6_HEADER_LEN] != ICMP6_ECHO_REQUEST:
             return Delivery([], 0, False)  # routers only answer probes
+        dst = _from_bytes(packet[24:40], "big")
 
         emissions: list[Emission] = []
         budget = self.topology.max_events
         events = 0
         seq = 0
         aliased = self._aliased.covers(dst)
+        routers, heappop = self._routers, heapq.heappop
         # Every copy of one probe shares its bytes and its time, so an entry
         # is (router id, arrival order, hop limit, ingress interface index).
-        heap = [(self.topology.entry_router, seq, hop_limit, 0)]
+        heap = [(self.topology.entry_router, seq, packet[7], 0)]
         while heap:
             if events >= budget:
                 return Delivery(emissions, events, True)
-            rid, _, hop, ingress_idx = heapq.heappop(heap)
+            rid, _, hop, ingress_idx = heappop(heap)
             events += 1
-            node = self._routers[rid]
+            node = routers[rid]
             router = node.router
             action = node.forward.lookup(dst)
 
@@ -295,6 +310,7 @@ class Simulation:
                 continue
             if icmp is None:
                 icmp = b"\x81\x00\x00\x00" + packet[44:]  # Echo Reply: the request's body
+            src = _from_bytes(packet[8:24], "big")
             emissions.append(Emission(now, build_ipv6_icmp(reply_src, src, 64, icmp)))
 
         return Delivery(emissions, events, False)
@@ -396,6 +412,17 @@ def topology_from_dict(data: dict) -> SimTopology:
     version = data.get("version")
     if version != TOPOLOGY_FORMAT_VERSION:
         raise ValueError(f"unsupported topology format version {version!r}")
+    # A link's subnet is written once per router on it; parse each text once.
+    parsed: dict[str, Ipv6Prefix] = {}
+
+    def prefix(text) -> Ipv6Prefix:
+        if type(text) is not str:
+            return parse_prefix(text)  # refused with parse_prefix's message
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_prefix(text)
+        return value
+
     routers = []
     for rd in data["routers"]:
         routers.append(
@@ -404,13 +431,13 @@ def topology_from_dict(data: dict) -> SimTopology:
                 interfaces=[
                     Interface(
                         address=parse_address(i["addr"]),
-                        subnet=parse_prefix(i["subnet"]),
+                        subnet=prefix(i["subnet"]),
                     )
                     for i in rd["interfaces"]
                 ],
                 routes=[
                     Route(
-                        prefix=parse_prefix(rt["prefix"]),
+                        prefix=prefix(rt["prefix"]),
                         next_hop=_typed(rt, "next_hop", "string"),
                     )
                     for rt in rd.get("routes", [])
@@ -425,7 +452,7 @@ def topology_from_dict(data: dict) -> SimTopology:
     return SimTopology(
         routers=routers,
         entry_router=_typed(data, "entry_router", "string"),
-        aliased_prefixes=[parse_prefix(s) for s in data.get("aliased_prefixes", [])],
+        aliased_prefixes=[prefix(s) for s in data.get("aliased_prefixes", [])],
         max_events=_typed(data, "max_events", "integer", DEFAULT_MAX_EVENTS),
     )
 

@@ -30,6 +30,10 @@ from typing import Iterable, Iterator, Protocol
 from .target_gen import format_address, parse_address, read_blocks
 
 
+# Looked up once: on a per-packet path, reading the classmethod off `int`
+# costs about as much as the conversion itself.
+_from_bytes = int.from_bytes
+
 ICMP6_ECHO_REQUEST = 128
 ICMP6_ECHO_REPLY = 129
 
@@ -234,7 +238,7 @@ def decode_payload(data: bytes, secret: int) -> int | None:
     addr = data[:16]
     if not hmac.compare_digest(_payload_mac(addr, secret), data[16:PAYLOAD_LEN]):
         return None
-    return int.from_bytes(addr, "big")
+    return _from_bytes(addr, "big")
 
 
 # --- packet crafting ----------------------------------------------------------
@@ -250,7 +254,7 @@ def icmpv6_checksum(src: int, dst: int, message: bytes) -> int:
     next-header word is 58).  The same congruence lets a caller add or take
     away whole words, at any even offset, after the fact.
     """
-    words = int.from_bytes(message, "big")
+    words = _from_bytes(message, "big")
     if len(message) % 2:
         words <<= 8
     return -(src + dst + len(message) + 58 + words) % 0xFFFF
@@ -296,7 +300,7 @@ class ProbeTemplate:
         tag = mac.digest()
         # The destination, in the pseudo-header and the payload, and the tag
         # fill words that are zero in the template's checksum.
-        cksum = (self._cksum - 2 * address - int.from_bytes(tag, "big")) % 0xFFFF
+        cksum = (self._cksum - 2 * address - _from_bytes(tag, "big")) % 0xFFFF
         return b"".join(
             (self._head, dst, b"\x80\x00", cksum.to_bytes(2, "big"), self._ident, dst, tag)
         )
@@ -306,6 +310,9 @@ def build_echo_request(address: int, cfg: ProbeConfig) -> bytes:
     """Full IPv6 packet for one probe, checksummed and ready to send.
 
     The ICMP identifier carries cfg.scan_pass and the sequence cfg.shard.
+    A scan builds one ProbeTemplate per pass instead; this one-probe packer
+    stays because the tests and the benchmark's offline replay
+    (`bench/checks.replay`) build single probes with it.
     """
     return ProbeTemplate(cfg).build(address)
 
@@ -327,7 +334,7 @@ def parse_ipv6(packet: bytes) -> tuple[int, int, int, int, bytes] | None:
     end = IPV6_HEADER_LEN + plen
     if len(packet) < end:
         return None
-    src, dst = int.from_bytes(src, "big"), int.from_bytes(dst, "big")
+    src, dst = _from_bytes(src, "big"), _from_bytes(dst, "big")
     return src, dst, hlim, nh, packet[IPV6_HEADER_LEN:end]
 
 
@@ -364,7 +371,7 @@ def classify_icmp(packet: bytes, secret: int, timestamp: float = 0.0) -> ReplyRe
         return None
     # Summed as received, the message counts its stored checksum once more
     # than the sender did; adding it back gives the sender's checksum.
-    stored = int.from_bytes(payload[2:4], "big")
+    stored = _from_bytes(payload[2:4], "big")
     if (icmpv6_checksum(src, dst, payload) + stored) % 0xFFFF != stored:
         return None
     icmp_type, code = payload[0], payload[1]
@@ -444,7 +451,7 @@ def run_scan(
                 return
 
     build = ProbeTemplate(cfg).build
-    send = transport.send
+    send, poll = transport.send, transport.receive
     interval = 1.0 / cfg.send_rate
     slack = max(0.0, 0.001 - interval)  # how far the schedule may trail the clock
     due = clock()
@@ -456,14 +463,17 @@ def run_scan(
             due = now - slack
         due += interval
         packet = build(target)
+        # Most probes draw no reply: one send and one empty poll.
         try:
             send(packet)
+            item = poll(0.0)
         except Exception as exc:
             raise TransportError("transport failed mid-scan") from exc
-        while (item := receive(0.0)) is not None:
+        while item is not None:
             rec = classify_icmp(item[0], secret, timestamp=item[1])
             if rec is not None:
                 yield rec
+            item = receive(0.0)
     yield from receive_until(clock() + cfg.cooldown)
 
 

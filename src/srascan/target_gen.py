@@ -24,6 +24,7 @@ import hashlib
 import ipaddress
 import itertools
 import json
+import operator
 import random
 import socket
 import struct
@@ -351,6 +352,29 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     return read_blocks(lines, _address_block, parse_target_line)
 
 
+def _prefix_block(block: list[str]) -> list[Ipv6Prefix]:
+    """A block of `address/length` lines, each address through inet_pton and
+    each prefix through Ipv6Prefix's checks."""
+    texts = map(str.partition, map(str.strip, block), itertools.repeat("/"))
+    addresses, _, lengths = zip(*texts)
+    bits = map(
+        int.from_bytes,
+        map(socket.inet_pton, itertools.repeat(socket.AF_INET6), addresses),
+        itertools.repeat("big"),
+    )
+    return list(map(Ipv6Prefix, bits, map(int, lengths)))
+
+
+def read_prefixes(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
+    """The prefixes of a prefix file: `read_records(lines, parse_prefix)`,
+    parsed a block of lines at a time.
+
+    A block that holds anything but `address/length` lines (a blank, # or
+    bare-address line, or a bad one) is parsed line by line (`read_blocks`).
+    """
+    return read_blocks(lines, _prefix_block, parse_prefix)
+
+
 class _IntervalSet:
     """Sorted disjoint half-open [start, end) intervals over subnet indices.
 
@@ -399,6 +423,85 @@ class _IntervalSet:
             return True
         i += 1
         return i < len(self._starts) and self._starts[i] < end
+
+
+# `exclude` looks for ascending runs of targets every _RUN_STEP positions,
+# and cuts a run it finds at the excluded ranges instead of filtering it.
+_RUN_STEP = 64
+
+
+def _ascending_runs(values: Sequence[int], step: int) -> Iterator[tuple[int, int]]:
+    """Ascending stretches [lo, hi) of `values`, in order, each more than
+    `step` long and starting at a multiple of `step`.  Every ascending run of
+    2 * step values or more holds one, from its first multiple of `step` on.
+
+    Each probe compares a window of values in C and stops at the first
+    descent, so a shuffled list costs one short probe per `step` values.
+    """
+    n = len(values)
+    gt, index_of = operator.gt, operator.indexOf
+    lo = 0
+    while lo + step < n:
+        start, width = lo, step
+        while True:
+            window = values[start : start + width + 1]
+            try:
+                hi = start + index_of(map(gt, window, window[1:]), True) + 1
+                break
+            except ValueError:  # no descent in the window
+                start += len(window) - 1
+                if start >= n - 1:
+                    hi = n
+                    break
+                width *= 2
+        if hi - lo > step:
+            yield lo, hi
+        lo = -(-hi // step) * step
+
+
+def exclude(targets: Sequence[int], prefixes: Iterable[Ipv6Prefix]) -> list[int]:
+    """The targets that no prefix in `prefixes` covers, in input order,
+    repeats kept.
+
+    The prefixes merge into sorted disjoint ranges.  A long ascending run of
+    targets is cut at each range it meets, with two bisections per range,
+    so a sorted probe list costs a few bisections per excluded range, not
+    one per target.  Every other target takes one bisection, in a chain of
+    C calls.
+    """
+    # The merged ranges' edges: start, end, start, end, ... ascending.
+    edges: list[int] = []
+    for start, end in sorted((p.bits, p.bits + (1 << (128 - p.length))) for p in prefixes):
+        if edges and start <= edges[-1]:
+            edges[-1] = max(edges[-1], end)
+        else:
+            edges += (start, end)
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    # A target is covered when an odd number of edges lie at or below it.
+    outside = [True, False] * (len(edges) // 2) + [True]
+
+    def filtered(part: Sequence[int]) -> list[int]:
+        marks = map(bisect_right, itertools.repeat(edges), part)
+        return list(itertools.compress(part, map(outside.__getitem__, marks)))
+
+    kept: list[int] = []
+    done = 0  # targets[:done] are decided
+    for lo, hi in _ascending_runs(targets, _RUN_STEP):
+        # The edges of the ranges that meet the run, as start, end pairs.
+        first = bisect_right(edges, targets[lo])
+        last = bisect_right(edges, targets[hi - 1])
+        met = edges[first & ~1 : last + (last & 1)]
+        if len(met) >= hi - lo:
+            continue  # more bisections than targets: filter the run instead
+        kept += filtered(targets[done:lo])
+        for start, end in zip(met[::2], met[1::2]):
+            cut = bisect_left(targets, start, lo, hi)
+            kept += targets[lo:cut]
+            lo = bisect_left(targets, end, cut, hi)
+        kept += targets[lo:hi]
+        done = hi
+    kept += filtered(targets[done:])
+    return kept
 
 
 def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:

@@ -6,8 +6,10 @@ module (subnets/supernet enumeration), not from the code under test.
 
 from __future__ import annotations
 
+import bisect
 import ipaddress
 import json
+import random
 import re
 import socket
 from itertools import islice
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from srascan import target_gen
 from srascan.target_gen import (
+    MAX128,
     GenerationConfig,
     Ipv6Prefix,
     PrefixTable,
@@ -32,6 +35,7 @@ from srascan.target_gen import (
     count_stage1,
     count_stage2,
     count_stage3,
+    exclude,
     format_address,
     gen_bgp_all,
     gen_from_hitlist,
@@ -44,6 +48,7 @@ from srascan.target_gen import (
     parse_prefix,
     parse_target_line,
     read_addresses,
+    read_prefixes,
     read_records,
     route6_plan,
     stage1_plan,
@@ -234,6 +239,11 @@ def test_only_cli_imports_csv():
     assert importers("csv") == {"cli.py"}
 
 
+def test_cli_uses_no_private_target_gen_name():
+    source = (Path(target_gen.__file__).parent / "cli.py").read_text()
+    assert re.findall(r"target_gen\._\w+", source) == []
+
+
 def test_sra_address_is_prefix_with_zero_host_bits():
     assert P("2001:db8:1::/48").sra == addr("2001:db8:1::")
 
@@ -334,6 +344,135 @@ def test_a_bad_line_is_named_before_a_later_undecodable_byte(tmp_path):
     path.write_bytes(b"::1\n::2\n" + tail)
     with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
         list(read_addresses(fh))
+
+
+prefix_file_lines = st.one_of(
+    st.builds(
+        lambda a, n: f"{format_address(a & ~((1 << (128 - n)) - 1))}/{n}",
+        addresses, st.integers(0, 128),
+    ),
+    st.builds(lambda a, n: f"{format_address(a)}/{n}", addresses, st.integers(0, 128)),
+    addresses.map(format_address),
+    st.sampled_from([
+        "2001:db8::/129", "2001:db8::/-1", "2001:db8::/x", "2001:db8::/", "/48",
+        "2001:db8::/4_8", "2001:db8::/+48", "2001:db8:: / 48", "2001:db8::/48/1",
+        "fe80::%eth0/64", "2001:db8::zz/48", "", "   ", "# note",
+    ]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(["", " "]), prefix_file_lines, st.sampled_from(["", "\t"]))
+        .map(lambda parts: "".join(parts) + "\n"),
+        max_size=30,
+    ),
+    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+)
+def test_read_prefixes_matches_read_records(lines, block):
+    """Block parsing yields the prefixes, or names the line, that
+    `read_records(lines, parse_prefix)` does."""
+    expected = _read(lambda ls: read_records(ls, parse_prefix), lines)
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        assert _read(read_prefixes, lines) == expected
+        assert _read(read_prefixes, iter(lines)) == expected
+
+
+# --- exclusion -----------------------------------------------------------------
+
+# Anchors near both ends of the address space and in the middle, so that
+# prefixes of nearby lengths nest, overlap, touch and sit apart.
+EXCLUDE_ANCHORS = (0, 5, 300, addr("2001:db8::"), addr("2001:db8::1:0"), MAX128 - 2, MAX128)
+EXCLUDE_LENGTHS = (0, 1, 112, 119, 120, 123, 127, 128, 128)
+
+
+@st.composite
+def exclusion_cases(draw):
+    """(targets, prefixes): targets at and around every prefix's edges, at 0
+    and 2^128 - 1, arranged sorted, descending, shuffled or repeated."""
+    prefixes = [
+        Ipv6Prefix(a & ~((1 << (128 - n)) - 1), n)
+        for a, n in draw(st.lists(
+            st.tuples(st.sampled_from(EXCLUDE_ANCHORS), st.sampled_from(EXCLUDE_LENGTHS)),
+            max_size=6,
+        ))
+    ]
+    edges = {0, MAX128, *EXCLUDE_ANCHORS}
+    for p in prefixes:
+        end = p.bits + (1 << (128 - p.length))
+        edges |= {p.bits - 1, p.bits, p.bits + 1, end - 1, end}
+    pool = sorted(e for e in edges if 0 <= e <= MAX128)
+    values = draw(st.lists(st.sampled_from(pool), max_size=80))
+    arrange = draw(st.sampled_from(["sorted", "descending", "shuffled", "repeated", "two runs", "drawn"]))
+    if arrange == "sorted":
+        values.sort()
+    elif arrange == "descending":
+        values.sort(reverse=True)
+    elif arrange == "shuffled":
+        values = draw(st.permutations(sorted(values)))
+    elif arrange == "repeated":
+        values = sorted(values * 3)
+    elif arrange == "two runs":
+        values = sorted(values) + sorted(values)
+    return values, prefixes
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=exclusion_cases(), step=st.sampled_from([1, 2, 3, 64]))
+@example(case=([], [P("::/0")]), step=1)
+@example(case=([0, MAX128], []), step=1)
+@example(case=([0, 1, 2, MAX128], [P("::/0")]), step=1)
+def test_exclude_matches_ipaddress(case, step):
+    """Every target that no prefix holds, in input order and with repeats,
+    whatever the runs look like (`_RUN_STEP` shrunk so short lists have long
+    runs)."""
+    targets, prefixes = case
+    nets = [ipaddress.IPv6Network((p.bits, p.length)) for p in prefixes]
+    expected = [t for t in targets if not any(ipaddress.IPv6Address(t) in n for n in nets)]
+    with mock.patch.object(target_gen, "_RUN_STEP", step):
+        assert exclude(targets, prefixes) == expected
+        assert exclude(tuple(targets), iter(prefixes)) == expected
+
+
+class CountingBisect:
+    """Stands in for the `bisect` module and counts the calls made."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def bisect_left(self, *args):
+        self.calls += 1
+        return bisect.bisect_left(*args)
+
+    def bisect_right(self, *args):
+        self.calls += 1
+        return bisect.bisect_right(*args)
+
+
+def test_exclude_cuts_a_sorted_list_by_range_not_per_target(monkeypatch):
+    """A /48 of /64 targets less fourteen /52s: a few bisections per excluded
+    range, not one per target."""
+    base = addr("2001:db8:2::")
+    targets = [base | (i << 64) for i in range(1 << 16)]
+    blocks = random.Random(1).sample(range(16), 14)
+    prefixes = [Ipv6Prefix(base | (b << 76), 52) for b in blocks]
+    prefixes += [P("2001:db8:100::/40"), P("::/8"), P("2001:db8:2::/64")]  # outside or inside
+    counter = CountingBisect()
+    monkeypatch.setattr(target_gen, "bisect", counter)
+    got = exclude(targets, prefixes)
+    assert got == [t for i, t in enumerate(targets) if i and i >> 12 not in blocks]
+    assert counter.calls <= 4 * len(prefixes)
+
+
+def test_exclude_filters_a_shuffled_list():
+    targets = [addr("2001:db8::") | (i << 64) for i in range(5000)]
+    random.Random(2).shuffle(targets)
+    prefixes = [P("2001:db8:0:800::/53"), P("2001:db8::/56")]
+    nets = [ipaddress.IPv6Network(str(p)) for p in prefixes]
+    expected = [t for t in targets if not any(ipaddress.IPv6Address(t) in n for n in nets)]
+    assert exclude(targets, prefixes) == expected
+    assert len(expected) == 5000 - 2048 - 256
 
 
 # --- stage 1 -----------------------------------------------------------------
