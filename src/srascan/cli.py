@@ -13,18 +13,15 @@ still win.  `analyze` renders the analysis results as JSON and CSV reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import importlib.resources
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
-from . import analysis, netsim, probe_engine, target_gen
+from . import probe_engine, target_gen
 
 CONFIG_VERSION = 1
 MANIFEST_VERSION = 1
@@ -50,6 +47,8 @@ def _secret_digest(secret: int) -> str:
 
 def data_dir():
     """Directory of bundled demo inputs."""
+    import importlib.resources
+
     return importlib.resources.files("srascan") / "data"
 
 
@@ -277,6 +276,8 @@ def cmd_scan(args) -> int:
     if live:
         transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)
     else:
+        from . import netsim  # only a simulated scan reads it
+
         input_paths.append(args.sim_topology)
         try:
             topology = netsim.load_topology(args.sim_topology)
@@ -309,6 +310,8 @@ def cmd_scan(args) -> int:
             transport.close()
 
     if args.manifest:
+        from datetime import datetime, timezone
+
         manifest = {
             "version": MANIFEST_VERSION,
             "tool": "srascan",
@@ -497,6 +500,13 @@ _ANALYSES = {
 
 
 def cmd_analyze(args) -> int:
+    # Only this command reads analysis and csv, so only it imports them;
+    # the report builders above find `analysis` among the module's globals.
+    global analysis
+    import csv
+
+    from . import analysis
+
     targets = None
     if args.action != "compare":
         if not args.replies:
@@ -537,17 +547,7 @@ def cmd_demo(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def build_parser(config_path=None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="srascan",
-        description="Probe subnet-router anycast addresses and study what answers.",
-    )
-    parser.add_argument(
-        "--config", metavar="FILE", help="JSON file with defaults for the subcommands"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen-targets", help="build a probe list from routing data")
+def _gen_targets_args(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--mode", choices=("bgp", "route6", "hitlist"), required=True)
     gen.add_argument("--prefixes", metavar="FILE", help="announced prefixes, one per line")
     gen.add_argument("--hitlist", metavar="FILE", help="known addresses, one per line")
@@ -565,7 +565,8 @@ def build_parser(config_path=None) -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", metavar="FILE", default=None)
     gen.set_defaults(func=cmd_gen_targets)
 
-    scan = sub.add_parser("scan", help="send one echo request per target")
+
+def _scan_args(scan: argparse.ArgumentParser) -> None:
     scan.add_argument("--targets", metavar="FILE", required=True)
     scan.add_argument("--transport", choices=("live", "sim"), default="sim")
     scan.add_argument("--sim-topology", metavar="FILE")
@@ -593,7 +594,8 @@ def build_parser(config_path=None) -> argparse.ArgumentParser:
     scan.add_argument("--manifest", metavar="FILE", help="record digests of the run")
     scan.set_defaults(func=cmd_scan)
 
-    an = sub.add_parser("analyze", help="reduce reply files to findings")
+
+def _analyze_args(an: argparse.ArgumentParser) -> None:
     an.add_argument("action", choices=_ANALYSES)
     an.add_argument("--replies", metavar="FILE", nargs="*", default=[])
     an.add_argument("--targets", metavar="FILE")
@@ -606,34 +608,90 @@ def build_parser(config_path=None) -> argparse.ArgumentParser:
     an.add_argument("--csv", metavar="FILE")
     an.set_defaults(func=cmd_analyze)
 
-    verify = sub.add_parser("manifest-verify", help="re-check a recorded run")
+
+def _manifest_verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("manifest", metavar="MANIFEST")
     verify.set_defaults(func=cmd_manifest_verify)
 
-    demo = sub.add_parser("demo", help="copy the bundled example inputs")
+
+def _demo_args(demo: argparse.ArgumentParser) -> None:
     demo.add_argument(
         "--into", metavar="DIR", default=".", help="directory to copy into (default: .)"
     )
     demo.set_defaults(func=cmd_demo)
 
+
+_SUBCOMMANDS = {
+    "gen-targets": ("build a probe list from routing data", _gen_targets_args),
+    "scan": ("send one echo request per target", _scan_args),
+    "analyze": ("reduce reply files to findings", _analyze_args),
+    "manifest-verify": ("re-check a recorded run", _manifest_verify_args),
+    "demo": ("copy the bundled example inputs", _demo_args),
+}
+
+
+class _Unsure(Exception):
+    """A parser built for one subcommand met what only the full parser answers."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Refuses, instead of printing help or an error whose usage would list
+    only the subcommands it was built with."""
+
+    def error(self, message):
+        raise _Unsure
+
+    def print_help(self, file=None):
+        raise _Unsure
+
+
+def build_parser(config_path=None, command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given `command`, a parser of that
+    one (and of the two that `--config` presets) which raises _Unsure on any
+    argv it cannot parse."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="srascan",
+        description="Probe subnet-router anycast addresses and study what answers.",
+    )
+    parser.add_argument(
+        "--config", metavar="FILE", help="JSON file with defaults for the subcommands"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    built = {}
+    for name, (help_text, add_args) in _SUBCOMMANDS.items():
+        if command is None or name == command or (config_path and name in _CONFIG_SECTIONS):
+            built[name] = sub.add_parser(name, help=help_text)
+            add_args(built[name])
+
     if config_path:
         config = load_config(config_path)
-        for name, subparser in (("gen-targets", gen), ("scan", scan)):
-            actions = {a.dest: a for a in subparser._actions}
-            subparser.set_defaults(**{
+        for name in _CONFIG_SECTIONS:
+            actions = {a.dest: a for a in built[name]._actions}
+            built[name].set_defaults(**{
                 key: _config_value(config_path, name, actions[key], value)
                 for key, value in config.get(name, {}).items()
             })
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser(config).parse_args(argv)`, building only the subcommand
+    that argv names when that parser can parse argv whole."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    known, rest = pre.parse_known_args(argv)
+    if rest and rest[0] in _SUBCOMMANDS:
+        try:
+            return build_parser(known.config, rest[0]).parse_args(argv)
+        except _Unsure:
+            pass  # the full parser prints the help or the error
+    return build_parser(known.config).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(known.config).parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ refills according to the probe send rate and the whole run is replayable.
 
 Topology files are JSON; `topology_from_dict` checks each scalar field's
 JSON type, so a quoted number or a `"no"` flag is refused, not misread.
+One compiler, `_compile`, turns a topology in that JSON form into the
+lookups a Simulation runs on, in one pass over the file's columns.
 """
 
 from __future__ import annotations
@@ -38,10 +40,18 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
-from .target_gen import Ipv6Prefix, PrefixTable, format_address, parse_address, parse_prefix
+from .target_gen import (
+    Ipv6Prefix,
+    PrefixTable,
+    format_address,
+    parse_addresses,
+    parse_prefix,
+    parse_prefix_keys,
+)
 from .probe_engine import ICMP6_ECHO_REQUEST, IPV6_HEADER_LEN, build_ipv6_icmp
 
 TOPOLOGY_FORMAT_VERSION = 1
@@ -59,6 +69,10 @@ class MalformedPacketError(ValueError):
     """The injected packet is not an ICMPv6-over-IPv6 frame."""
 
 
+def _outside(address: int, subnet: Ipv6Prefix) -> ValueError:
+    return ValueError(f"interface address {format_address(address)} not inside {subnet}")
+
+
 @dataclass(frozen=True)
 class Interface:
     address: int
@@ -66,16 +80,29 @@ class Interface:
 
     def __post_init__(self):
         if not self.subnet.covers_address(self.address):
-            raise ValueError(
-                f"interface address {format_address(self.address)} "
-                f"not inside {self.subnet}"
-            )
+            raise _outside(self.address, self.subnet)
 
 
 @dataclass(frozen=True)
 class Route:
     prefix: Ipv6Prefix
     next_hop: str  # router id, "local", or "default"
+
+
+_SRA_SOURCES = ("ingress", "first_interface")
+
+
+def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor, sra_source):
+    """Refuse a router's values that no simulation can use."""
+    if not n_interfaces:
+        raise ValueError(f"router {rid!r} needs at least one interface")
+    for name, value in (("error_rate", error_rate), ("error_burst", error_burst)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"router {rid!r}: {name} must be a finite number >= 0")
+    if replication_factor < 1:
+        raise ValueError("replication_factor must be >= 1")
+    if sra_source not in _SRA_SOURCES:
+        raise ValueError(f"unknown sra_source {sra_source!r}")
 
 
 @dataclass
@@ -90,50 +117,61 @@ class SimRouter:
     sra_source: str = "ingress"  # or "first_interface"
 
     def __post_init__(self):
-        if not self.interfaces:
-            raise ValueError(f"router {self.id!r} needs at least one interface")
-        for name, value in (("error_rate", self.error_rate), ("error_burst", self.error_burst)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"router {self.id!r}: {name} must be a finite number >= 0"
-                )
-        if self.replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
-        if self.sra_source not in ("ingress", "first_interface"):
-            raise ValueError(f"unknown sra_source {self.sra_source!r}")
+        _check_router(
+            self.id, len(self.interfaces), self.error_rate, self.error_burst,
+            self.replication_factor, self.sra_source,
+        )
 
     @property
     def canonical_address(self) -> int:
         return self.interfaces[0].address
 
 
-@dataclass
 class SimTopology:
-    routers: list[SimRouter]
-    entry_router: str
-    aliased_prefixes: list[Ipv6Prefix] = field(default_factory=list)
-    max_events: int = DEFAULT_MAX_EVENTS
+    """Routers, the router probes enter at, aliased prefixes and an event budget.
 
-    def __post_init__(self):
-        if self.max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        ids = [r.id for r in self.routers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate router ids")
-        by_id = {r.id: r for r in self.routers}
-        if self.entry_router not in by_id:
-            raise ValueError(f"entry router {self.entry_router!r} not defined")
-        for r in self.routers:
-            for route in r.routes:
-                nh = route.next_hop
-                if nh not in (LOCAL, DEFAULT) and nh not in by_id:
-                    raise ValueError(
-                        f"router {r.id!r}: route to unknown next hop {nh!r}"
-                    )
-                if nh == r.id:
-                    raise ValueError(
-                        f"router {r.id!r}: route {route.prefix} points at itself"
-                    )
+    One built in Python is compiled from `topology_to_dict` of it: once when
+    it is built, to check it, and again by each Simulation, so that edits
+    made before then take effect.  One loaded from a file keeps what the
+    compiler made, and builds SimRouter objects only when `routers` is first
+    read; from then on, since the caller may edit them, it is compiled again
+    like one built in Python.
+    """
+
+    def __init__(
+        self,
+        routers: list[SimRouter],
+        entry_router: str,
+        aliased_prefixes: list[Ipv6Prefix] | None = None,
+        max_events: int = DEFAULT_MAX_EVENTS,
+    ):
+        self.routers = routers
+        self.entry_router = entry_router
+        self.aliased_prefixes = [] if aliased_prefixes is None else aliased_prefixes
+        self.max_events = max_events
+        _compile(topology_to_dict(self))
+
+    @classmethod
+    def _loaded(cls, net: _Network) -> SimTopology:
+        topology = cls.__new__(cls)
+        topology._routers, topology._net = None, net
+        topology.entry_router = net.entry_router
+        topology.aliased_prefixes = net.aliased_prefixes
+        topology.max_events = net.max_events
+        return topology
+
+    @property
+    def routers(self) -> list[SimRouter]:
+        if self._routers is None:
+            self._routers, self._net = self._net.routers(), None
+        return self._routers
+
+    @routers.setter
+    def routers(self, routers: list[SimRouter]) -> None:
+        self._routers, self._net = routers, None
+
+    def _compiled(self) -> _Network:
+        return self._net if self._net is not None else _compile(topology_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -171,43 +209,53 @@ class _TokenBucket:
         return False
 
 
-class _CompiledRouter:
-    """One router's lookups, compiled from its interfaces and routes."""
+class _Router:
+    """One router's lookups: immutable, so Simulations of one topology share them.
 
-    __slots__ = ("router", "bucket", "forward", "connected", "sra", "own")
+    `sources[i]` answers an anycast probe that arrived on interface i: that
+    interface's address, or the first interface's for "first_interface".
+    `sources[0]` is the router's canonical address either way.
+    """
 
-    def __init__(self, router: SimRouter):
-        self.router = router
-        self.bucket = _TokenBucket(router.error_rate, router.error_burst)
-        # Best (explicit, action) per prefix, keyed by (bits, length): an
-        # explicit route beats a connected subnet of equal length; duplicates
-        # keep the max next hop.
-        best: dict[tuple[int, int], tuple[tuple[int, str], Ipv6Prefix]] = {}
-        candidates = [(i.subnet, (0, LOCAL)) for i in router.interfaces]
-        candidates += [(r.prefix, (1, r.next_hop)) for r in router.routes]
-        for prefix, cand in candidates:
-            key = (prefix.bits, prefix.length)
-            if key not in best or cand > best[key][0]:
-                best[key] = cand, prefix
-        # DEFAULT resolves through the first /0 route in list order.
-        fallback = next((r.next_hop for r in router.routes if r.prefix.length == 0), None)
-        if fallback == DEFAULT:
-            fallback = None
-        # Forwarding action: router id, LOCAL, or None (no route).
-        self.forward = PrefixTable(
-            [
-                (prefix, fallback if action == DEFAULT else action)
-                for (_, action), prefix in best.values()
-            ],
-            default=None,
-        )
-        self.connected = PrefixTable((i.subnet, True) for i in router.interfaces)
-        self.sra = (
-            frozenset(i.subnet.sra for i in router.interfaces)
-            if router.sra_enabled
-            else frozenset()
-        )
-        self.own = frozenset(i.address for i in router.interfaces)
+    __slots__ = ("forward", "connected", "sra", "own", "sources", "replication", "rate", "burst")
+
+    def __init__(self, forward, connected, sra, own, sources, replication, rate, burst):
+        self.forward = forward  # router id, LOCAL, or None (no route)
+        self.connected = connected
+        self.sra = sra
+        self.own = own
+        self.sources = sources
+        self.replication = replication
+        self.rate = rate
+        self.burst = burst
+
+
+class _Network:
+    """What `_compile` makes of a topology: per-router lookups, the ingress
+    index, and the checked values that SimRouter objects are built from."""
+
+    __slots__ = ("routers_by_id", "ingress", "specs", "entry_router", "aliased_prefixes",
+                 "max_events")
+
+    def __init__(self, routers_by_id, ingress, specs, entry_router, aliased_prefixes,
+                 max_events):
+        self.routers_by_id = routers_by_id
+        self.ingress = ingress
+        self.specs = specs
+        self.entry_router = entry_router
+        self.aliased_prefixes = aliased_prefixes
+        self.max_events = max_events
+
+    def routers(self) -> list[SimRouter]:
+        return [
+            SimRouter(
+                rid,
+                [Interface(a, Ipv6Prefix(*k)) for a, k in zip(addresses, subnets)],
+                [Route(Ipv6Prefix(*k), hop) for k, hop in zip(route_keys, hops)],
+                *knobs,
+            )
+            for rid, addresses, subnets, route_keys, hops, *knobs in self.specs
+        ]
 
 
 class Simulation:
@@ -220,25 +268,16 @@ class Simulation:
 
     def __init__(self, topology: SimTopology):
         self.topology = topology
-        self._routers = {r.id: _CompiledRouter(r) for r in topology.routers}
+        net = topology._compiled()
+        self._routers = net.routers_by_id
+        self._ingress = net.ingress
+        self._buckets = {
+            rid: _TokenBucket(node.rate, node.burst) for rid, node in self._routers.items()
+        }
         self._aliased = PrefixTable((p, True) for p in topology.aliased_prefixes)
-        # Interface index a packet from `a` arrives on at `b`: the first
-        # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
-        # are absent and arrive on interface 0.
-        on_subnet: dict[tuple[int, int], dict[str, int]] = {}
-        for r in topology.routers:
-            for n, iface in enumerate(r.interfaces):
-                key = (iface.subnet.bits, iface.subnet.length)
-                on_subnet.setdefault(key, {}).setdefault(r.id, n)
-        self._ingress: dict[tuple[str, str], int] = {}
-        for members in on_subnet.values():
-            for a in members:
-                for b, idx in members.items():
-                    if a != b:
-                        self._ingress[(a, b)] = min(idx, self._ingress.get((a, b), idx))
 
     def token_states(self) -> dict[str, float]:
-        return {rid: round(n.bucket.tokens, 9) for rid, n in sorted(self._routers.items())}
+        return {rid: round(b.tokens, 9) for rid, b in sorted(self._buckets.items())}
 
     def inject(self, packet: bytes, now: float = 0.0) -> Delivery:
         """Run one Echo Request through the topology at virtual time `now`.
@@ -266,7 +305,7 @@ class Simulation:
         events = 0
         seq = 0
         aliased = self._aliased.covers(dst)
-        routers, heappop = self._routers, heapq.heappop
+        routers, buckets, heappop = self._routers, self._buckets, heapq.heappop
         # Every copy of one probe shares its bytes and its time, so an entry
         # is (router id, arrival order, hop limit, ingress interface index).
         heap = [(self.topology.entry_router, seq, packet[7], 0)]
@@ -276,26 +315,25 @@ class Simulation:
             rid, _, hop, ingress_idx = heappop(heap)
             events += 1
             node = routers[rid]
-            router = node.router
             action = node.forward.lookup(dst)
 
             icmp = None  # an Echo Reply unless an error is built below
             if aliased and (action == LOCAL or node.connected.covers(dst)):
                 reply_src = dst
             elif dst in node.sra:
-                if router.sra_source == "ingress":
-                    reply_src = router.interfaces[ingress_idx].address
-                else:
-                    reply_src = router.canonical_address
+                reply_src = node.sources[ingress_idx]
             elif dst in node.own:
                 reply_src = dst
             elif action is not None and action != LOCAL and hop > 1:  # forward
                 next_idx = self._ingress.get((rid, action), 0)
-                for _ in range(router.replication_factor):
+                # The copies share a router id and have consecutive arrival
+                # numbers, so at most the first `budget - events` of them are
+                # ever popped; one more keeps the budget hit reported.
+                for _ in range(min(node.replication, budget - events + 1)):
                     seq += 1
                     heapq.heappush(heap, (action, seq, hop - 1, next_idx))
                 continue
-            elif node.bucket.consume(now):
+            elif buckets[rid].consume(now):
                 if action is None:
                     head = b"\x01\x00"  # Destination Unreachable: no route
                 elif action == LOCAL:
@@ -305,7 +343,7 @@ class Simulation:
                 # Quote the request as this router holds it, cut so that the
                 # error fits the IPv6 minimum MTU of 1280 bytes.
                 quote = packet[:7] + bytes((hop,)) + packet[8:1232]
-                reply_src, icmp = router.canonical_address, head + bytes(6) + quote
+                reply_src, icmp = node.sources[0], head + bytes(6) + quote
             else:
                 continue
             if icmp is None:
@@ -389,15 +427,16 @@ def topology_to_dict(topology: SimTopology) -> dict:
 
 
 _JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
+# The types json.load gives each kind: a column of only these needs no other check.
+_LOADED_TYPES = {"number": {int, float}, "integer": {int}, "boolean": {bool}, "string": {str}}
 
 
-def _typed(obj: dict, key: str, kind: str, default=None):
-    """obj[key] (or `default` if absent), refused unless its JSON type is `kind`.
+def _check_type(key: str, value, kind: str):
+    """`value`, refused unless its JSON type is `kind`.
 
     JSON's true and false load as Python bools, which are ints too, so a
     number or an integer must not be a bool and a boolean must be one.
     """
-    value = obj[key] if default is None else obj.get(key, default)
     if not (
         isinstance(value, _JSON_TYPES[kind])
         and isinstance(value, bool) == (kind == "boolean")
@@ -406,55 +445,166 @@ def _typed(obj: dict, key: str, kind: str, default=None):
     return value
 
 
-def topology_from_dict(data: dict) -> SimTopology:
+def _typed(obj: dict, key: str, kind: str, default=None):
+    """obj[key] (or `default` if absent), refused unless its JSON type is `kind`."""
+    return _check_type(key, obj[key] if default is None else obj.get(key, default), kind)
+
+
+def _typed_column(values: list, key: str, kind: str) -> list:
+    """`values`, each refused unless its JSON type is `kind`: one set test
+    when every value has a type json.load gives that kind."""
+    if not _LOADED_TYPES[kind].issuperset(map(type, values)):
+        for value in values:
+            _check_type(key, value, kind)
+    return values
+
+
+
+def _forward(rid, connected, destinations, next_hops, known) -> PrefixTable:
+    """A router's forwarding table: router id, LOCAL, or None (no route).
+
+    An explicit route beats a connected subnet of equal length, duplicates
+    keep the max next hop, and DEFAULT resolves through the first /0 route
+    in list order.
+    """
+    if rid in next_hops or not known.issuperset(next_hops):
+        for key, hop in zip(destinations, next_hops):
+            if hop not in known:
+                raise ValueError(f"router {rid!r}: route to unknown next hop {hop!r}")
+            if hop == rid:
+                raise ValueError(f"router {rid!r}: route {Ipv6Prefix(*key)} points at itself")
+    explicit: dict[tuple[int, int], str] = {}
+    for key, hop in zip(destinations, next_hops):
+        if key not in explicit or hop > explicit[key]:
+            explicit[key] = hop
+    fallback = next(
+        (hop for (_, length), hop in zip(destinations, next_hops) if length == 0), None
+    )
+    if fallback == DEFAULT:
+        fallback = None
+    best: dict[tuple[int, int], str | None] = dict.fromkeys(connected, LOCAL)
+    for key, hop in explicit.items():
+        best[key] = fallback if hop == DEFAULT else hop
+    by_length: dict[int, dict[int, str | None]] = {}
+    for (bits, length), action in best.items():
+        by_length.setdefault(length, {})[bits] = action
+    return PrefixTable.grouped(by_length, default=None)
+
+
+def _compile(data: dict) -> _Network:
+    """Check a topology in its JSON form and build every router's lookups.
+
+    Each column of the file (ids, knobs, interface addresses, prefix texts,
+    next hops) is read in one pass and checked at once; each distinct prefix
+    text is parsed once.  The router walk then groups every router's
+    forwarding and attached-subnet entries by prefix length, and the ingress
+    index comes from the same walk.  A file with one fault is refused with
+    the message that fault always had; with several, any of them may be named.
+    """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     version = data.get("version")
     if version != TOPOLOGY_FORMAT_VERSION:
         raise ValueError(f"unsupported topology format version {version!r}")
-    # A link's subnet is written once per router on it; parse each text once.
-    parsed: dict[str, Ipv6Prefix] = {}
-
-    def prefix(text) -> Ipv6Prefix:
-        if type(text) is not str:
-            return parse_prefix(text)  # refused with parse_prefix's message
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse_prefix(text)
-        return value
-
-    routers = []
-    for rd in data["routers"]:
-        routers.append(
-            SimRouter(
-                id=_typed(rd, "id", "string"),
-                interfaces=[
-                    Interface(
-                        address=parse_address(i["addr"]),
-                        subnet=prefix(i["subnet"]),
-                    )
-                    for i in rd["interfaces"]
-                ],
-                routes=[
-                    Route(
-                        prefix=prefix(rt["prefix"]),
-                        next_hop=_typed(rt, "next_hop", "string"),
-                    )
-                    for rt in rd.get("routes", [])
-                ],
-                error_rate=_typed(rd, "error_rate", "number", 10.0),
-                error_burst=_typed(rd, "error_burst", "number", 10.0),
-                sra_enabled=_typed(rd, "sra_enabled", "boolean", True),
-                replication_factor=_typed(rd, "replication_factor", "integer", 1),
-                sra_source=_typed(rd, "sra_source", "string", "ingress"),
-            )
-        )
-    return SimTopology(
-        routers=routers,
-        entry_router=_typed(data, "entry_router", "string"),
-        aliased_prefixes=[prefix(s) for s in data.get("aliased_prefixes", [])],
-        max_events=_typed(data, "max_events", "integer", DEFAULT_MAX_EVENTS),
+    rows = data["routers"]
+    ids = _typed_column([rd["id"] for rd in rows], "id", "string")
+    interfaces = [rd["interfaces"] for rd in rows]
+    routes = [rd.get("routes", []) for rd in rows]
+    knobs = zip(
+        _typed_column([rd.get("error_rate", 10.0) for rd in rows], "error_rate", "number"),
+        _typed_column([rd.get("error_burst", 10.0) for rd in rows], "error_burst", "number"),
+        _typed_column([rd.get("sra_enabled", True) for rd in rows], "sra_enabled", "boolean"),
+        _typed_column(
+            [rd.get("replication_factor", 1) for rd in rows], "replication_factor", "integer"
+        ),
+        _typed_column([rd.get("sra_source", "ingress") for rd in rows], "sra_source", "string"),
     )
+    addresses = parse_addresses([i["addr"] for group in interfaces for i in group])
+    subnet_texts = [i["subnet"] for group in interfaces for i in group]
+    route_texts = [rt["prefix"] for group in routes for rt in group]
+    hops = _typed_column(
+        [rt["next_hop"] for group in routes for rt in group], "next_hop", "string"
+    )
+    entry_router = _typed(data, "entry_router", "string")
+    aliased_texts = list(data.get("aliased_prefixes", []))
+    max_events = _typed(data, "max_events", "integer", DEFAULT_MAX_EVENTS)
+
+    texts = subnet_texts + route_texts + aliased_texts
+    try:
+        texts = list(dict.fromkeys(texts))
+    except TypeError:
+        pass  # an unhashable item, which parse_prefix_keys refuses by name
+    keys = dict(zip(texts, parse_prefix_keys(texts)))
+    subnets = list(map(keys.__getitem__, subnet_texts))
+    for address, (bits, length) in zip(addresses, subnets):
+        if (address ^ bits) >> (128 - length):
+            raise _outside(address, Ipv6Prefix(bits, length))
+
+    if max_events < 1:
+        raise ValueError("max_events must be >= 1")
+    known = set(ids)
+    if len(known) != len(ids):
+        raise ValueError("duplicate router ids")
+    if entry_router not in known:
+        raise ValueError(f"entry router {entry_router!r} not defined")
+    known.update((LOCAL, DEFAULT))
+
+    route_keys = list(map(keys.__getitem__, route_texts))
+    routers_by_id: dict[str, _Router] = {}
+    specs = []
+    # Interface index a packet from `a` arrives on at `b`: the first
+    # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
+    # are absent and arrive on interface 0.
+    ingress: dict[tuple[str, str], int] = {}
+    on_subnet: dict[tuple[int, int], dict[str, int]] = {}
+    i = j = 0
+    for rid, group, routed, knob in zip(ids, interfaces, routes, knobs):
+        rate, burst, sra_enabled, replication, sra_source = knob
+        n, m = len(group), len(routed)
+        # A router that passes this passes _check_router, which decides the
+        # rest (an int too large for a float, say) with its own messages.
+        if not (
+            n
+            and 0 <= rate <= sys.float_info.max
+            and 0 <= burst <= sys.float_info.max
+            and replication >= 1
+            and sra_source in _SRA_SOURCES
+        ):
+            _check_router(rid, n, rate, burst, replication, sra_source)
+        own, connected = addresses[i : i + n], subnets[i : i + n]
+        destinations, next_hops = route_keys[j : j + m], hops[j : j + m]
+        specs.append((rid, own, connected, destinations, next_hops, *knob))
+        i, j = i + n, j + m
+
+        attached: dict[int, dict[int, str]] = {}
+        for index, key in enumerate(connected):
+            attached.setdefault(key[1], {})[key[0]] = LOCAL
+            members = on_subnet.setdefault(key, {})
+            if rid not in members:
+                for a, first in members.items():
+                    ingress[(rid, a)] = min(first, ingress.get((rid, a), first))
+                    ingress[(a, rid)] = min(index, ingress.get((a, rid), index))
+                members[rid] = index
+        # Only `covers` reads the attached table, so it doubles as the
+        # forwarding table of a router without routes.
+        connected_table = PrefixTable.grouped(attached, default=None)
+        routers_by_id[rid] = _Router(
+            _forward(rid, connected, destinations, next_hops, known) if m else connected_table,
+            connected_table,
+            frozenset([bits for bits, _ in connected]) if sra_enabled else frozenset(),
+            frozenset(own),
+            own if sra_source == "ingress" else [own[0]] * n,
+            replication,
+            rate,
+            burst,
+        )
+
+    aliased = [Ipv6Prefix(*keys[t]) for t in aliased_texts]
+    return _Network(routers_by_id, ingress, specs, entry_router, aliased, max_events)
+
+
+def topology_from_dict(data: dict) -> SimTopology:
+    return SimTopology._loaded(_compile(data))
 
 
 def load_topology(path) -> SimTopology:

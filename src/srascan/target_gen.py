@@ -111,6 +111,7 @@ class Ipv6Prefix:
 
 
 _MISS = object()
+_MASKS = [(MAX128 << (128 - length)) & MAX128 for length in range(129)]
 
 
 class PrefixTable:
@@ -132,20 +133,33 @@ class PrefixTable:
     ):
         self.default = default
         self._by_length: dict[int, dict[int, object]] = {}
+        by_length = self._by_length
+        for prefix, value in entries:
+            by_length.setdefault(prefix.length, {})[prefix.bits] = value
+        self._index()
+
+    @classmethod
+    def grouped(
+        cls, by_length: dict[int, dict[int, object]], default: object = "unknown"
+    ) -> "PrefixTable":
+        """The table of `{length: {bits: value}}`, whose dicts it keeps as they are."""
+        table = cls.__new__(cls)
+        table.default = default
+        table._by_length = by_length
+        table._index()
+        return table
+
+    def _index(self) -> None:
         # (mask, bucket) per distinct length, longest first; rebuilt by add
         # only when a new length appears.
-        self._buckets: list[tuple[int, dict[int, object]]] = []
-        for prefix, value in entries:
-            self.add(prefix, value)
+        by_length = self._by_length
+        self._buckets = [(_MASKS[n], by_length[n]) for n in sorted(by_length, reverse=True)]
 
     def add(self, prefix: Ipv6Prefix, value: object) -> None:
         bucket = self._by_length.get(prefix.length)
         if bucket is None:
             bucket = self._by_length[prefix.length] = {}
-            self._buckets = [
-                ((MAX128 << (128 - length)) & MAX128, self._by_length[length])
-                for length in sorted(self._by_length, reverse=True)
-            ]
+            self._index()
         bucket[prefix.bits] = value
 
     def __len__(self) -> int:
@@ -342,6 +356,18 @@ def _address_block(block: list[str]) -> list[int]:
     ))
 
 
+def parse_addresses(texts: list[str]) -> list[int]:
+    """`parse_address` of each text, in one C chain.
+
+    A list the chain refuses (a scoped, non-text or bad item) is parsed item
+    by item, so a bad item is refused with parse_address's message.
+    """
+    try:
+        return _address_block(texts)
+    except (OSError, TypeError, ValueError):
+        return list(map(parse_address, texts))
+
+
 def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     """The addresses of a probe list: `read_records(lines, parse_target_line)`,
     parsed a block of lines at a time.
@@ -352,9 +378,9 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     return read_blocks(lines, _address_block, parse_target_line)
 
 
-def _prefix_block(block: list[str]) -> list[Ipv6Prefix]:
-    """A block of `address/length` lines, each address through inet_pton and
-    each prefix through Ipv6Prefix's checks."""
+def _prefix_columns(block: list[str]) -> tuple[list[int], list[int]]:
+    """The bits and the lengths of a block of `address/length` lines, each
+    address through inet_pton."""
     texts = map(str.partition, map(str.strip, block), itertools.repeat("/"))
     addresses, _, lengths = zip(*texts)
     bits = map(
@@ -362,7 +388,31 @@ def _prefix_block(block: list[str]) -> list[Ipv6Prefix]:
         map(socket.inet_pton, itertools.repeat(socket.AF_INET6), addresses),
         itertools.repeat("big"),
     )
-    return list(map(Ipv6Prefix, bits, map(int, lengths)))
+    return list(bits), list(map(int, lengths))
+
+
+def _prefix_block(block: list[str]) -> list[Ipv6Prefix]:
+    """A block of `address/length` lines, each prefix through Ipv6Prefix's checks."""
+    return list(map(Ipv6Prefix, *_prefix_columns(block)))
+
+
+def parse_prefix_keys(texts: list[str]) -> list[tuple[int, int]]:
+    """`(bits, length)` of `parse_prefix` of each text, in one C chain.
+
+    The chain checks every length and host part at once, as Ipv6Prefix
+    does.  A list it refuses (a bare, scoped, non-text or bad item) is
+    parsed item by item, so a bad item is refused with parse_prefix's
+    message.
+    """
+    try:
+        bits, lengths = _prefix_columns(texts)
+        if 0 <= min(lengths) and max(lengths) <= 128 and not any(
+            map(operator.and_, bits, map(MAX128.__rshift__, lengths))
+        ):
+            return list(zip(bits, lengths))
+    except (OSError, TypeError, ValueError):
+        pass
+    return [(p.bits, p.length) for p in map(parse_prefix, texts)]
 
 
 def read_prefixes(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:

@@ -57,7 +57,8 @@ def test_traced_scan_runs_and_reports_its_spans(demo):
     ])
     spans = trace["spans"]
     for name in ("cli.main", "probe_engine.run_scan", "probe_engine.classify_icmp",
-                 "probe_engine.to_json", "netsim.inject", "netsim.load_topology"):
+                 "probe_engine.to_json", "netsim.inject", "netsim.load_topology",
+                 "netsim.sim_init"):
         assert spans[name]["calls"] > 0, name
     assert trace["counts"]["classified"] == spans["probe_engine.to_json"]["calls"] == 8
 

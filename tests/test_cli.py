@@ -1,5 +1,6 @@
 """Command line behavior, exercised through main() with real files."""
 
+import argparse
 import csv
 import hashlib
 import ipaddress
@@ -1023,3 +1024,117 @@ def test_the_package_runs_as_a_module_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: srascan")
+
+
+def test_importing_the_cli_leaves_what_only_some_commands_read_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, srascan.cli; "
+        "print(sorted({'srascan.analysis', 'srascan.netsim', 'csv', 'datetime'}"
+        " & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def full_parse(argv):
+    """The parse every command made before a command built only its own arguments."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    return cli.build_parser(known.config).parse_args(argv)
+
+
+def parse_outcome(parse, argv, capsys):
+    """What a parse gave: its namespace, or how it exited and what it printed."""
+    try:
+        outcome = ("namespace", vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    except cli.CliError as exc:
+        outcome = ("error", str(exc), exc.exit_code)
+    except OSError as exc:
+        outcome = ("os-error", str(exc))
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # valid
+        ["gen-targets", "--mode", "bgp", "--prefixes", "p.txt"],
+        ["gen-targets", "--mode=route6", "--prefixes", "p.txt", "--seed", "4", "--ndjson"],
+        ["scan", "--targets", "t.txt", "--sim-topology", "x.json", "--rate", "1000",
+         "--passes", "2", "-o", "r.ndjson"],
+        ["scan", "--targ", "t.txt", "--sim", "x.json", "--hop", "9"],  # abbreviations
+        ["analyze", "summarize", "--replies", "a", "b", "--targets", "t"],
+        ["analyze", "compare", "--set", "a=x", "--set", "b=y", "--csv", "c.csv"],
+        ["manifest-verify", "m.json"],
+        ["demo"],
+        ["demo", "--into", "d"],
+        # invalid
+        [],
+        ["bogus"],
+        ["scan"],
+        ["scan", "--targets"],
+        ["scan", "--targets", "t", "--rate", "fast"],
+        ["scan", "--targets", "t", "--h"],  # ambiguous: --help or --hop-limit
+        ["scan", "--targets", "t", "extra"],
+        ["gen-targets", "--mode", "nope"],
+        ["analyze", "nope"],
+        ["manifest-verify"],
+        ["demo", "extra"],
+        ["--bogus", "demo"],
+        ["demo", "scan"],
+        ["--config"],
+        # help
+        ["--help"],
+        ["-h"],
+        ["--he"],
+        ["demo", "-h"],
+        ["scan", "--help"],
+        ["scan", "-h", "--targets", "t"],
+        ["analyze", "--he"],
+        # --config before the subcommand
+        ["--config", "{good}", "scan", "--targets", "t"],
+        ["--config={good}", "gen-targets", "--mode", "bgp"],
+        ["--conf", "{good}", "demo"],
+        ["--config", "{good}", "demo"],
+        ["--config", "{good}", "--help"],
+        ["--config", "{good}", "scan", "-h"],
+        ["--config", "{good}", "scan"],
+        ["--config", "{bad}", "demo"],
+        ["--config", "{bad}", "scan", "--targets", "t"],
+        ["--config", "{unknown}", "analyze", "summarize"],
+        ["--config", "{missing}", "demo"],
+        # --config after it
+        ["scan", "--targets", "t", "--config", "{good}"],
+        ["demo", "--config", "{good}"],
+        ["demo", "--config", "{bad}"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_subcommand_parser_parses_as_the_full_one(argv, tmp_path, capsys):
+    configs = {
+        "good": {"version": 1, "gen-targets": {"seed": 3}, "scan": {"rate": 50, "passes": 2}},
+        "bad": {"version": 1, "scan": {"rate": "fast"}},
+        "unknown": {"version": 1, "analyze": {}},
+    }
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, config in configs.items():
+        paths[name] = write(tmp_path, f"{name}.json", json.dumps(config))
+    argv = [arg.format(**paths) for arg in argv]
+    assert parse_outcome(cli.parse_args, argv, capsys) == parse_outcome(full_parse, argv, capsys)
+
+
+def test_a_named_subcommand_builds_only_its_own_arguments():
+    parser = cli.build_parser(None, "scan")
+    (subcommands,) = parser._subparsers._group_actions
+    assert list(subcommands.choices) == ["scan"]
+    args = parser.parse_args(["scan", "--targets", "t.txt", "--rate", "10"])
+    assert (args.func, args.targets, args.rate) == (cli.cmd_scan, "t.txt", 10.0)
