@@ -13,7 +13,6 @@ still win.  `analyze` renders the analysis results as JSON and CSV reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -289,7 +288,7 @@ def cmd_scan(args) -> int:
     outputs = []
     try:
         for scan_pass in range(args.passes):
-            pass_cfg = dataclasses.replace(cfg, scan_pass=scan_pass)
+            pass_cfg = probe_engine.ProbeConfig(**{**cfg._asdict(), "scan_pass": scan_pass})
             path = _pass_path(args.output, scan_pass, args.passes) if args.output else None
             out, close = _open_out(path)
             replies = 0
@@ -500,10 +499,12 @@ _ANALYSES = {
 
 
 def cmd_analyze(args) -> int:
-    # Only this command reads analysis and csv, so only it imports them;
-    # the report builders above find `analysis` among the module's globals.
-    global analysis
+    # Only this command reads analysis, csv and dataclasses, so only it
+    # imports them; the report builders above find `analysis` and
+    # `dataclasses` among the module's globals.
+    global analysis, dataclasses
     import csv
+    import dataclasses
 
     from . import analysis
 

@@ -42,7 +42,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .target_gen import (
     Ipv6Prefix,
@@ -73,18 +73,21 @@ def _outside(address: int, subnet: Ipv6Prefix) -> ValueError:
     return ValueError(f"interface address {format_address(address)} not inside {subnet}")
 
 
-@dataclass(frozen=True)
-class Interface:
+class _Interface(NamedTuple):
     address: int
     subnet: Ipv6Prefix
 
-    def __post_init__(self):
-        if not self.subnet.covers_address(self.address):
-            raise _outside(self.address, self.subnet)
+
+class Interface(_Interface):
+    __slots__ = ()
+
+    def __new__(cls, address: int, subnet: Ipv6Prefix):
+        if not subnet.covers_address(address):
+            raise _outside(address, subnet)
+        return tuple.__new__(cls, (address, subnet))
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     prefix: Ipv6Prefix
     next_hop: str  # router id, "local", or "default"
 
@@ -105,22 +108,32 @@ def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor
         raise ValueError(f"unknown sra_source {sra_source!r}")
 
 
-@dataclass
 class SimRouter:
-    id: str
-    interfaces: list[Interface]
-    routes: list[Route] = field(default_factory=list)
-    error_rate: float = 10.0   # Destination Unreachable / Time Exceeded per second
-    error_burst: float = 10.0
-    sra_enabled: bool = True
-    replication_factor: int = 1
-    sra_source: str = "ingress"  # or "first_interface"
+    """One router of a topology built in Python.  Its fields stay
+    assignable: each Simulation compiles them when it is built."""
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        id: str,
+        interfaces: list[Interface],
+        routes: list[Route] | None = None,
+        error_rate: float = 10.0,  # Destination Unreachable / Time Exceeded per second
+        error_burst: float = 10.0,
+        sra_enabled: bool = True,
+        replication_factor: int = 1,
+        sra_source: str = "ingress",  # or "first_interface"
+    ):
         _check_router(
-            self.id, len(self.interfaces), self.error_rate, self.error_burst,
-            self.replication_factor, self.sra_source,
+            id, len(interfaces), error_rate, error_burst, replication_factor, sra_source
         )
+        self.id = id
+        self.interfaces = interfaces
+        self.routes = [] if routes is None else routes
+        self.error_rate = error_rate
+        self.error_burst = error_burst
+        self.sra_enabled = sra_enabled
+        self.replication_factor = replication_factor
+        self.sra_source = sra_source
 
     @property
     def canonical_address(self) -> int:
@@ -174,16 +187,14 @@ class SimTopology:
         return self._net if self._net is not None else _compile(topology_to_dict(self))
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """One packet handed back to the scanner at a virtual time."""
 
     time: float
     packet: bytes
 
 
-@dataclass(slots=True)
-class Delivery:
+class Delivery(NamedTuple):
     emissions: list[Emission]
     events: int
     budget_exceeded: bool

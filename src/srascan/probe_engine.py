@@ -24,8 +24,7 @@ import math
 import socket
 import struct
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .target_gen import format_address, parse_address, read_blocks
 
@@ -46,8 +45,7 @@ class TransportError(RuntimeError):
     """The transport failed mid-scan; partial results were flushed."""
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class _ProbeConfig(NamedTuple):
     send_rate: float = 200_000.0
     hop_limit: int = 64
     cooldown: float = 10.0
@@ -56,7 +54,12 @@ class ProbeConfig:
     scan_pass: int = 0  # goes into the ICMP identifier field
     shard: int = 0      # goes into the ICMP sequence field
 
-    def __post_init__(self):
+
+class ProbeConfig(_ProbeConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.send_rate) and self.send_rate > 0):
             raise ValueError("send_rate must be finite and > 0")
         if not 1 <= self.hop_limit <= 255:
@@ -69,6 +72,7 @@ class ProbeConfig:
             raise ValueError("source_address must be an IPv6 address")
         if not 0 <= self.scan_pass < (1 << 16) or not 0 <= self.shard < (1 << 16):
             raise ValueError("scan_pass and shard are 16-bit fields")
+        return self
 
 
 class ReplyKind(enum.Enum):
@@ -98,8 +102,7 @@ ERROR_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ReplyRecord:
+class ReplyRecord(NamedTuple):
     kind: ReplyKind
     icmp_type: int
     code: int
@@ -170,30 +173,27 @@ def _reply_block(block: list[str]) -> list[ReplyRecord]:
     the seven keys and bare addresses; raises on any other block.
 
     Each line goes through the C JSON scanner with no Python frame, and must
-    be used up to its end.  A record is built by handing it its attribute
-    dict: a frozen dataclass's __init__ sets each field through
-    object.__setattr__, which costs more than the rest of the record.
+    be used up to its end.  Each record is built by `tuple.__new__` from its
+    fields, which skips the Python frame of `ReplyRecord.__new__`.
     """
     lines = list(map(str.strip, block))
     records = []
     append = records.append
-    new, set_attr = object.__new__, object.__setattr__
+    new = tuple.__new__
     pton, af, from_bytes = socket.inet_pton, socket.AF_INET6, int.from_bytes
     for (d, end), line in zip(map(_scan_json, lines, [0] * len(lines)), lines):
         if end != len(line):
             raise ValueError("extra data after the JSON value")
         embedded = d["embedded_target"]
-        record = new(ReplyRecord)
-        set_attr(record, "__dict__", {
-            "kind": _KIND_BY_VALUE[d["kind"]],
-            "icmp_type": d["type"],
-            "code": d["code"],
-            "source": from_bytes(pton(af, d["src"]), "big"),
-            "embedded_target": None if embedded is None else from_bytes(pton(af, embedded), "big"),
-            "received_hop_limit": d["hop_limit"],
-            "timestamp": d["ts"],
-        })
-        append(record)
+        append(new(ReplyRecord, (
+            _KIND_BY_VALUE[d["kind"]],
+            d["type"],
+            d["code"],
+            from_bytes(pton(af, d["src"]), "big"),
+            None if embedded is None else from_bytes(pton(af, embedded), "big"),
+            d["hop_limit"],
+            d["ts"],
+        )))
     # A line with no JSON value at its start (a blank or # line) makes the
     # scanner raise StopIteration, which ends `map` early.
     if len(records) != len(lines):

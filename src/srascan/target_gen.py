@@ -8,12 +8,18 @@ of known-active host addresses.
 Generators are lazy: they yield targets one by one, as 128-bit integers,
 and never materialize a full target list, so prefix sets that expand to
 billions of addresses can be streamed to a sender or counted.  Each mode's
-plan is walked four ways: `gen_*` yields its addresses, `count_*` sums its
+plan is read four ways: `gen_*` yields its addresses, `plan_size` sums its
 sizes, `walk_records` yields each address as a `ProbeTarget` with the
 prefix and rule that produced it, and `plan_text` writes the probe list as
 text.  `take` cuts a plan to its first n targets.  Deduplication is exact
 and runs on interval arithmetic over subnet index space, not on per-address
 sets.
+
+The value types are NamedTuples, not dataclasses, because every command
+imports this module and importing `dataclasses` is a start-up cost each
+command would pay.  A checked type is a NamedTuple base plus a subclass
+whose `__new__` runs the checks; `_replace` and `_make` skip that
+`__new__`, so nothing calls them on a checked type.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ import operator
 import random
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 MAX128 = (1 << 128) - 1
 
@@ -54,27 +59,9 @@ _STAGE_SUBNET_LEN = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Ipv6Prefix:
-    """A canonical IPv6 prefix: `bits` is a 128-bit integer, host bits zero.
-
-    Non-canonical values (host bits set) are rejected rather than silently
-    masked, so a typo in routing data surfaces instead of generating a
-    bogus target range.
-    """
-
+class _Ipv6Prefix(NamedTuple):
     bits: int
     length: int
-
-    def __post_init__(self):
-        if not 0 <= self.length <= 128:
-            raise ValueError(f"prefix length {self.length} out of range 0..128")
-        if not 0 <= self.bits <= MAX128:
-            raise ValueError("prefix bits out of 128-bit range")
-        if self.bits & self.host_mask():
-            raise ValueError(
-                f"{format_address(self.bits)}/{self.length} has host bits set"
-            )
 
     def host_mask(self) -> int:
         return (1 << (128 - self.length)) - 1
@@ -108,6 +95,26 @@ class Ipv6Prefix:
 
     def __str__(self) -> str:
         return f"{format_address(self.bits)}/{self.length}"
+
+
+class Ipv6Prefix(_Ipv6Prefix):
+    """A canonical IPv6 prefix: `bits` is a 128-bit integer, host bits zero.
+
+    Non-canonical values (host bits set) are rejected rather than silently
+    masked, so a typo in routing data surfaces instead of generating a
+    bogus target range.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, length: int):
+        if not 0 <= length <= 128:
+            raise ValueError(f"prefix length {length} out of range 0..128")
+        if not 0 <= bits <= MAX128:
+            raise ValueError("prefix bits out of 128-bit range")
+        if bits & MAX128 >> length:
+            raise ValueError(f"{format_address(bits)}/{length} has host bits set")
+        return tuple.__new__(cls, (bits, length))
 
 
 _MISS = object()
@@ -179,26 +186,10 @@ class PrefixTable:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeTarget:
-    """One SRA address to probe, with provenance."""
-
+class _ProbeTarget(NamedTuple):
     address: int
     origin: Ipv6Prefix
     stage: Stage
-
-    def __post_init__(self):
-        sublen = self.subnet_length
-        if self.address & ((1 << (128 - sublen)) - 1):
-            raise ValueError(
-                f"target {format_address(self.address)} has host bits "
-                f"set below /{sublen}"
-            )
-        if not self.origin.covers_address(self.address):
-            raise ValueError(
-                f"target {format_address(self.address)} not covered by "
-                f"origin {self.origin}"
-            )
 
     @property
     def subnet_length(self) -> int:
@@ -208,16 +199,41 @@ class ProbeTarget:
         return format_address(self.address)
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class ProbeTarget(_ProbeTarget):
+    """One SRA address to probe, with provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, address: int, origin: Ipv6Prefix, stage: Stage):
+        shift = _shift(origin, stage)
+        if address & ((1 << shift) - 1):
+            raise ValueError(
+                f"target {format_address(address)} has host bits "
+                f"set below /{128 - shift}"
+            )
+        if not origin.covers_address(address):
+            raise ValueError(
+                f"target {format_address(address)} not covered by "
+                f"origin {origin}"
+            )
+        return tuple.__new__(cls, (address, origin, stage))
+
+
+class _GenerationConfig(NamedTuple):
     route6_samples_per_prefix: int = 10_000
     rng_seed: int = 0
 
-    def __post_init__(self):
+
+class GenerationConfig(_GenerationConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.route6_samples_per_prefix < 1:
             raise ValueError("route6_samples_per_prefix must be >= 1")
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
+        return self
 
 
 def format_address(address: int) -> str:
@@ -567,7 +583,7 @@ def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
 
 # A plan is an ordered iterable of (origin, stage, indices) entries.  `indices`
 # is a sized iterable of subnet indices at the stage's subnet length (a range
-# for the grid stages).  Each gen_* walks its plan and each count_* sums the
+# for the grid stages).  Each gen_* walks its plan and `plan_size` sums the
 # entry lengths of the same plan, so a count equals its stream's length.
 # `walk_records` walks the same plan with provenance.
 _PlanEntry = tuple[Ipv6Prefix, Stage, Collection[int]]
@@ -691,7 +707,10 @@ def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
 
 
 def stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
-    """One entry per distinct SRA address; the first prefix that has it wins."""
+    """One entry per distinct SRA address; the first prefix that has it wins.
+
+    Its size is the number of distinct SRA addresses among the prefixes.
+    """
     seen: set[int] = set()
     for p in prefixes:
         sra = p.sra
@@ -711,16 +730,12 @@ def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     yield from _walk(stage1_plan(prefixes))
 
 
-def count_stage1(prefixes: Iterable[Ipv6Prefix]) -> int:
-    """Exact size of the gen_stage1 stream."""
-    return plan_size(stage1_plan(prefixes))
-
-
 def stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     """Deduplicated /48 index ranges, in input order.
 
     A prefix longer than /48 contributes its /48 supernet only when no
-    announcement of length <= 48 covers that /48.
+    announcement of length <= 48 covers that /48.  Its size is exact, and
+    known without enumerating the /48s.
     """
     prefixes = _dedup_prefixes(prefixes)
     covered_le48 = _IntervalSet()
@@ -753,12 +768,8 @@ def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     yield from _walk(stage2_plan(prefixes))
 
 
-def count_stage2(prefixes: Iterable[Ipv6Prefix]) -> int:
-    """Exact size of the gen_stage2 stream, without enumerating it."""
-    return plan_size(stage2_plan(prefixes))
-
-
 def stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+    """One range of 2^16 /64 indices per distinct exact /48 input."""
     plan = []
     for p in _dedup_prefixes(prefixes):
         if p.length == 48:
@@ -775,11 +786,6 @@ def gen_stage3(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
     than the /64 grain this stage probes.
     """
     yield from _walk(stage3_plan(prefixes))
-
-
-def count_stage3(prefixes: Iterable[Ipv6Prefix]) -> int:
-    """Exact size of the gen_stage3 stream: 2^16 per distinct /48 input."""
-    return plan_size(stage3_plan(prefixes))
 
 
 def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
@@ -848,6 +854,8 @@ def route6_plan(
 
     Only a prefix that touches a contested region is sampled while planning,
     to find the indices an earlier prefix already drew; those are skipped.
+    Its size is therefore pure arithmetic for prefixes that do not overlap
+    any other input.
     """
     deduped = _dedup_prefixes(prefixes)
     contested = _route6_contested(deduped)
@@ -881,16 +889,8 @@ def gen_route6(
     yield from _walk(route6_plan(prefixes, cfg))
 
 
-def count_route6(prefixes: Iterable[Ipv6Prefix], cfg: GenerationConfig) -> int:
-    """Exact size of the gen_route6 stream.
-
-    Pure arithmetic for prefixes that do not overlap any other input; only
-    prefixes touching a contested region run their sampler.
-    """
-    return plan_size(route6_plan(prefixes, cfg))
-
-
 def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
+    """One entry per distinct /64 of the hitlist's addresses, in first-seen order."""
     seen: set[int] = set()
     for addr in addresses:
         idx = addr >> 64
@@ -902,11 +902,6 @@ def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
 def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
     """Mask active host addresses to their /64 and emit each SRA once."""
     yield from _walk(hitlist_plan(addresses))
-
-
-def count_hitlist(addresses: Iterable[int]) -> int:
-    """Number of distinct /64s in a hitlist."""
-    return plan_size(hitlist_plan(addresses))
 
 
 def bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
@@ -940,9 +935,9 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
     """Per-stage counts plus the deduplicated total for stages 1-3 combined."""
     prefixes = _dedup_prefixes(prefixes)
     return {
-        "stage1": count_stage1(prefixes),
-        "stage2": count_stage2(prefixes),
-        "stage3": count_stage3(prefixes),
+        "stage1": plan_size(stage1_plan(prefixes)),
+        "stage2": plan_size(stage2_plan(prefixes)),
+        "stage3": plan_size(stage3_plan(prefixes)),
         "deduplicated_total": plan_size(bgp_all_plan(prefixes)),
     }
 

@@ -48,12 +48,13 @@ from srascan.probe_engine import (
 )
 from srascan.target_gen import (
     GenerationConfig,
-    count_stage2,
-    count_stage3,
     gen_route6,
     gen_stage2,
     parse_address,
     parse_prefix,
+    plan_size,
+    stage2_plan,
+    stage3_plan,
 )
 
 
@@ -84,7 +85,7 @@ def test_c01_stage2_counts_match_brute_force(announce):
             for net in ipaddress.IPv6Network(f"2001:db8::/{length}").subnets(new_prefix=48)
         }
         assert set(emitted) == want
-    assert count_stage2([parse_prefix("2001:db8::/32")]) == 65536
+    assert plan_size(stage2_plan([parse_prefix("2001:db8::/32")])) == 65536
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     announce("C1 /48 grid counts match brute force for L=40..48 and L=32: PASS")
@@ -94,7 +95,7 @@ def test_c02_hundred_thousand_48s_count_to_6_5_billion(announce):
     start = time.perf_counter()
     base = parse_prefix("2000::/16").bits
     prefixes = (Ipv6Prefix(base | (i << 80), 48) for i in range(100_000))
-    total = count_stage3(prefixes)
+    total = plan_size(stage3_plan(prefixes))
     elapsed = time.perf_counter() - start
     assert total == 6_553_600_000
     assert elapsed < 300.0, f"took {elapsed:.2f}s"

@@ -1,21 +1,26 @@
-"""The benchmark's traced step still runs against this source tree.
+"""The benchmark's traced step, set-up probe and replay still run against
+this source tree.
 
 bench/tracer.py patches srascan's functions and methods by name
 (`ReplyRecord.to_json` and `from_json`, `build_echo_request`, `run_scan`,
 `classify_icmp`, the generators and the analysis functions), so a rename
-would break only `bench/run.py --trace 1`.  These tests run bench/step.py
-with --trace in a fresh interpreter, as the benchmark does, on the demo
-inputs.  They only read bench/: the interpreter writes no bytecode.
+would break only `bench/run.py --trace 1`.  bench/setup_probe.py and
+`bench/checks.replay` build srascan's types by field name, so a renamed
+field would fail only the benchmark.  These tests run the bench scripts in
+a fresh interpreter, as the benchmark does, on the demo inputs.  They only
+read bench/: no bytecode is written.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from srascan import cli
+from srascan import cli, target_gen
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,3 +85,34 @@ def test_traced_gen_targets_runs(demo):
         "--prefixes", "demo_subnets.txt", "-o", "traced.txt",
     ])
     assert trace["spans"]["cli.main"]["calls"] > 0
+
+
+def test_setup_probe_times_this_source_tree(demo):
+    result = demo / "setup.json"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "bench" / "setup_probe.py"), str(result),
+         "demo_topology.json", "1000"],
+        cwd=demo, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(result.read_text())
+    assert data["setup_s"] > 0
+    assert Path(data["srascan"]).is_relative_to(ROOT / "src")
+
+
+def test_the_benchmark_replay_matches_a_two_pass_scan(demo, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert cli.main([
+        "scan", "--targets", str(demo / "targets.txt"), "--sim-topology",
+        str(demo / "demo_topology.json"), "--passes", "2", "--rate", "1000",
+        "--secret", "0x5ec", "-o", str(demo / "replay.ndjson"),
+    ]) == 0
+    with open(demo / "targets.txt") as fh:
+        targets = list(target_gen.read_addresses(fh))
+    expected = checks.replay(demo / "demo_topology.json", targets, 2, 64, 0x5EC, 1000.0)
+    for scan_pass, lines in enumerate(expected):
+        written = (demo / f"replay.pass{scan_pass}.ndjson").read_text().splitlines()
+        assert written and Counter(written) == lines, scan_pass

@@ -131,10 +131,10 @@ class TestGenTargets:
 
     @gen_modes
     def test_text_output_builds_no_probe_target(self, demo, monkeypatch, mode):
-        def refuse(target):
+        def refuse(cls, *args):
             raise AssertionError("a ProbeTarget was built")
 
-        monkeypatch.setattr(target_gen.ProbeTarget, "__post_init__", refuse)
+        monkeypatch.setattr(target_gen.ProbeTarget, "__new__", refuse)
         argv = [
             "gen-targets", *mode, "--prefixes", str(demo / "demo_subnets.txt"),
             "--hitlist", write(demo, "h.txt", "2001:db8:100::1\n2001:db8:200:1::1\n"),
@@ -1026,19 +1026,29 @@ def test_the_package_runs_as_a_module_from_a_checkout():
     assert proc.stdout.startswith("usage: srascan")
 
 
-def test_importing_the_cli_leaves_what_only_some_commands_read_unloaded():
+def loaded_after(modules: str, names: set[str], *flags: str) -> str:
+    """The printed sorted list of `names` that `import modules` loads in a
+    fresh interpreter, which writes no bytecode."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = (
-        "import sys, srascan.cli; "
-        "print(sorted({'srascan.analysis', 'srascan.netsim', 'csv', 'datetime'}"
-        " & set(sys.modules)))"
-    )
+    code = f"import sys, {modules}; print(sorted({names!r} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-B", *flags, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_what_only_some_commands_read_unloaded():
+    names = {"srascan.analysis", "srascan.netsim", "csv", "datetime"}
+    assert loaded_after("srascan.cli", names) == "[]\n"
+
+
+def test_the_scan_path_imports_neither_dataclasses_nor_inspect():
+    # bench/setup_probe.py times these imports as every scan's set-up; -S
+    # keeps site's own imports out of the answer.
+    assert loaded_after("srascan.cli, srascan.netsim", {"dataclasses", "inspect"}, "-S") == "[]\n"
 
 
 def full_parse(argv):

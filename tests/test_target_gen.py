@@ -30,11 +30,6 @@ from srascan.target_gen import (
     Stage,
     bgp_all_plan,
     count_bgp_all,
-    count_hitlist,
-    count_route6,
-    count_stage1,
-    count_stage2,
-    count_stage3,
     exclude,
     format_address,
     gen_bgp_all,
@@ -47,6 +42,7 @@ from srascan.target_gen import (
     parse_address,
     parse_prefix,
     parse_target_line,
+    plan_size,
     read_addresses,
     read_prefixes,
     read_records,
@@ -507,7 +503,7 @@ def test_stage2_counts_by_brute_force(length):
     got = list(gen_stage2([P(prefix)]))
     assert len(got) == 1 << (48 - length)
     assert set(got) == expected
-    assert count_stage2([P(prefix)]) == len(expected)
+    assert plan_size(stage2_plan([P(prefix)])) == len(expected)
 
 
 def test_stage2_supernet_rule_for_more_specifics():
@@ -531,7 +527,7 @@ def test_stage2_nested_announcements_emit_union_once():
     got = list(gen_stage2([P(s) for s in prefixes]))
     assert len(got) == len(set(got))
     assert set(got) == oracle_stage2_set(prefixes)
-    assert count_stage2([P(s) for s in prefixes]) == len(got)
+    assert plan_size(stage2_plan([P(s) for s in prefixes])) == len(got)
 
 
 @st.composite
@@ -554,7 +550,7 @@ def test_stage2_matches_oracle_on_random_sets(prefixes):
     got = list(gen_stage2(prefixes))
     assert len(got) == len(set(got))
     assert set(got) == oracle_stage2_set(strs)
-    assert count_stage2(prefixes) == len(got)
+    assert plan_size(stage2_plan(prefixes)) == len(got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -567,7 +563,7 @@ def test_stage2_count_is_sum_over_nonoverlapping_inputs(blocks, data):
         base = addr("2001:db8::") | (b << (128 - 40))
         prefixes.append(Ipv6Prefix(base, length))
     expected = sum(1 << (48 - p.length) for p in prefixes)
-    assert count_stage2(prefixes) == expected
+    assert plan_size(stage2_plan(prefixes)) == expected
 
 
 def test_stage2_is_lazy_over_the_whole_space():
@@ -582,7 +578,7 @@ def test_stage3_only_exact_48s_contribute():
     got = list(gen_stage3(prefixes))
     assert len(got) == 65536
     assert set(got) == oracle_stage3_set([str(p) for p in prefixes])
-    assert count_stage3(prefixes) == 65536
+    assert plan_size(stage3_plan(prefixes)) == 65536
 
 
 def test_stage3_spot_values_and_dedup():
@@ -685,16 +681,16 @@ def test_route6_overlapping_inputs_never_repeat_addresses():
     assert len(got) == len(set(got)) == 4  # wide emits all 4, narrow adds nothing
     flipped = list(gen_route6([narrow, wide], cfg))
     assert len(flipped) == len(set(flipped)) == 4
-    assert count_route6([wide, narrow], cfg) == 4
-    assert count_route6([narrow, wide], cfg) == 4
+    assert plan_size(route6_plan([wide, narrow], cfg)) == 4
+    assert plan_size(route6_plan([narrow, wide], cfg)) == 4
 
 
 def test_count_route6_matches_generator_with_and_without_overlap():
     cfg = GenerationConfig(route6_samples_per_prefix=9, rng_seed=4)
     disjoint = [P("2001:db8:1::/48"), P("2001:db8:2::/48"), P("2001:db8:3:4::/64")]
-    assert count_route6(disjoint, cfg) == len(list(gen_route6(disjoint, cfg)))
+    assert plan_size(route6_plan(disjoint, cfg)) == len(list(gen_route6(disjoint, cfg)))
     overlapping = disjoint + [P("2001:db8:1:ff00::/56"), P("2001:db8:3:4:8000::/66")]
-    assert count_route6(overlapping, cfg) == len(list(gen_route6(overlapping, cfg)))
+    assert plan_size(route6_plan(overlapping, cfg)) == len(list(gen_route6(overlapping, cfg)))
 
 
 # --- hitlist -----------------------------------------------------------------
@@ -706,7 +702,7 @@ def test_hitlist_masks_to_64_and_dedups():
     (record,) = walk_records(hitlist_plan(addresses))
     assert record.stage is Stage.HITLIST_64
     assert record.origin == P("2001:db8:1:2::/64")
-    assert count_hitlist(addresses) == 1
+    assert plan_size(hitlist_plan(addresses)) == 1
 
 
 # --- combined bgp stages -----------------------------------------------------
@@ -761,18 +757,18 @@ def overlapping_prefixes(draw):
 
 _CFG = GenerationConfig(route6_samples_per_prefix=5, rng_seed=9)
 _COUNTED_GENERATORS = {
-    "stage1": (gen_stage1, count_stage1, stage1_plan),
-    "stage2": (gen_stage2, count_stage2, stage2_plan),
-    "stage3": (gen_stage3, count_stage3, stage3_plan),
+    "stage1": (gen_stage1, lambda ps: plan_size(stage1_plan(ps)), stage1_plan),
+    "stage2": (gen_stage2, lambda ps: plan_size(stage2_plan(ps)), stage2_plan),
+    "stage3": (gen_stage3, lambda ps: plan_size(stage3_plan(ps)), stage3_plan),
     "all": (gen_bgp_all, lambda ps: count_bgp_all(ps)["deduplicated_total"], bgp_all_plan),
     "route6": (
         lambda ps: gen_route6(ps, _CFG),
-        lambda ps: count_route6(ps, _CFG),
+        lambda ps: plan_size(route6_plan(ps, _CFG)),
         lambda ps: route6_plan(ps, _CFG),
     ),
     "hitlist": (
         lambda ps: gen_from_hitlist(p.bits | 7 for p in ps),
-        lambda ps: count_hitlist(p.bits | 7 for p in ps),
+        lambda ps: plan_size(hitlist_plan(p.bits | 7 for p in ps)),
         lambda ps: hitlist_plan(p.bits | 7 for p in ps),
     ),
 }
