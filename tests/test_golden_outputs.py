@@ -2,12 +2,13 @@
 
 The benchmark's own inputs (seed 1 of each workload in bench/workloads.py)
 go through the command lines bench/pipeline.py runs, plus the README's
-ten-minute tour, all through `cli.main` in this process.  Each output file,
-each stdout and each `--csv` is hashed; a scan manifest is hashed without
-its `created` time.  The digests must equal tests/golden_outputs.json, so a
-change that alters any output fails here, not only between two runs of one
-tree (C10).  On a mismatch the test prints the new digests: updating the
-file is a deliberate copy, named in CHANGES.md with its reason.
+ten-minute tour, all through `cli.main` in this process; each probe list is
+also written with `--ndjson`.  Each output file, each stdout and each
+`--csv` is hashed; a scan manifest is hashed without its `created` time.
+The digests must equal tests/golden_outputs.json, so a change that alters
+any output fails here, not only between two runs of one tree (C10).  On a
+mismatch the test prints the new digests: updating the file is a
+deliberate copy, named in CHANGES.md with its reason.
 """
 
 import hashlib
@@ -70,6 +71,7 @@ def workload_outputs(name: str, work: Path, capsys) -> dict[str, str]:
     gen = ["gen-targets", *inp.gen_args, "--prefixes", inp.prefixes]
     out.run("gen-count", gen + ["--count-only"])
     out.run("gen", gen + ["-o", "targets.txt"])
+    out.run("gen-ndjson", gen + ["--ndjson", "-o", "targets.ndjson"])
     out.run("scan", [
         "scan", "--targets", "targets.txt", "--transport", "sim",
         "--sim-topology", inp.topology, "--rate", str(RATE),
@@ -80,7 +82,7 @@ def workload_outputs(name: str, work: Path, capsys) -> dict[str, str]:
         ["replies.ndjson"] if w.passes == 1
         else [f"replies.pass{i}.ndjson" for i in range(w.passes)]
     )
-    for path in ["targets.txt", *replies]:
+    for path in ["targets.txt", "targets.ndjson", *replies]:
         out.file(path)
     for action in w.analyses:
         csv = f"{action}.csv"
@@ -98,6 +100,8 @@ def tour_outputs(capsys) -> dict[str, str]:
     out.run("demo", ["demo", "--into", "."])
     out.run("gen", ["gen-targets", "--mode", "bgp", "--stage", "2",
                     "--prefixes", "demo_subnets.txt", "-o", "targets.txt"])
+    out.run("gen-ndjson", ["gen-targets", "--mode", "bgp", "--stage", "2", "--ndjson",
+                           "--prefixes", "demo_subnets.txt", "-o", "targets.ndjson"])
     out.run("scan", ["scan", "--targets", "targets.txt", "--sim-topology",
                      "demo_topology.json", "--rate", "1000", "-o", "replies.ndjson",
                      "--manifest", "run.json"])
@@ -111,8 +115,9 @@ def tour_outputs(capsys) -> dict[str, str]:
         out.run(action, ["analyze", action, "--replies", "multi.pass0.ndjson",
                          "multi.pass1.ndjson", "--targets", "targets.txt",
                          "--aliased", "demo_aliased.txt", "--csv", f"{action}.csv"])
-    for name in ("targets.txt", "replies.ndjson", "run.json", "multi.pass0.ndjson",
-                 "multi.pass1.ndjson", "summarize.csv", "visibility.csv", "stability.csv"):
+    for name in ("targets.txt", "targets.ndjson", "replies.ndjson", "run.json",
+                 "multi.pass0.ndjson", "multi.pass1.ndjson", "summarize.csv",
+                 "visibility.csv", "stability.csv"):
         out.file(name)
     return out.digests
 
