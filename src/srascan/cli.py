@@ -158,6 +158,14 @@ def cmd_gen_targets(args) -> int:
         source = _load(args.prefixes, target_gen.read_prefixes)
         if args.mode == "route6":
             plan = target_gen.route6_plan(source, cfg)
+        elif args.stage == "all" and args.count_only:
+            # The per-stage counts, each stage planned once, then the total
+            # of the plan as --max-targets cuts it.
+            counts = target_gen.count_bgp_all(source)
+            if args.max_targets is not None:
+                counts["deduplicated_total"] = min(counts["deduplicated_total"], args.max_targets)
+            print(json.dumps(counts, indent=2))
+            return 0
         else:
             plan = {
                 "1": target_gen.stage1_plan,
@@ -169,19 +177,10 @@ def cmd_gen_targets(args) -> int:
         plan = target_gen.take(plan, args.max_targets)
 
     if args.count_only:
-        counts = target_gen.plan_size(plan)
-        if args.mode == "bgp" and args.stage == "all":
-            # The per-stage counts, then the total of the (cut) plan.
-            counts = {**target_gen.count_bgp_all(source), "deduplicated_total": counts}
-        print(json.dumps(counts, indent=2))
+        print(target_gen.plan_size(plan))
         return 0
 
-    # Only --ndjson needs provenance; the text path writes the plan's ints.
-    if args.ndjson:
-        records = map(target_gen.target_record, target_gen.walk_records(plan))
-        blocks = target_gen.line_blocks(map(json.dumps, records))
-    else:
-        blocks = target_gen.plan_text(plan)
+    blocks = (target_gen.plan_ndjson if args.ndjson else target_gen.plan_text)(plan)
     out, close = _open_out(args.output)
     try:
         out.writelines(blocks)

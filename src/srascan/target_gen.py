@@ -9,9 +9,9 @@ Generators are lazy: they yield targets one by one, as 128-bit integers,
 and never materialize a full target list, so prefix sets that expand to
 billions of addresses can be streamed to a sender or counted.  Each mode's
 plan is read four ways: `gen_*` yields its addresses, `plan_size` sums its
-sizes, `walk_records` yields each address as a `ProbeTarget` with the
-prefix and rule that produced it, and `plan_text` writes the probe list as
-text.  `take` cuts a plan to its first n targets.  Deduplication is exact
+sizes, `plan_text` writes the probe list as text, and `plan_ndjson` writes
+it as NDJSON records that name the prefix and rule that produced each
+address.  `take` cuts a plan to its first n targets.  Deduplication is exact
 and runs on interval arithmetic over subnet index space, not on per-address
 sets.
 
@@ -184,39 +184,6 @@ class PrefixTable:
             if address & mask in bucket:
                 return True
         return False
-
-
-class _ProbeTarget(NamedTuple):
-    address: int
-    origin: Ipv6Prefix
-    stage: Stage
-
-    @property
-    def subnet_length(self) -> int:
-        return _STAGE_SUBNET_LEN[self.stage] or self.origin.length
-
-    def __str__(self) -> str:
-        return format_address(self.address)
-
-
-class ProbeTarget(_ProbeTarget):
-    """One SRA address to probe, with provenance."""
-
-    __slots__ = ()
-
-    def __new__(cls, address: int, origin: Ipv6Prefix, stage: Stage):
-        shift = _shift(origin, stage)
-        if address & ((1 << shift) - 1):
-            raise ValueError(
-                f"target {format_address(address)} has host bits "
-                f"set below /{128 - shift}"
-            )
-        if not origin.covers_address(address):
-            raise ValueError(
-                f"target {format_address(address)} not covered by "
-                f"origin {origin}"
-            )
-        return tuple.__new__(cls, (address, origin, stage))
 
 
 class _GenerationConfig(NamedTuple):
@@ -585,7 +552,7 @@ def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
 # is a sized iterable of subnet indices at the stage's subnet length (a range
 # for the grid stages).  Each gen_* walks its plan and `plan_size` sums the
 # entry lengths of the same plan, so a count equals its stream's length.
-# `walk_records` walks the same plan with provenance.
+# Every target of an entry has the entry's origin and stage as provenance.
 _PlanEntry = tuple[Ipv6Prefix, Stage, Collection[int]]
 
 
@@ -598,14 +565,6 @@ def _walk(plan: Iterable[_PlanEntry]) -> Iterator[int]:
     return itertools.chain.from_iterable(
         map(_shift(origin, stage).__rlshift__, indices) for origin, stage, indices in plan
     )
-
-
-def walk_records(plan: Iterable[_PlanEntry]) -> Iterator[ProbeTarget]:
-    """The targets of `plan`, in walk order, each a validated ProbeTarget."""
-    for origin, stage, indices in plan:
-        shift = _shift(origin, stage)
-        for idx in indices:
-            yield ProbeTarget(idx << shift, origin, stage)
 
 
 def plan_size(plan: Iterable[_PlanEntry]) -> int:
@@ -688,6 +647,23 @@ def plan_text(plan: Iterable[_PlanEntry]) -> Iterator[str]:
                 yield from _grid_text(indices.start, indices.stop, _shift(origin, stage))
         else:
             yield from line_blocks(map(format_address, _walk(run)))
+
+
+def plan_ndjson(plan: Iterable[_PlanEntry]) -> Iterator[str]:
+    """The probe list of `plan` as NDJSON blocks: per target, in walk order,
+    `json.dumps({"address": ..., "origin": ..., "stage": ...})` on one line.
+
+    Each line is the address text `plan_text` writes for the target's entry,
+    between a fixed head and a tail built once per entry from its origin and
+    stage.  That equals `json.dumps` byte for byte, because address text,
+    prefix text and stage values are ASCII with nothing JSON escapes.
+    """
+    for entry in plan:
+        origin, stage, _ = entry
+        tail = f'", "origin": "{origin}", "stage": "{stage.value}"}}\n'
+        joint = tail + '{"address": "'
+        for block in plan_text([entry]):
+            yield '{"address": "' + block[:-1].replace("\n", joint) + tail
 
 
 def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
@@ -904,22 +880,29 @@ def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
     yield from _walk(hitlist_plan(addresses))
 
 
-def bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
-    """Stage 1, 2 and 3 plans, with the stage-1 SRAs cut from the later ranges.
+def _bgp_stage_plans(prefixes: Iterable[Ipv6Prefix]) -> tuple[list[_PlanEntry], ...]:
+    """The stage 1, 2 and 3 plans of the distinct prefixes."""
+    prefixes = _dedup_prefixes(prefixes)
+    return list(stage1_plan(prefixes)), stage2_plan(prefixes), stage3_plan(prefixes)
+
+
+def _join_stages(
+    stage1: list[_PlanEntry], stage2: list[_PlanEntry], stage3: list[_PlanEntry]
+) -> list[_PlanEntry]:
+    """The stage plans back to back, with the stage-1 SRAs cut from the later ranges.
 
     No stage-2 address falls in a stage-3 range except the base of an exact
     /48 announcement, and that is the announcement's own stage-1 SRA.
     """
-    prefixes = _dedup_prefixes(prefixes)
-    stage1 = list(stage1_plan(prefixes))
     sras = [origin.sra for origin, _, _ in stage1]
     cut48 = sorted({a >> 80 for a in sras if not a & ((1 << 80) - 1)})
     cut64 = sorted({a >> 64 for a in sras if not a & ((1 << 64) - 1)})
-    return (
-        stage1
-        + _cut(stage2_plan(prefixes), cut48)
-        + _cut(stage3_plan(prefixes), cut64)
-    )
+    return stage1 + _cut(stage2, cut48) + _cut(stage3, cut64)
+
+
+def bgp_all_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
+    """Stage 1, 2 and 3 plans, with the stage-1 SRAs cut from the later ranges."""
+    return _join_stages(*_bgp_stage_plans(prefixes))
 
 
 def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
@@ -932,20 +915,12 @@ def gen_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
 
 
 def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
-    """Per-stage counts plus the deduplicated total for stages 1-3 combined."""
-    prefixes = _dedup_prefixes(prefixes)
+    """Per-stage counts plus the deduplicated total for stages 1-3 combined,
+    from one build of each stage's plan."""
+    stage1, stage2, stage3 = _bgp_stage_plans(prefixes)
     return {
-        "stage1": plan_size(stage1_plan(prefixes)),
-        "stage2": plan_size(stage2_plan(prefixes)),
-        "stage3": plan_size(stage3_plan(prefixes)),
-        "deduplicated_total": plan_size(bgp_all_plan(prefixes)),
-    }
-
-
-def target_record(target: ProbeTarget) -> dict:
-    """NDJSON output format with provenance."""
-    return {
-        "address": format_address(target.address),
-        "origin": str(target.origin),
-        "stage": target.stage.value,
+        "stage1": plan_size(stage1),
+        "stage2": plan_size(stage2),
+        "stage3": plan_size(stage3),
+        "deduplicated_total": plan_size(_join_stages(stage1, stage2, stage3)),
     }

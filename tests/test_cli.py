@@ -39,18 +39,27 @@ def refuse_to_send(transport, packet):
 
 
 # Every generation mode, for tests that must hold in each.
-gen_modes = pytest.mark.parametrize(
-    "mode",
-    [
-        ["--mode", "bgp", "--stage", "1"],
-        ["--mode", "bgp", "--stage", "2"],
-        ["--mode", "bgp", "--stage", "3"],
-        ["--mode", "bgp", "--stage", "all"],
-        ["--mode", "route6", "--samples-per-prefix", "7", "--seed", "3"],
-        ["--mode", "hitlist"],
-    ],
-    ids=["bgp1", "bgp2", "bgp3", "bgpall", "route6", "hitlist"],
-)
+GEN_MODES = {
+    "bgp1": ["--mode", "bgp", "--stage", "1"],
+    "bgp2": ["--mode", "bgp", "--stage", "2"],
+    "bgp3": ["--mode", "bgp", "--stage", "3"],
+    "bgpall": ["--mode", "bgp", "--stage", "all"],
+    "route6": ["--mode", "route6", "--samples-per-prefix", "7", "--seed", "3"],
+    "hitlist": ["--mode", "hitlist"],
+}
+gen_modes = pytest.mark.parametrize("mode", list(GEN_MODES.values()), ids=list(GEN_MODES))
+
+# The plan each mode builds, of the prefixes and of the hitlist's addresses.
+MODE_PLANS = {
+    "bgp1": lambda prefixes, hits: target_gen.stage1_plan(prefixes),
+    "bgp2": lambda prefixes, hits: target_gen.stage2_plan(prefixes),
+    "bgp3": lambda prefixes, hits: target_gen.stage3_plan(prefixes),
+    "bgpall": lambda prefixes, hits: target_gen.bgp_all_plan(prefixes),
+    "route6": lambda prefixes, hits: target_gen.route6_plan(
+        prefixes, target_gen.GenerationConfig(route6_samples_per_prefix=7, rng_seed=3)
+    ),
+    "hitlist": lambda prefixes, hits: target_gen.hitlist_plan(hits),
+}
 
 
 class TestGenTargets:
@@ -129,22 +138,46 @@ class TestGenTargets:
             counted = counted["deduplicated_total"]
         assert counted == len(out.read_text().splitlines())
 
-    @gen_modes
-    def test_text_output_builds_no_probe_target(self, demo, monkeypatch, mode):
-        def refuse(cls, *args):
-            raise AssertionError("a ProbeTarget was built")
+    @pytest.mark.parametrize("max_targets", [None, 3, 65537])
+    @pytest.mark.parametrize("mode", GEN_MODES)
+    def test_ndjson_output_is_json_dumps_per_target(self, demo, mode, max_targets):
+        prefixes = demo / "demo_subnets.txt"
+        hitlist = write(demo, "h.txt", "2001:db8:100::1\n2001:db8:200:1::1\n")
+        argv = ["gen-targets", *GEN_MODES[mode], "--prefixes", str(prefixes),
+                "--hitlist", hitlist]
+        if max_targets is not None:
+            argv += ["--max-targets", str(max_targets)]
+        assert run(*argv, "-o", str(demo / "targets.txt")) == 0
+        assert run(*argv, "--ndjson", "-o", str(demo / "targets.ndjson")) == 0
+        # Each target's provenance is the origin and stage of its plan entry.
+        with open(prefixes) as p, open(hitlist) as h:
+            plan = MODE_PLANS[mode](
+                list(target_gen.read_prefixes(p)),
+                list(target_gen.read_records(h, target_gen.parse_address)),
+            )
+            provenance = [(str(origin), stage.value) for origin, stage, indices in plan
+                          for _ in indices]
+        addresses = (demo / "targets.txt").read_text().splitlines()
+        assert 0 < len(addresses) == min(len(provenance), max_targets or len(provenance))
+        expected = "".join(
+            json.dumps({"address": address, "origin": origin, "stage": stage}) + "\n"
+            for address, (origin, stage) in zip(addresses, provenance)
+        )
+        assert (demo / "targets.ndjson").read_text() == expected
 
-        monkeypatch.setattr(target_gen.ProbeTarget, "__new__", refuse)
-        argv = [
-            "gen-targets", *mode, "--prefixes", str(demo / "demo_subnets.txt"),
-            "--hitlist", write(demo, "h.txt", "2001:db8:100::1\n2001:db8:200:1::1\n"),
-        ]
-        out = demo / "targets.txt"
-        assert run(*argv, "-o", str(out)) == 0
-        assert out.read_text()
-        # The patch bites: provenance output does build ProbeTargets.
-        with pytest.raises(AssertionError, match="ProbeTarget"):
-            run(*argv, "--ndjson", "-o", str(out))
+    @pytest.mark.parametrize("max_targets", [[], ["--max-targets", "3"]])
+    def test_count_only_all_stages_plans_each_stage_once(self, demo, monkeypatch, max_targets):
+        calls = Counter()
+        for name in ("stage1_plan", "stage2_plan", "stage3_plan"):
+            def counted(prefixes, name=name, plan=getattr(target_gen, name)):
+                calls[name] += 1
+                return plan(prefixes)
+            monkeypatch.setattr(target_gen, name, counted)
+        assert run(
+            "gen-targets", "--mode", "bgp", "--stage", "all", "--count-only",
+            "--prefixes", str(demo / "demo_subnets.txt"), *max_targets,
+        ) == 0
+        assert calls == {"stage1_plan": 1, "stage2_plan": 1, "stage3_plan": 1}
 
     def test_negative_max_targets_is_refused(self, demo, capsys):
         assert run(

@@ -39,7 +39,7 @@ from srascan.probe_engine import (
     run_scan,
 )
 from srascan import target_gen
-from srascan.target_gen import ProbeTarget, Stage, format_address, parse_prefix, read_records
+from srascan.target_gen import format_address, read_records
 
 
 def addr(text: str) -> int:
@@ -131,13 +131,13 @@ def test_echo_request_passes_oracle_validation():
 
 
 def test_echo_request_carries_pass_and_shard():
-    t = ProbeTarget(addr("2001:db8:1::"), parse_prefix("2001:db8:1::/48"), Stage.BGP_48)
-    packet = build_echo_request(t.address, cfg(scan_pass=9, shard=2, secret=5))
+    target = addr("2001:db8:1::")
+    packet = build_echo_request(target, cfg(scan_pass=9, shard=2, secret=5))
     _, dst, _, _, payload = parse_ipv6(packet)
-    assert dst == t.address
+    assert dst == target
     ident, seq = int.from_bytes(payload[4:6], "big"), int.from_bytes(payload[6:8], "big")
     assert (ident, seq) == (9, 2)
-    assert decode_payload(payload[8:], 5) == t.address
+    assert decode_payload(payload[8:], 5) == target
 
 
 ALL_ONES = (1 << 128) - 1

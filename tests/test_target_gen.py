@@ -1,7 +1,7 @@
 """Target generation tests.
 
 Expected values come from independent oracles built on the ipaddress
-module (subnets/supernet enumeration), not from the code under test.
+module (tests/plan_oracle.py), not from the code under test.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plan_oracle
+from plan_oracle import oracle_64s, oracle_stage2_set, oracle_stage3_set
 from srascan import target_gen
 from srascan.target_gen import (
     MAX128,
     GenerationConfig,
     Ipv6Prefix,
     PrefixTable,
-    ProbeTarget,
     Stage,
     bgp_all_plan,
     count_bgp_all,
@@ -40,8 +41,10 @@ from srascan.target_gen import (
     gen_stage3,
     hitlist_plan,
     parse_address,
+    parse_addresses,
     parse_prefix,
     parse_target_line,
+    plan_ndjson,
     plan_size,
     read_addresses,
     read_prefixes,
@@ -50,8 +53,7 @@ from srascan.target_gen import (
     stage1_plan,
     stage2_plan,
     stage3_plan,
-    target_record,
-    walk_records,
+    take,
 )
 
 
@@ -63,39 +65,10 @@ def addr(text: str) -> int:
     return int(ipaddress.IPv6Address(text))
 
 
-# --- oracles -----------------------------------------------------------------
-
-
-def oracle_stage2_set(prefix_strs: list[str]) -> set[int]:
-    """Brute-force /48 partition using ipaddress arithmetic only."""
-    nets = [ipaddress.IPv6Network(s) for s in prefix_strs]
-    le48 = [n for n in nets if n.prefixlen <= 48]
-    out = set()
-    for n in le48:
-        for sub in n.subnets(new_prefix=48):
-            out.add(int(sub.network_address))
-    for n in nets:
-        if n.prefixlen > 48:
-            sup = n.supernet(new_prefix=48)
-            if not any(sup.subnet_of(m) for m in le48):
-                out.add(int(sup.network_address))
-    return out
-
-
-def oracle_stage3_set(prefix_strs: list[str]) -> set[int]:
-    out = set()
-    for s in prefix_strs:
-        n = ipaddress.IPv6Network(s)
-        if n.prefixlen != 48:
-            continue
-        for sub in n.subnets(new_prefix=64):
-            out.add(int(sub.network_address))
-    return out
-
-
-def oracle_64s(prefix_str: str) -> set[int]:
-    n = ipaddress.IPv6Network(prefix_str)
-    return {int(s.network_address) for s in n.subnets(new_prefix=64)}
+def ndjson_records(plan) -> list[dict]:
+    """The records of `plan`'s NDJSON probe list, decoded."""
+    lines = "".join(plan_ndjson(plan))
+    return json.loads("[" + lines.replace("\n", ",")[:-1] + "]") if lines else []
 
 
 # --- parsing and primitives --------------------------------------------------
@@ -253,15 +226,6 @@ def test_prefix_canonicality(bits, length):
     if bits & host_mask:
         with pytest.raises(ValueError):
             Ipv6Prefix(bits, length)
-
-
-def test_probe_target_validation():
-    origin = P("2001:db8::/32")
-    ProbeTarget(addr("2001:db8:5::"), origin, Stage.BGP_48)
-    with pytest.raises(ValueError):  # host bits below /48
-        ProbeTarget(addr("2001:db8::1"), origin, Stage.BGP_48)
-    with pytest.raises(ValueError):  # not covered by origin
-        ProbeTarget(addr("2001:dead::"), origin, Stage.BGP_48)
 
 
 def test_generation_config_validation():
@@ -477,9 +441,10 @@ def test_exclude_filters_a_shuffled_list():
 def test_stage1_one_target_per_distinct_prefix():
     prefixes = [P("2001:db8::/32"), P("2001:db8:1::/48"), P("2001:db8::/32")]
     assert list(gen_stage1(prefixes)) == [addr("2001:db8::"), addr("2001:db8:1::")]
-    records = list(walk_records(stage1_plan(prefixes)))
-    assert all(t.stage is Stage.BGP_AS_ANNOUNCED for t in records)
-    assert records[1].origin == P("2001:db8:1::/48")
+    entries = list(stage1_plan(prefixes))
+    assert [len(indices) for _, _, indices in entries] == [1, 1]
+    assert all(stage is Stage.BGP_AS_ANNOUNCED for _, stage, _ in entries)
+    assert entries[1][0] == P("2001:db8:1::/48")
 
 
 def test_stage1_collapses_shared_sra():
@@ -509,8 +474,8 @@ def test_stage2_counts_by_brute_force(length):
 def test_stage2_supernet_rule_for_more_specifics():
     # /56 alone: probe its covering /48
     assert list(gen_stage2([P("2001:db8:1:200::/56")])) == [addr("2001:db8:1::")]
-    (record,) = walk_records(stage2_plan([P("2001:db8:1:200::/56")]))
-    assert record.origin == P("2001:db8:1::/48")
+    (record,) = ndjson_records(stage2_plan([P("2001:db8:1:200::/56")]))
+    assert record["origin"] == "2001:db8:1::/48"
     # covered by an announcement of length <= 48: the /56 emits nothing extra
     both = list(gen_stage2([P("2001:db8:1:200::/56"), P("2001:db8::/32")]))
     assert len(both) == 65536
@@ -588,8 +553,8 @@ def test_stage3_spot_values_and_dedup():
     assert got[0] == addr("2001:db8:1::")
     assert got[1] == addr("2001:db8:1:1::")
     assert got[-1] == addr("2001:db8:1:ffff::")
-    records = list(islice(walk_records(stage3_plan(prefixes)), 4))
-    assert all(t.stage is Stage.BGP_64 for t in records)
+    records = ndjson_records(take(stage3_plan(prefixes), 4))
+    assert [r["stage"] for r in records] == ["bgp64"] * 4
 
 
 # --- route6 ------------------------------------------------------------------
@@ -612,8 +577,8 @@ def test_route6_longer_than_64_probes_supernet():
     cfg = GenerationConfig(rng_seed=1)
     prefixes = [P("2001:db8:1:2:8000::/72")]
     assert list(gen_route6(prefixes, cfg)) == [addr("2001:db8:1:2::")]
-    (record,) = walk_records(route6_plan(prefixes, cfg))
-    assert record.stage is Stage.ROUTE6_RANDOM_64
+    (record,) = ndjson_records(route6_plan(prefixes, cfg))
+    assert record["stage"] == "route6_random64"
 
 
 def test_route6_sample_size_and_distinctness():
@@ -699,9 +664,9 @@ def test_count_route6_matches_generator_with_and_without_overlap():
 def test_hitlist_masks_to_64_and_dedups():
     addresses = [addr("2001:db8:1:2:3::1"), addr("2001:db8:1:2:3::2")]
     assert list(gen_from_hitlist(addresses)) == [addr("2001:db8:1:2::")]
-    (record,) = walk_records(hitlist_plan(addresses))
-    assert record.stage is Stage.HITLIST_64
-    assert record.origin == P("2001:db8:1:2::/64")
+    (record,) = ndjson_records(hitlist_plan(addresses))
+    assert record["stage"] == "hitlist64"
+    assert record["origin"] == "2001:db8:1:2::/64"
     assert plan_size(hitlist_plan(addresses)) == 1
 
 
@@ -737,7 +702,13 @@ def test_bgp_all_counts_match_enumeration(data):
         prefixes.append(Ipv6Prefix(base & mask, length))
     got = list(gen_bgp_all(prefixes))
     assert len(got) == len(set(got))
-    assert count_bgp_all(prefixes)["deduplicated_total"] == len(got)
+    strs = texts(prefixes)
+    assert count_bgp_all(prefixes) == {
+        "stage1": len(plan_oracle.stage1(strs)),
+        "stage2": len(plan_oracle.stage2(strs)),
+        "stage3": len(plan_oracle.stage3(strs)),
+        "deduplicated_total": len(got),
+    }
 
 
 # --- counts against enumeration ---------------------------------------------
@@ -755,21 +726,81 @@ def overlapping_prefixes(draw):
     return out
 
 
+def texts(prefixes) -> list[str]:
+    """Each prefix's text, as ipaddress writes it."""
+    return [str(ipaddress.IPv6Network((p.bits, p.length))) for p in prefixes]
+
+
+def hits(prefixes) -> list[int]:
+    """A hitlist of one host address inside each prefix."""
+    return [p.bits | 7 for p in prefixes]
+
+
 _CFG = GenerationConfig(route6_samples_per_prefix=5, rng_seed=9)
+
+
+def route6_oracle(prefixes) -> list[tuple[int, str, str]]:
+    """route6's targets as plan_oracle lists them, composed from runs of one
+    prefix each.
+
+    Whatever else is in the list, a prefix of length L draws min(k, 2^(64-L))
+    distinct /64 anycast addresses inside its own (or, past /64, its /64
+    supernet's) range; the whole list keeps each address at the first prefix
+    that drew it.
+    """
+    k = _CFG.route6_samples_per_prefix
+    out, seen = [], set()
+    for p in dict.fromkeys(prefixes):
+        net = ipaddress.IPv6Network((p.bits, p.length))
+        if net.prefixlen > 64:
+            net = net.supernet(new_prefix=64)
+        alone = list(gen_route6([p], _CFG))
+        assert len(set(alone)) == len(alone) == min(k, 1 << (64 - net.prefixlen))
+        for address in alone:
+            assert address % (1 << 64) == 0 and ipaddress.IPv6Address(address) in net
+            if address not in seen:
+                seen.add(address)
+                out.append((address, str(net), "route6_random64"))
+    return out
+
+
+# name: (generator, count, plan, oracle), each of one prefix list
 _COUNTED_GENERATORS = {
-    "stage1": (gen_stage1, lambda ps: plan_size(stage1_plan(ps)), stage1_plan),
-    "stage2": (gen_stage2, lambda ps: plan_size(stage2_plan(ps)), stage2_plan),
-    "stage3": (gen_stage3, lambda ps: plan_size(stage3_plan(ps)), stage3_plan),
-    "all": (gen_bgp_all, lambda ps: count_bgp_all(ps)["deduplicated_total"], bgp_all_plan),
+    "stage1": (
+        gen_stage1,
+        lambda ps: plan_size(stage1_plan(ps)),
+        stage1_plan,
+        lambda ps: plan_oracle.stage1(texts(ps)),
+    ),
+    "stage2": (
+        gen_stage2,
+        lambda ps: plan_size(stage2_plan(ps)),
+        stage2_plan,
+        lambda ps: plan_oracle.stage2(texts(ps)),
+    ),
+    "stage3": (
+        gen_stage3,
+        lambda ps: plan_size(stage3_plan(ps)),
+        stage3_plan,
+        lambda ps: plan_oracle.stage3(texts(ps)),
+    ),
+    "all": (
+        gen_bgp_all,
+        lambda ps: count_bgp_all(ps)["deduplicated_total"],
+        bgp_all_plan,
+        lambda ps: plan_oracle.bgp_all(texts(ps)),
+    ),
     "route6": (
         lambda ps: gen_route6(ps, _CFG),
         lambda ps: plan_size(route6_plan(ps, _CFG)),
         lambda ps: route6_plan(ps, _CFG),
+        route6_oracle,
     ),
     "hitlist": (
-        lambda ps: gen_from_hitlist(p.bits | 7 for p in ps),
-        lambda ps: plan_size(hitlist_plan(p.bits | 7 for p in ps)),
-        lambda ps: hitlist_plan(p.bits | 7 for p in ps),
+        lambda ps: gen_from_hitlist(hits(ps)),
+        lambda ps: plan_size(hitlist_plan(hits(ps))),
+        lambda ps: hitlist_plan(hits(ps)),
+        lambda ps: plan_oracle.hitlist(str(ipaddress.IPv6Address(a)) for a in hits(ps)),
     ),
 }
 
@@ -778,17 +809,17 @@ _COUNTED_GENERATORS = {
 @settings(max_examples=25, deadline=None)
 @given(prefixes=overlapping_prefixes())
 def test_every_count_equals_its_stream_length(name, prefixes):
-    gen, count, plan = _COUNTED_GENERATORS[name]
+    gen, count, plan, oracle = _COUNTED_GENERATORS[name]
+    want = oracle(prefixes)
     got = list(gen(prefixes))
     assert len(got) == len(set(got))
-    assert count(prefixes) == len(got)
-    # The records walker yields the same addresses, in order, with provenance
-    # that passes ProbeTarget's validation when built again.
-    records = list(walk_records(plan(prefixes)))
-    assert [t.address for t in records] == got
-    for t in records:
-        assert type(t) is ProbeTarget
-        assert ProbeTarget(t.address, t.origin, t.stage) == t
+    assert got == [address for address, _, _ in want]
+    assert count(prefixes) == plan_size(plan(prefixes)) == len(want)
+    # The NDJSON probe list names, per target, the prefix and rule that
+    # produced it.
+    records = ndjson_records(plan(prefixes))
+    addresses = parse_addresses([r["address"] for r in records])
+    assert [(a, r["origin"], r["stage"]) for a, r in zip(addresses, records)] == want
 
 
 # --- longest-prefix match ----------------------------------------------------
@@ -815,11 +846,9 @@ def test_prefix_table_stored_none_shadows_a_shorter_prefix():
 def test_output_formats():
     prefixes = [P("2001:db8:2::/47")]
     assert format_address(next(gen_stage2(prefixes))) == "2001:db8:2::"
-    assert target_record(next(walk_records(stage2_plan(prefixes)))) == {
-        "address": "2001:db8:2::",
-        "origin": "2001:db8:2::/47",
-        "stage": "bgp48",
-    }
+    assert "".join(plan_ndjson(take(stage2_plan(prefixes), 1))) == (
+        '{"address": "2001:db8:2::", "origin": "2001:db8:2::/47", "stage": "bgp48"}\n'
+    )
 
 
 # --- probe-list text ---------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from srascan.netsim import Delivery, Emission, Interface, Route, SimRouter
 from srascan.probe_engine import ProbeConfig, ReplyKind, ReplyRecord
-from srascan.target_gen import GenerationConfig, Ipv6Prefix, ProbeTarget, Stage, parse_prefix
+from srascan.target_gen import GenerationConfig, Ipv6Prefix, parse_prefix
 
 
 def addr(text: str) -> int:
@@ -36,12 +36,6 @@ CASES = {
         "bits",
         lambda: Ipv6Prefix(0, 129),
         "prefix length 129 out of range 0..128",
-    ),
-    "ProbeTarget": (
-        lambda: ProbeTarget(addr("2001:db8:5::"), NET, Stage.BGP_48),
-        "address",
-        lambda: ProbeTarget(addr("2001:dead::"), NET, Stage.BGP_48),
-        "target 2001:dead:: not covered by origin 2001:db8::/32",
     ),
     "GenerationConfig": (
         lambda: GenerationConfig(rng_seed=7),
