@@ -112,16 +112,19 @@ def _config_value(path, section: str, action, value):
 # --- shared input helpers ---------------------------------------------------------
 
 
-def _load(path, read, *args) -> list:
-    """`read(lines, *args)` over a line-oriented input file, as a list.
+def _load(path, read, *args, into=list):
+    """`read(lines, *args)` over the lines of a line-oriented input file,
+    collected by `into`.
 
     `read` is `target_gen.read_addresses` for a probe list,
-    `target_gen.read_prefixes` for a prefix file, `probe_engine.read_replies`
-    for a reply file, or `target_gen.read_records` with the parser of one line.
+    `target_gen.read_hitlist` for a hitlist, `target_gen.read_prefixes` for a
+    prefix file, `probe_engine.read_replies` for a reply file, or
+    `target_gen.read_records` with the parser of one line.  The lines come
+    from `target_gen.text_lines`, a decoded chunk at a time.
     """
     try:
         with open(path) as fh:
-            return list(read(fh, *args))
+            return into(read(target_gen.text_lines(fh), *args))
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:
@@ -150,7 +153,7 @@ def cmd_gen_targets(args) -> int:
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
-        source = _load(args.hitlist, target_gen.read_records, target_gen.parse_address)
+        source = _load(args.hitlist, target_gen.read_hitlist)
         plan = target_gen.hitlist_plan(source)
     else:
         if not args.prefixes:
@@ -498,11 +501,9 @@ _ANALYSES = {
 
 
 def cmd_analyze(args) -> int:
-    # Only this command reads analysis, csv and dataclasses, so only it
-    # imports them; the report builders above find `analysis` and
-    # `dataclasses` among the module's globals.
+    # Only this command reads analysis and dataclasses, so only it imports
+    # them; the report builders above find them among the module's globals.
     global analysis, dataclasses
-    import csv
     import dataclasses
 
     from . import analysis
@@ -514,7 +515,7 @@ def cmd_analyze(args) -> int:
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
         # One set for every reply file: match_replies keeps a frozenset uncopied.
-        targets = frozenset(_load(args.targets, target_gen.read_addresses))
+        targets = _load(args.targets, target_gen.read_addresses, into=frozenset)
 
     try:
         report, header, rows = _ANALYSES[args.action](args, targets)
@@ -522,6 +523,8 @@ def cmd_analyze(args) -> int:
         raise CliError(str(exc)) from None
     print(json.dumps(report, indent=2))
     if args.csv:
+        import csv  # only --csv writes CSV
+
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)

@@ -176,12 +176,11 @@ def _reply_block(block: list[str]) -> list[ReplyRecord]:
     be used up to its end.  Each record is built by `tuple.__new__` from its
     fields, which skips the Python frame of `ReplyRecord.__new__`.
     """
-    lines = list(map(str.strip, block))
     records = []
     append = records.append
     new = tuple.__new__
     pton, af, from_bytes = socket.inet_pton, socket.AF_INET6, int.from_bytes
-    for (d, end), line in zip(map(_scan_json, lines, [0] * len(lines)), lines):
+    for (d, end), line in zip(map(_scan_json, block, [0] * len(block)), block):
         if end != len(line):
             raise ValueError("extra data after the JSON value")
         embedded = d["embedded_target"]
@@ -194,9 +193,9 @@ def _reply_block(block: list[str]) -> list[ReplyRecord]:
             d["hop_limit"],
             d["ts"],
         )))
-    # A line with no JSON value at its start (a blank or # line) makes the
-    # scanner raise StopIteration, which ends `map` early.
-    if len(records) != len(lines):
+    # A line with no JSON value at its start (a blank, # or padded line)
+    # makes the scanner raise StopIteration, which ends `map` early.
+    if len(records) != len(block):
         raise ValueError("a line holds no JSON value")
     return records
 
@@ -205,9 +204,10 @@ def read_replies(lines: Iterable[str]) -> Iterator[ReplyRecord]:
     """The records of a reply file: `read_records(lines, ReplyRecord.from_json)`,
     decoded a block of lines at a time.
 
-    A block that holds anything but plain record lines (a blank, # or scoped
-    line, or a bad one) is parsed line by line (`read_blocks`), so it yields
-    the same records, or names the same `line N`, as `from_json`.
+    A block that holds anything but plain record lines (a blank, #, scoped
+    or padded line, or a bad one) is parsed line by line (`read_blocks`),
+    so it yields the same records, or names the same `line N`, as
+    `from_json`.
     """
     return read_blocks(lines, _reply_block, ReplyRecord.from_json)
 

@@ -25,8 +25,10 @@ whose `__new__` runs the checks; `_replace` and `_make` skip that
 from __future__ import annotations
 
 import bisect
+import codecs
 import enum
 import hashlib
+import io
 import ipaddress
 import itertools
 import json
@@ -244,6 +246,10 @@ def parse_prefix(text: str) -> Ipv6Prefix:
     if "/" in text:
         addr_part, _, len_part = text.partition("/")
         try:
+            # ASCII decimal only, as ipaddress reads a length: int() would
+            # also take "4_8", "+48", " 48" and other scripts' digits.
+            if not (len_part.isascii() and len_part.isdigit()):
+                raise ValueError
             length = int(len_part)
         except ValueError:
             raise ValueError(f"bad prefix length {len_part!r}") from None
@@ -289,6 +295,45 @@ def parse_target_line(line: str) -> int:
 # written per block of `plan_text`.
 READ_BLOCK = 4096
 
+# Bytes of a file decoded per step of `text_lines`: the chunk TextIOWrapper
+# decodes as it iterates a file, so a decode error stops both after the
+# same lines.
+LINE_CHUNK = 8192
+
+
+def text_lines(fh) -> Iterator[str]:
+    """The lines of text file `fh`, without their newlines: the lines that
+    iterating `fh` gives, with universal newlines, less each line's "\n".
+
+    The file is read and decoded LINE_CHUNK bytes at a time, and each chunk
+    is split once; the lines are flattened in C, so no Python frame is
+    resumed per line.
+    """
+    return itertools.chain.from_iterable(_chunk_lines(fh))
+
+
+def _chunk_lines(fh) -> Iterator[list[str]]:
+    """The lines that each chunk of `fh` completes, for `text_lines`."""
+    decode = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(fh.encoding)(fh.errors), translate=True
+    ).decode
+    read = fh.buffer.read
+    # The pieces of the partial line that ends the text decoded so far,
+    # joined once its newline comes, so a long line costs linear time.
+    tail: list[str] = []
+    while chunk := read(LINE_CHUNK):
+        lines = decode(chunk).split("\n")
+        if len(lines) == 1:
+            tail += lines
+            continue
+        lines[0] = "".join(tail) + lines[0]
+        tail = [lines.pop()]
+        yield lines
+    lines = ("".join(tail) + decode(b"", True)).split("\n")
+    if not lines[-1]:
+        lines.pop()  # the file ends with a newline, or is empty
+    yield lines
+
 
 def read_blocks(
     lines: Iterable[str],
@@ -297,11 +342,13 @@ def read_blocks(
 ) -> Iterator:
     """`read_records(lines, parse_line)`, parsed READ_BLOCK lines at a time.
 
-    `parse_block` turns a block of raw lines into its values at once, and
-    raises on any block it does not take whole.  Such a block is parsed
-    again line by line, so it yields the same values, or raises the same
-    error, as `read_records`.  The blocks are flattened in C, so no Python
-    frame is resumed per value.
+    `parse_block` turns a block of lines into its values at once, and raises
+    on any block it does not take whole.  It takes each line as it is, so
+    any line with surrounding whitespace, such as a raw file line with its
+    newline, makes it raise.  Such a block is parsed again line by line,
+    so it yields the same values, or raises the same error, as
+    `read_records`.  The blocks are flattened in C, so no Python frame is
+    resumed per value.
     """
     return itertools.chain.from_iterable(_blocks(iter(lines), parse_block, parse_line))
 
@@ -334,7 +381,7 @@ def _address_block(block: list[str]) -> list[int]:
     """A block of bare addresses through inet_pton, with no Python frame per line."""
     return list(map(
         int.from_bytes,
-        map(socket.inet_pton, itertools.repeat(socket.AF_INET6), map(str.strip, block)),
+        map(socket.inet_pton, itertools.repeat(socket.AF_INET6), block),
         itertools.repeat("big"),
     ))
 
@@ -355,17 +402,25 @@ def read_addresses(lines: Iterable[str]) -> Iterator[int]:
     """The addresses of a probe list: `read_records(lines, parse_target_line)`,
     parsed a block of lines at a time.
 
-    A block that holds anything but bare addresses (a blank, #, NDJSON or
-    scoped line, or a bad one) is parsed line by line (`read_blocks`).
+    A block that holds anything but bare addresses (a blank, #, NDJSON,
+    scoped or padded line, or a bad one) is parsed line by line
+    (`read_blocks`).
     """
     return read_blocks(lines, _address_block, parse_target_line)
 
 
+def read_hitlist(lines: Iterable[str]) -> Iterator[int]:
+    """The addresses of a hitlist: `read_records(lines, parse_address)`,
+    parsed a block of lines at a time as `read_addresses` parses them."""
+    return read_blocks(lines, _address_block, parse_address)
+
+
 def _prefix_columns(block: list[str]) -> tuple[list[int], list[int]]:
     """The bits and the lengths of a block of `address/length` lines, each
-    address through inet_pton."""
-    texts = map(str.partition, map(str.strip, block), itertools.repeat("/"))
-    addresses, _, lengths = zip(*texts)
+    address through inet_pton and each length ASCII decimal."""
+    addresses, _, lengths = zip(*map(str.partition, block, itertools.repeat("/")))
+    if not (all(map(str.isdigit, lengths)) and "".join(lengths).isascii()):
+        raise ValueError("a prefix length is not ASCII decimal")
     bits = map(
         int.from_bytes,
         map(socket.inet_pton, itertools.repeat(socket.AF_INET6), addresses),
@@ -402,8 +457,9 @@ def read_prefixes(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
     """The prefixes of a prefix file: `read_records(lines, parse_prefix)`,
     parsed a block of lines at a time.
 
-    A block that holds anything but `address/length` lines (a blank, # or
-    bare-address line, or a bad one) is parsed line by line (`read_blocks`).
+    A block that holds anything but `address/length` lines (a blank, #,
+    bare-address or padded line, or a bad one) is parsed line by line
+    (`read_blocks`).
     """
     return read_blocks(lines, _prefix_block, parse_prefix)
 

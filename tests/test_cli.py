@@ -13,6 +13,8 @@ from collections import Counter, deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
 from srascan import cli, netsim, probe_engine, target_gen
@@ -1048,6 +1050,205 @@ class TestDemo:
         }
 
 
+# --- line-oriented inputs ------------------------------------------------------
+
+CHUNK = 8192  # the bytes TextIOWrapper decodes at a time as it iterates a file
+
+
+def reference_read(path, parse):
+    """What `read_records` gives over the iterated file, or its error as
+    `_load` reports it."""
+    try:
+        with open(path) as fh:
+            return list(target_gen.read_records(fh, parse))
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+def lines_until_error(lines) -> list[str]:
+    """The lines read, then the error that stopped the reading, if any."""
+    read = []
+    try:
+        read.extend(lines)
+    except UnicodeDecodeError as exc:
+        read.append(f"{type(exc).__name__}: {exc}")
+    return read
+
+
+def loaded(path, read):
+    try:
+        return cli._load(path, read)
+    except cli.CliError as exc:
+        return str(exc)
+
+
+_addresses = st.integers(0, (1 << 128) - 1)
+_REPLY_LINES = TestGenTargets.reply_lines(10)[0]
+
+# Each reader of _load, the parser of one of its lines, and its valid lines.
+LINE_READERS = {
+    "addresses": (
+        target_gen.read_addresses,
+        target_gen.parse_target_line,
+        st.one_of(
+            _addresses.map(target_gen.format_address),
+            _addresses.map(lambda a: json.dumps({"address": target_gen.format_address(a)})),
+        ),
+    ),
+    "hitlist": (
+        target_gen.read_hitlist,
+        target_gen.parse_address,
+        st.one_of(_addresses.map(target_gen.format_address), st.just("fe80::1%eth0")),
+    ),
+    "prefixes": (
+        target_gen.read_prefixes,
+        target_gen.parse_prefix,
+        st.builds(
+            lambda a, n: f"{target_gen.format_address(a >> (128 - n) << (128 - n))}/{n}",
+            _addresses, st.integers(0, 128),
+        ),
+    ),
+    "replies": (
+        probe_engine.read_replies,
+        probe_engine.ReplyRecord.from_json,
+        st.sampled_from(_REPLY_LINES),
+    ),
+}
+
+LINE_KINDS = [
+    "valid", "valid", "run", "padded", "blank", "spaces", "comment", "bad",
+    "non-ascii", "long", "straddle", "crlf", "undecodable",
+]
+SPECIAL_LINES = {
+    "blank": "",
+    "spaces": " \t ",
+    "comment": "# note",
+    "bad": "zz",
+    "non-ascii": "# \u00e9\u20ac\U0001f600",
+    "long": "#" + "x" * (2 * CHUNK + 100),  # holds a chunk with no newline
+}
+
+
+@st.composite
+def line_files(draw, valid):
+    """The bytes of a line-oriented input: valid lines alone and in runs,
+    padded, blank, # and bad lines, non-ASCII text, a line longer than a
+    chunk or two, a multi-byte character or a CRLF that straddles a chunk boundary
+    and a byte that is not UTF-8; LF, CRLF or lone-CR endings, and maybe no
+    newline at the end."""
+    out = bytearray()
+    ending = b""
+    for kind in draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12)):
+        ending = draw(st.sampled_from(["\n", "\r\n", "\r"])).encode()
+        if kind == "valid":
+            text = draw(valid).encode()
+        elif kind == "run":
+            text = ending.join([draw(valid).encode()] * draw(st.integers(1, 400)))
+        elif kind == "padded":
+            text = f" {draw(valid)}\t".encode()
+        elif kind == "straddle":
+            # `before` bytes of the character end one chunk, the rest start the next.
+            char = draw(st.sampled_from(["\u00e9", "\u20ac", "\U0001f600"])).encode()
+            before = draw(st.integers(1, len(char) - 1))
+            text = b"#" + b"a" * (-(len(out) + 1 + before) % CHUNK) + char
+        elif kind == "crlf":
+            # The CR ends one chunk, the LF starts the next.
+            text = b"#" + b"a" * ((CHUNK - 1 - (len(out) + 1)) % CHUNK)
+            ending = b"\r\n"
+        elif kind == "undecodable":
+            text = b"\xff"
+        else:
+            text = SPECIAL_LINES[kind].encode()
+        out += text + ending
+    if draw(st.booleans()):
+        del out[len(out) - len(ending):]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines") / "input.txt"
+
+
+@pytest.mark.parametrize("name", list(LINE_READERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_load_reads_what_iterating_the_file_reads(name, data, input_path):
+    """Read a decoded chunk at a time, a file gives each reader the values,
+    the `line N` error or the decode error that iterating it line by line
+    gives `read_records`."""
+    read, parse, valid = LINE_READERS[name]
+    input_path.write_bytes(data.draw(line_files(valid)))
+    with open(input_path) as fh, open(input_path) as iterated:
+        assert fh._CHUNK_SIZE == CHUNK
+        assert lines_until_error(target_gen.text_lines(fh)) == lines_until_error(
+            line.removesuffix("\n") for line in iterated
+        )
+    assert loaded(input_path, read) == reference_read(input_path, parse)
+
+
+@pytest.mark.parametrize("shift,raised", [(0, "line 2002: "), (1, "'utf-8' codec")])
+def test_a_bad_line_ending_a_chunk_is_named_before_an_undecodable_byte_in_the_next(
+    tmp_path, capsys, shift, raised
+):
+    """A line whose newline ends the first chunk is read before the second
+    chunk is decoded; one byte later, the decode error comes first."""
+    head = "::1\n" * 2000 + "#" + "a" * (CHUNK + shift - 8000 - 5) + "\n"
+    path = tmp_path / "targets.txt"
+    path.write_bytes((head + "zz\n::2\n").encode() + b"\xff\n")
+    assert len(head) + 3 == CHUNK + shift
+    assert run("scan", "--targets", str(path), "--sim-topology", "unread.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {reference_read(path, target_gen.parse_target_line)}\n"
+    assert err.startswith(f"error: {path}: {raised}")
+
+
+@pytest.mark.parametrize("length", ["4_8", "+48", " 48", "\u0664\u0668"])
+@pytest.mark.parametrize("where", ["prefixes", "exclude", "subnet"])
+def test_a_prefix_length_that_is_not_ascii_decimal_is_refused(
+    demo, capsys, monkeypatch, where, length
+):
+    """int() reads each of these lengths as 48; a prefix file, --exclude and
+    a topology subnet refuse it, as ipaddress does."""
+    monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+    topology = demo / "demo_topology.json"
+    scan = [
+        "scan", "--targets", write(demo, "t.txt", "2001:db8:100::\n"),
+        "--sim-topology", str(topology), "-o", str(demo / "r.ndjson"),
+    ]
+    bad = f"2001:db8:300::/{length}"
+    if where == "subnet":
+        topology.write_text(topology.read_text().replace('"2001:db8:300::/48"', json.dumps(bad)))
+        argv, source = scan, str(topology)
+    else:
+        path = write(demo, "p.txt", f"2001:db8:100::/40\n{bad}\n")
+        argv = ["gen-targets", "--mode", "bgp", "--prefixes", path]
+        if where == "exclude":
+            argv = [*scan, "--exclude", path]
+        source = f"{path}: line 2"
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {source}: bad prefix length {length!r}\n"
+
+
+def test_padded_prefix_lines_load_through_the_stripping_parse(demo, capsys):
+    """Whitespace after a length leaves the block path to the per-line
+    parse, which strips it: the padded prefix file gives the same targets,
+    and a padded --exclude line still excludes."""
+    clean = (demo / "demo_subnets.txt").read_text().splitlines()
+    padded = write(demo, "padded.txt", "".join(f"{line} \n" for line in clean))
+    outputs = []
+    for path in (str(demo / "demo_subnets.txt"), padded):
+        assert run("gen-targets", "--mode", "bgp", "--prefixes", path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+    exclude = write(demo, "exclude.txt", "2001:db8::/32\t\n")
+    assert run(
+        "scan", "--targets", write(demo, "t.txt", "2001:db8:100::\n"), "--exclude", exclude,
+        "--sim-topology", str(demo / "demo_topology.json"), "-o", str(demo / "r.ndjson"),
+    ) == 0
+    assert "excluded 1 of 1" in capsys.readouterr().err
+
+
 def test_the_package_runs_as_a_module_from_a_checkout():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -1082,6 +1283,22 @@ def test_the_scan_path_imports_neither_dataclasses_nor_inspect():
     # bench/setup_probe.py times these imports as every scan's set-up; -S
     # keeps site's own imports out of the answer.
     assert loaded_after("srascan.cli, srascan.netsim", {"dataclasses", "inspect"}, "-S") == "[]\n"
+
+
+@pytest.mark.parametrize("csv_flag,imported", [([], "False"), (["--csv", "s.csv"], "True")])
+def test_analyze_imports_csv_only_to_write_csv(demo, csv_flag, imported):
+    src = Path(__file__).resolve().parent.parent / "src"
+    write(demo, "t.txt", "2001:db8:100::\n")
+    write(demo, "r.ndjson", "")
+    code = "import sys; from srascan import cli; print(cli.main(sys.argv[1:]), 'csv' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code,
+         "analyze", "summarize", "--replies", "r.ndjson", "--targets", "t.txt", *csv_flag],
+        cwd=demo, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {imported}"
 
 
 def full_parse(argv):

@@ -47,6 +47,7 @@ from srascan.target_gen import (
     plan_ndjson,
     plan_size,
     read_addresses,
+    read_hitlist,
     read_prefixes,
     read_records,
     route6_plan,
@@ -100,6 +101,29 @@ def test_parse_bare_address_is_slash_128():
 def test_parse_prefix_rejects(bad):
     with pytest.raises(ValueError):
         parse_prefix(bad)
+
+
+@pytest.mark.parametrize("length", ["4_8", "+48", " 48", "\u0664\u0668", "\uff14\uff18"])
+def test_a_prefix_length_is_ascii_decimal(length):
+    """int() reads each of these lengths as 48; ipaddress refuses them all,
+    and so do parse_prefix and the block path, with one message."""
+    text = f"2001:db8::/{length}"
+    with pytest.raises(ValueError):
+        ipaddress.IPv6Network(text)
+    message = f"bad prefix length {length!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_prefix(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        target_gen.parse_prefix_keys(["2001:db8:1::/48", text])
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        list(read_prefixes(["2001:db8:1::/48", text]))
+
+
+def test_a_prefix_length_may_have_leading_zeros_and_a_line_padding():
+    assert parse_prefix("2001:db8::/048") == P("2001:db8::/48") == P(" 2001:db8::/48\t")
+    assert target_gen.parse_prefix_keys(["2001:db8::/048"]) == [(addr("2001:db8::"), 48)]
+    lines = ["2001:db8::/048", "2001:db8:1::/48 ", "\t2001:db8:2::/48"]
+    assert list(read_prefixes(lines)) == [P(f"2001:db8:{i}::/48") for i in range(3)]
 
 
 def test_parse_address_rejects_cidr():
@@ -337,6 +361,34 @@ def test_read_prefixes_matches_read_records(lines, block):
     with mock.patch.object(target_gen, "READ_BLOCK", block):
         assert _read(read_prefixes, lines) == expected
         assert _read(read_prefixes, iter(lines)) == expected
+
+
+BLOCK_READERS = {
+    "addresses": (read_addresses, parse_target_line, probe_list_lines),
+    "hitlist": (read_hitlist, parse_address, probe_list_lines),
+    "prefixes": (read_prefixes, parse_prefix, prefix_file_lines),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_READERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]))
+def test_block_readers_match_read_records(name, data, block):
+    """Each block reader yields what `read_records` with its line parser
+    yields, or names the same line, on lines without their newlines, as
+    `text_lines` gives them, and on raw lines."""
+    read, parse, texts = BLOCK_READERS[name]
+    lines = data.draw(st.lists(
+        st.tuples(st.sampled_from(["", "", " "]), texts, st.sampled_from(["", "", "\t"]))
+        .map("".join),
+        max_size=30,
+    ))
+    raw = [line + "\n" for line in lines]
+    expected = _read(lambda ls: read_records(ls, parse), lines)
+    assert _read(lambda ls: read_records(ls, parse), raw) == expected
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        for given_lines in (lines, iter(lines), raw):
+            assert _read(read, given_lines) == expected
 
 
 # --- exclusion -----------------------------------------------------------------
