@@ -1132,10 +1132,10 @@ SPECIAL_LINES = {
 @st.composite
 def line_files(draw, valid):
     """The bytes of a line-oriented input: valid lines alone and in runs,
-    padded, blank, # and bad lines, non-ASCII text, a line longer than a
-    chunk or two, a multi-byte character or a CRLF that straddles a chunk boundary
-    and a byte that is not UTF-8; LF, CRLF or lone-CR endings, and maybe no
-    newline at the end."""
+    padded, blank, # and bad lines, non-ASCII text, a line longer than two
+    chunks, a multi-byte character or a CRLF that straddles a chunk
+    boundary, and a byte that is not UTF-8; LF, CRLF or lone-CR endings,
+    and maybe no newline at the end."""
     out = bytearray()
     ending = b""
     for kind in draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12)):
@@ -1171,7 +1171,7 @@ def input_path(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", list(LINE_READERS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_load_reads_what_iterating_the_file_reads(name, data, input_path):
     """Read a decoded chunk at a time, a file gives each reader the values,
@@ -1193,10 +1193,11 @@ def test_a_bad_line_ending_a_chunk_is_named_before_an_undecodable_byte_in_the_ne
 ):
     """A line whose newline ends the first chunk is read before the second
     chunk is decoded; one byte later, the decode error comes first."""
-    head = "::1\n" * 2000 + "#" + "a" * (CHUNK + shift - 8000 - 5) + "\n"
+    lines = "::1\n" * 2000
+    head = lines + "#" + "a" * (CHUNK + shift - len(lines) - 5) + "\n"
     path = tmp_path / "targets.txt"
     path.write_bytes((head + "zz\n::2\n").encode() + b"\xff\n")
-    assert len(head) + 3 == CHUNK + shift
+    assert len(head + "zz\n") == CHUNK + shift
     assert run("scan", "--targets", str(path), "--sim-topology", "unread.json") == 2
     err = capsys.readouterr().err
     assert err == f"error: {reference_read(path, target_gen.parse_target_line)}\n"
@@ -1290,7 +1291,10 @@ def test_analyze_imports_csv_only_to_write_csv(demo, csv_flag, imported):
     src = Path(__file__).resolve().parent.parent / "src"
     write(demo, "t.txt", "2001:db8:100::\n")
     write(demo, "r.ndjson", "")
-    code = "import sys; from srascan import cli; print(cli.main(sys.argv[1:]), 'csv' in sys.modules)"
+    code = (
+        "import sys; from srascan import cli; "
+        "print(cli.main(sys.argv[1:]), 'csv' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-B", "-S", "-c", code,
          "analyze", "summarize", "--replies", "r.ndjson", "--targets", "t.txt", *csv_flag],

@@ -371,7 +371,7 @@ BLOCK_READERS = {
 
 
 @pytest.mark.parametrize("name", list(BLOCK_READERS))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]))
 def test_block_readers_match_read_records(name, data, block):
     """Each block reader yields what `read_records` with its line parser
