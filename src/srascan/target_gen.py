@@ -389,8 +389,9 @@ def _address_block(block: list[str]) -> list[int]:
 def parse_addresses(texts: list[str]) -> list[int]:
     """`parse_address` of each text, in one C chain.
 
-    A list the chain refuses (a scoped, non-text or bad item) is parsed item
-    by item, so a bad item is refused with parse_address's message.
+    A list the chain refuses (a scoped, padded, non-text or bad item) is
+    parsed item by item, so a bad item is refused with parse_address's
+    message.
     """
     try:
         return _address_block(texts)
@@ -438,8 +439,8 @@ def parse_prefix_keys(texts: list[str]) -> list[tuple[int, int]]:
     """`(bits, length)` of `parse_prefix` of each text, in one C chain.
 
     The chain checks every length and host part at once, as Ipv6Prefix
-    does.  A list it refuses (a bare, scoped, non-text or bad item) is
-    parsed item by item, so a bad item is refused with parse_prefix's
+    does.  A list it refuses (a bare, scoped, padded, non-text or bad item)
+    is parsed item by item, so a bad item is refused with parse_prefix's
     message.
     """
     try:

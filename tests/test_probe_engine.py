@@ -494,6 +494,22 @@ def test_read_replies_matches_from_json_line_by_line(lines, block):
         assert _decode(read_replies, iter(lines)) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(reply_records().map(ReplyRecord.to_json), reply_lines().map(lambda l: l[:-1])),
+        max_size=30,
+    ),
+    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+)
+def test_read_replies_matches_from_json_on_newline_free_lines(lines, block):
+    """The same on lines without their newlines, as `text_lines` gives them:
+    the lines that block decoding takes whole."""
+    expected = _decode(lambda ls: read_records(ls, ReplyRecord.from_json), lines)
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        assert _decode(read_replies, lines) == expected
+
+
 def test_read_replies_builds_records_equal_by_value():
     recs = [
         ReplyRecord(ReplyKind.ECHO_REPLY, 129, 0, addr("2001:db8::1"), addr("2001:db8:1::"), 64, 0.5),
