@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import codecs
 import enum
+import functools
 import hashlib
 import io
 import ipaddress
@@ -260,7 +261,9 @@ def parse_prefix(text: str) -> Ipv6Prefix:
 
 def parse_label_row(line: str) -> tuple[Ipv6Prefix, str]:
     """One `prefix,label` row of a `--labels` file."""
-    prefix_text, label = line.split(",", 1)
+    prefix_text, comma, label = line.partition(",")
+    if not comma:
+        raise ValueError(f"expected PREFIX,LABEL, got {line!r}")
     return parse_prefix(prefix_text), label.strip()
 
 
@@ -291,8 +294,9 @@ def parse_target_line(line: str) -> int:
     return parse_address(line)
 
 
-# Lines of an input parsed per step of `read_blocks`, and of a probe list
-# written per block of `plan_text`.
+# Lines of an input parsed per step of `read_blocks`, and at most the lines
+# of a probe list written per block of `plan_text`.  Any value >= 1 is
+# correct: `_grid_text` also ends its blocks at each DIGIT_WINDOW.
 READ_BLOCK = 4096
 
 # Bytes of a file decoded per step of `text_lines`: the chunk TextIOWrapper
@@ -660,21 +664,38 @@ def _fills_one_group(entry: _PlanEntry) -> bool:
     return shift >= 64 and shift % 16 == 0
 
 
+# An aligned run of 16**3 values of a 16-bit group: their hex texts differ
+# only in the last three digits.
+DIGIT_WINDOW = 4096
+
+
+@functools.cache
+def _hex_digits() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The hex text of 0 .. DIGIT_WINDOW - 1, zero-filled to three digits,
+    and bare.  Built on first use, so that importing the module stays cheap."""
+    padded = tuple(map("".join, itertools.product("0123456789abcdef", repeat=3)))
+    return padded, tuple(d.lstrip("0") or "0" for d in padded)
+
+
 def _grid_text(start: int, stop: int, shift: int) -> Iterator[str]:
     """The lines of targets `idx << shift` for idx in [start, stop), in
-    blocks that end at multiples of READ_BLOCK.
+    blocks that end at multiples of DIGIT_WINDOW and of READ_BLOCK.
 
     The low shift/16 >= 4 groups of a target are zero.  When the group above
     them, w = idx & 0xFFFF, is not zero, that tail is the only run of four or
     more zero groups (at most three groups lie above w), so RFC 5952
     compresses exactly the tail, and the text is a head, then w in hex, then
     `::` (the target is at least 2^64, so no dotted quad).  A block never
-    crosses a multiple of 2^16, so only w changes within it; the head is cut
-    once per block from `format_address`.  An address with w == 0 goes
+    crosses a multiple of DIGIT_WINDOW, so within it only w's last three hex
+    digits change: the head, cut once per block from `format_address`, ends
+    in w's leading digit, and the lines are joined from `_hex_digits`,
+    zero-filled unless w < DIGIT_WINDOW.  An address with w == 0 goes
     through `format_address`.
     """
+    padded, bare = _hex_digits()
     while start < stop:
-        end = min(stop, (start // READ_BLOCK + 1) * READ_BLOCK)
+        end = min(stop, (start // DIGIT_WINDOW + 1) * DIGIT_WINDOW,
+                  (start // READ_BLOCK + 1) * READ_BLOCK)
         base = start & ~0xFFFF
         w, w_end = start - base, end - base
         text = ""
@@ -682,9 +703,10 @@ def _grid_text(start: int, stop: int, shift: int) -> Iterator[str]:
             text = format_address(start << shift) + "\n"
             w = 1
         if w < w_end:
-            head = format_address((base + w) << shift)[: -len(f"{w:x}::")]
-            words = map(format, range(w, w_end), itertools.repeat("x"))
-            text += head + f"::\n{head}".join(words) + "::\n"
+            window = w & -DIGIT_WINDOW
+            digits = (padded if window else bare)[w - window : w_end - window]
+            head = format_address((base + w) << shift)[: -len(digits[0]) - 2]
+            text += head + f"::\n{head}".join(digits) + "::\n"
         yield text
         start = end
 

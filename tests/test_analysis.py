@@ -471,6 +471,12 @@ class TestPrefixTable:
         with open(path) as fh, pytest.raises(ValueError, match="line 2"):
             PrefixTable(read_records(fh, parse_label_row))
 
+    def test_csv_row_without_a_comma_names_the_form(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("2001:db8::/32\n")
+        with open(path) as fh, pytest.raises(ValueError, match="^line 1: expected PREFIX,LABEL"):
+            PrefixTable(read_records(fh, parse_label_row))
+
     @settings(max_examples=60)
     @given(
         st.lists(

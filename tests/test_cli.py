@@ -281,9 +281,12 @@ class TestGenTargets:
             (["analyze", "compare", "--set", "a={targets}", "--set", "b={targets}",
               "--labels", "{bad}"],
              "2001:db8::/32,doc\n\n2001:db8::/300,bad length\n"),
+            (["analyze", "compare", "--set", "a={targets}", "--set", "b={targets}",
+              "--labels", "{bad}"],
+             "2001:db8::/32,doc\n\n2001:db8::/32\n"),
         ],
         ids=["prefixes", "hitlist", "targets", "targets-ndjson", "targets-ndjson-number",
-             "replies", "replies-not-an-object", "labels"],
+             "replies", "replies-not-an-object", "labels", "labels-no-comma"],
     )
     def test_parse_errors_name_the_line(self, demo, capsys, argv, text):
         paths = {
@@ -1261,18 +1264,22 @@ def test_the_package_runs_as_a_module_from_a_checkout():
     assert proc.stdout.startswith("usage: srascan")
 
 
-def loaded_after(modules: str, names: set[str], *flags: str) -> str:
-    """The printed sorted list of `names` that `import modules` loads in a
-    fresh interpreter, which writes no bytecode."""
+def fresh_output(code: str, *flags: str) -> str:
+    """What `code` prints in a fresh interpreter, which writes no bytecode."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = f"import sys, {modules}; print(sorted({names!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-B", *flags, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def loaded_after(modules: str, names: set[str], *flags: str) -> str:
+    """The printed sorted list of `names` that `import modules` loads in a
+    fresh interpreter."""
+    return fresh_output(f"import sys, {modules}; print(sorted({names!r} & set(sys.modules)))", *flags)
 
 
 def test_importing_the_cli_leaves_what_only_some_commands_read_unloaded():
@@ -1284,6 +1291,16 @@ def test_the_scan_path_imports_neither_dataclasses_nor_inspect():
     # bench/setup_probe.py times these imports as every scan's set-up; -S
     # keeps site's own imports out of the answer.
     assert loaded_after("srascan.cli, srascan.netsim", {"dataclasses", "inspect"}, "-S") == "[]\n"
+
+
+def test_the_scan_path_leaves_the_hex_digit_table_unbuilt():
+    # The table is built on the first /64-grid probe list written, so
+    # commands that write none, and bench/setup_probe.py, skip its cost.
+    code = (
+        "import srascan.cli, srascan.netsim; from srascan import target_gen; "
+        "print(target_gen._hex_digits.cache_info().currsize)"
+    )
+    assert fresh_output(code, "-S") == "0\n"
 
 
 @pytest.mark.parametrize("csv_flag,imported", [([], "False"), (["--csv", "s.csv"], "True")])

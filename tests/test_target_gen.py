@@ -966,6 +966,16 @@ def _assert_same_text(got: str, want: str) -> None:
         pytest.fail(f"first differing line (number, got, expected): {first}")
 
 
+def _grid_edge(w: int, length: int) -> list:
+    """One range per grid shift, of `length` targets from group w under a
+    head that is not zero, so that w's leading hex digit joins the head."""
+    upper = 0x2001_0DB8_0001_0002
+    return [
+        _range_entry(shift, (upper << 16 | w) & ((1 << (128 - shift)) - 1), length)
+        for shift in _GRID_SHIFTS
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(plan=text_plans(), n=st.integers(0, 20_000))
 # address 0, and ::/96 formatted by ipaddress
@@ -975,6 +985,13 @@ def _assert_same_text(got: str, want: str) -> None:
 # 2001:0:0:0:1:: ties two runs of three zero groups: 2001::1:0:0:0
 @example(plan=[_range_entry(48, 0x2001_0000_0000_0000_0001, 2)], n=2)
 @example(plan=[_range_entry(64, 0x2001_0000_0000_0001, 2)], n=2)
+# the edges of the hex-digit table: bare into zero-filled, the last window,
+# into the next /48 (or the end of the space), a window's first and last w
+@example(plan=_grid_edge(0x0FF0, 0x20), n=50)
+@example(plan=_grid_edge(0xEFF0, 0x20), n=50)
+@example(plan=_grid_edge(0xFFF0, 0x20), n=50)
+@example(plan=_grid_edge(0x1000, 5), n=7)
+@example(plan=_grid_edge(0x0FFE, 2), n=5)
 def test_plan_text_equals_format_address_per_target(plan, n):
     expected = _expected_text(plan)
     blocks = list(target_gen.plan_text(plan))
@@ -983,3 +1000,42 @@ def test_plan_text_equals_format_address_per_target(plan, n):
     # The cut plan writes exactly the first n lines of the whole.
     head = "".join(expected.splitlines(keepends=True)[:n])
     _assert_same_text("".join(target_gen.plan_text(target_gen.take(plan, n))), head)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plan=text_plans(), block=st.sampled_from([7, 5000, 4096]))
+# blocks of 7 or 5000 lines do not end at the multiple of 2^16 inside
+@example(plan=[_range_entry(64, 0x2001_0DB8_0000_FFFA, 11)], block=7)
+@example(plan=[_range_entry(64, 0x2001_0DB8_0000_FFFA, 11)], block=5000)
+def test_plan_text_does_not_depend_on_the_read_block(plan, block):
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        blocks = list(target_gen.plan_text(plan))
+    _assert_same_text("".join(blocks), _expected_text(plan))
+    assert all(0 < text.count("\n") <= block for text in blocks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(plan=text_plans())
+def test_plan_ndjson_equals_json_dumps_per_target(plan):
+    expected = ""
+    for origin, stage, indices in plan:
+        shift, origin_text = target_gen._shift(origin, stage), str(origin)
+        expected += "".join(
+            json.dumps({
+                "address": format_address(idx << shift),
+                "origin": origin_text,
+                "stage": stage.value,
+            }) + "\n"
+            for idx in indices
+        )
+    _assert_same_text("".join(plan_ndjson(plan)), expected)
+
+
+def test_grid_text_formats_one_address_per_block():
+    """A /48's 65,536 /64s: one `format_address` per block of READ_BLOCK
+    lines, and one for the /64 whose group is zero, not one per line."""
+    plan = stage3_plan([P("2001:db8:1::/48")])
+    with mock.patch.object(target_gen, "format_address", wraps=format_address) as fmt:
+        blocks = list(target_gen.plan_text(plan))
+    assert sum(text.count("\n") for text in blocks) == 65536
+    assert len(blocks) == 16 and fmt.call_count == 17
