@@ -226,14 +226,6 @@ def cmd_scan(args) -> int:
         raise CliError("--rate must be a finite number above 0")
     if not 1 <= args.passes <= 1 << 16:  # the pass index is the 16-bit ICMP identifier
         raise CliError("--passes must be in 1..65536")
-    targets = _load(args.targets, target_gen.read_addresses)
-    input_paths = [args.targets]
-    if args.exclude:
-        excluded = _load(args.exclude, target_gen.read_prefixes)
-        input_paths.append(args.exclude)
-        before = len(targets)
-        targets = target_gen.exclude(targets, excluded)
-        print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
     secret = _resolve_secret(args)
     if args.output in (None, "-"):
         if args.passes > 1:
@@ -273,6 +265,16 @@ def cmd_scan(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+    # Every flag is checked above, before any input is read.
+    targets = _load(args.targets, target_gen.read_addresses)
+    input_paths = [args.targets]
+    if args.exclude:
+        excluded = _load(args.exclude, target_gen.read_prefixes)
+        input_paths.append(args.exclude)
+        before = len(targets)
+        targets = target_gen.exclude(targets, excluded)
+        print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
 
     if live:
         transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)

@@ -12,8 +12,10 @@ plan is read four ways: `gen_*` yields its addresses, `plan_size` sums its
 sizes, `plan_text` writes the probe list as text, and `plan_ndjson` writes
 it as NDJSON records that name the prefix and rule that produced each
 address.  `take` cuts a plan to its first n targets.  Deduplication is exact
-and runs on interval arithmetic over subnet index space, not on per-address
-sets.
+and runs on one index range per prefix, not on per-address sets: ranges are
+sorted and merged into disjoint ones (`_merged`), and stage 2's claims come
+from one sweep over them in sorted order (`_first_claims`), so planning
+costs O(n log n) in n prefixes.
 
 The value types are NamedTuples, not dataclasses, because every command
 imports this module and importing `dataclasses` is a start-up cost each
@@ -469,56 +471,6 @@ def read_prefixes(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:
     return read_blocks(lines, _prefix_block, parse_prefix)
 
 
-class _IntervalSet:
-    """Sorted disjoint half-open [start, end) intervals over subnet indices.
-
-    Memory stays proportional to the number of distinct prefix ranges seen,
-    never to the number of addresses covered.
-    """
-
-    def __init__(self):
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-
-    def add(self, start: int, end: int) -> list[tuple[int, int]]:
-        """Insert [start, end); return the sub-ranges that were not yet covered."""
-        if start >= end:
-            return []
-        starts, ends = self._starts, self._ends
-        i = bisect.bisect_left(starts, start)
-        if i > 0 and ends[i - 1] >= start:
-            i -= 1
-        j = i
-        gaps = []
-        cur = start
-        while j < len(starts) and starts[j] <= end:
-            if starts[j] > cur:
-                gaps.append((cur, starts[j]))
-            cur = max(cur, ends[j])
-            j += 1
-        if cur < end:
-            gaps.append((cur, end))
-        if i < j:
-            new_start = min(start, starts[i])
-            new_end = max(end, ends[j - 1])
-        else:
-            new_start, new_end = start, end
-        starts[i:j] = [new_start]
-        ends[i:j] = [new_end]
-        return gaps
-
-    def covers(self, index: int) -> bool:
-        i = bisect.bisect_right(self._starts, index) - 1
-        return i >= 0 and index < self._ends[i]
-
-    def overlaps(self, start: int, end: int) -> bool:
-        i = bisect.bisect_right(self._starts, start) - 1
-        if i >= 0 and start < self._ends[i]:
-            return True
-        i += 1
-        return i < len(self._starts) and self._starts[i] < end
-
-
 # `exclude` looks for ascending runs of targets every _RUN_STEP positions,
 # and cuts a run it finds at the excluded ranges instead of filtering it.
 _RUN_STEP = 64
@@ -553,23 +505,32 @@ def _ascending_runs(values: Sequence[int], step: int) -> Iterator[tuple[int, int
         lo = -(-hi // step) * step
 
 
-def exclude(targets: Sequence[int], prefixes: Iterable[Ipv6Prefix]) -> list[int]:
-    """The targets that no prefix in `prefixes` covers, in input order,
-    repeats kept.
+def _merged(ranges: Iterable[tuple[int, int]]) -> list[int]:
+    """The edges of the union of half-open ranges [start, end), from one
+    sort: start, end, start, end, ... ascending, with touching ranges joined.
 
-    The prefixes merge into sorted disjoint ranges.  A long ascending run of
-    targets is cut at each range it meets, with two bisections per range,
-    so a sorted probe list costs a few bisections per excluded range, not
-    one per target.  Every other target takes one bisection, in a chain of
-    C calls.
+    A value x is in the union when `bisect_right(edges, x)` is odd.
     """
-    # The merged ranges' edges: start, end, start, end, ... ascending.
     edges: list[int] = []
-    for start, end in sorted((p.bits, p.bits + (1 << (128 - p.length))) for p in prefixes):
+    for start, end in sorted(ranges):
         if edges and start <= edges[-1]:
             edges[-1] = max(edges[-1], end)
         else:
             edges += (start, end)
+    return edges
+
+
+def exclude(targets: Sequence[int], prefixes: Iterable[Ipv6Prefix]) -> list[int]:
+    """The targets that no prefix in `prefixes` covers, in input order,
+    repeats kept.
+
+    The prefixes merge into sorted disjoint ranges (`_merged`).  A long
+    ascending run of targets is cut at each range it meets, with two
+    bisections per range, so a sorted probe list costs a few bisections per
+    excluded range, not one per target.  Every other target takes one
+    bisection, in a chain of C calls.
+    """
+    edges = _merged((p.bits, p.bits + (1 << (128 - p.length))) for p in prefixes)
     bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     # A target is covered when an odd number of edges lie at or below it.
     outside = [True, False] * (len(edges) // 2) + [True]
@@ -596,17 +557,6 @@ def exclude(targets: Sequence[int], prefixes: Iterable[Ipv6Prefix]) -> list[int]
         done = hi
     kept += filtered(targets[done:])
     return kept
-
-
-def _dedup_prefixes(prefixes: Iterable[Ipv6Prefix]) -> list[Ipv6Prefix]:
-    seen = set()
-    out = []
-    for p in prefixes:
-        key = (p.bits, p.length)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
 
 
 # A plan is an ordered iterable of (origin, stage, indices) entries.  `indices`
@@ -789,26 +739,65 @@ def stage2_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     """Deduplicated /48 index ranges, in input order.
 
     A prefix longer than /48 contributes its /48 supernet only when no
-    announcement of length <= 48 covers that /48.  Its size is exact, and
-    known without enumerating the /48s.
+    announcement of length <= 48 covers that /48.  Each prefix then claims
+    the maximal runs of its /48s that no earlier prefix claimed
+    (`_first_claims`).  Its size is exact, and known without enumerating
+    the /48s.
     """
-    prefixes = _dedup_prefixes(prefixes)
-    covered_le48 = _IntervalSet()
-    for p in prefixes:
-        if p.length <= 48:
-            start = p.subnet_index(48)
-            covered_le48.add(start, start + p.subnet_count(48))
-    emitted = _IntervalSet()
-    plan = []
+    prefixes = list(prefixes)  # a repeat claims nothing, so needs no dedup pass
+    covered_le48 = _merged(_range48(p) for p in prefixes if p.length <= 48)
+    origins = []
     for p in prefixes:
         if p.length > 48:
             p = p.supernet(48)
-            if covered_le48.covers(p.subnet_index(48)):
+            if bisect.bisect_right(covered_le48, p.bits >> 80) & 1:
                 continue
-        start = p.subnet_index(48)
-        for s, e in emitted.add(start, start + p.subnet_count(48)):
-            plan.append((p, Stage.BGP_48, range(s, e)))
-    return plan
+        origins.append(p)
+    claims = _first_claims(list(map(_range48, origins)))
+    return [(origins[i], Stage.BGP_48, range(s, e)) for i, s, e in claims]
+
+
+def _range48(p: Ipv6Prefix) -> tuple[int, int]:
+    """The /48 indices [start, end) of a prefix of length <= 48."""
+    start = p.bits >> 80
+    return start, start + (1 << (48 - p.length))
+
+
+def _first_claims(ranges: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """`(i, start, end)` for each maximal run [start, end) of `ranges[i]`
+    that no earlier range covers, by i, then ascending.
+
+    The ranges must nest or stand apart, as prefix ranges do.  One sweep in
+    sorted order keeps a stack of the open ranges, innermost last, each with
+    the lowest index open at its depth.  Every stretch between two edges
+    goes to the lowest index open over it, and extends the run before it
+    when that run has the same owner and ends where the stretch starts.
+    """
+    runs: list[tuple[int, int, int]] = []
+
+    def claim(owner: int, start: int, end: int) -> None:
+        if runs and runs[-1][0] == owner and runs[-1][2] == start:
+            runs[-1] = (owner, runs[-1][1], end)
+        elif start < end:
+            runs.append((owner, start, end))
+
+    stack: list[tuple[int, int]] = []  # (end, lowest open index)
+    pos = 0
+    # Outer ranges first at a shared start; a last start past every end
+    # closes the ranges still open.
+    edges = sorted((s, -e, i) for i, (s, e) in enumerate(ranges))
+    for start, neg_end, i in edges + [(float("inf"), 0, 0)]:
+        while stack and stack[-1][0] <= start:
+            end, owner = stack.pop()
+            claim(owner, pos, end)
+            pos = end
+        if stack:
+            claim(stack[-1][1], pos, start)
+            i = min(i, stack[-1][1])
+        stack.append((-neg_end, i))
+        pos = start
+    runs.sort(key=operator.itemgetter(0))  # stable: each owner's runs stay ascending
+    return runs
 
 
 def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
@@ -826,7 +815,7 @@ def gen_stage2(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
 def stage3_plan(prefixes: Iterable[Ipv6Prefix]) -> list[_PlanEntry]:
     """One range of 2^16 /64 indices per distinct exact /48 input."""
     plan = []
-    for p in _dedup_prefixes(prefixes):
+    for p in dict.fromkeys(prefixes):
         if p.length == 48:
             base = p.subnet_index(64)
             plan.append((p, Stage.BGP_64, range(base, base + (1 << 16))))
@@ -855,8 +844,9 @@ def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _route6_contested(prefixes: Sequence[Ipv6Prefix]) -> _IntervalSet:
-    """Regions of /64 index space covered by more than one input prefix.
+def _route6_contested(prefixes: Sequence[Ipv6Prefix]) -> list[int]:
+    """The merged edges (`_merged`) of the regions of /64 index space covered
+    by more than one input prefix.
 
     Cross-prefix duplicate suppression only needs memory for addresses that
     fall inside these regions; disjoint inputs need none at all.
@@ -868,15 +858,15 @@ def _route6_contested(prefixes: Sequence[Ipv6Prefix]) -> _IntervalSet:
         events.append((start, 1))
         events.append((start + count, -1))
     events.sort()
-    contested = _IntervalSet()
+    contested = []
     depth = 0
     seg_start = 0
     for pos, delta in events:
         if depth >= 2 and pos > seg_start:
-            contested.add(seg_start, pos)
+            contested.append((seg_start, pos))
         depth += delta
         seg_start = pos
-    return contested
+    return _merged(contested)
 
 
 class _Route6Samples:
@@ -912,17 +902,20 @@ def route6_plan(
     Its size is therefore pure arithmetic for prefixes that do not overlap
     any other input.
     """
-    deduped = _dedup_prefixes(prefixes)
+    deduped = list(dict.fromkeys(prefixes))
     contested = _route6_contested(deduped)
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
     seen_contested: set[int] = set()
     plan = []
     for p in deduped:
         origin = p if p.length <= 64 else p.supernet(64)
         samples = _Route6Samples(origin, cfg)
         base = origin.subnet_index(64)
-        if contested.overlaps(base, base + origin.subnet_count(64)):
+        end = base + origin.subnet_count(64)
+        # Contested at base, or a contested region starts before end.
+        if (i := bisect_right(contested, base)) & 1 or bisect_left(contested, end) > i:
             for idx in samples.draw():
-                if contested.covers(idx):
+                if bisect_right(contested, idx) & 1:
                     if idx in seen_contested:
                         samples.skip.add(idx)
                     seen_contested.add(idx)
@@ -960,8 +953,8 @@ def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
 
 
 def _bgp_stage_plans(prefixes: Iterable[Ipv6Prefix]) -> tuple[list[_PlanEntry], ...]:
-    """The stage 1, 2 and 3 plans of the distinct prefixes."""
-    prefixes = _dedup_prefixes(prefixes)
+    """The stage 1, 2 and 3 plans of the prefixes."""
+    prefixes = list(prefixes)
     return list(stage1_plan(prefixes)), stage2_plan(prefixes), stage3_plan(prefixes)
 
 

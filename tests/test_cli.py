@@ -769,6 +769,22 @@ class TestScan:
         assert sent == []
         assert not manifest.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--passes", "2"], "--passes needs -o"),
+            (["--manifest", "run.json"], "--manifest needs -o"),
+            (["--transport", "sim"], "needs --sim-topology"),
+        ],
+        ids=["passes", "manifest", "sim-topology"],
+    )
+    def test_flags_are_checked_before_any_input_is_read(self, tmp_path, capsys, flags, message):
+        missing = str(tmp_path / "no-such-targets.txt")
+        assert run("scan", "--targets", missing, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "no-such-targets" not in err
+
 
 class TestConfig:
     def test_config_preloads_defaults_and_flags_win(self, tmp_path, capsys):

@@ -587,6 +587,106 @@ def test_stage2_is_lazy_over_the_whole_space():
     assert list(islice(gen_stage2([P("::/0")]), 3)) == [0, 1 << 80, 2 << 80]
 
 
+def edges_of(points) -> list[int]:
+    """The edges of the maximal runs of a set of integers: start, end, ..."""
+    edges: list[int] = []
+    for x in sorted(points):
+        if edges and edges[-1] == x:
+            edges[-1] = x + 1
+        else:
+            edges += (x, x + 1)
+    return edges
+
+
+def subnet_span(net: ipaddress.IPv6Network, length: int) -> range:
+    """The /length indices that `net` lies in."""
+    if net.prefixlen > length:
+        net = net.supernet(new_prefix=length)
+    shift = 128 - length
+    return range(int(net.network_address) >> shift, (int(net.broadcast_address) >> shift) + 1)
+
+
+def stage2_reference(prefixes) -> list[tuple[str, str, int, int]]:
+    """Stage 2's entries by brute force: each /48 index goes to the first
+    origin, after the <= 48 cover rule, that holds it, and each origin's
+    indices form maximal ascending runs, origins in input order."""
+    nets = list(dict.fromkeys(ipaddress.IPv6Network((p.bits, p.length)) for p in prefixes))
+    le48 = [n for n in nets if n.prefixlen <= 48]
+    origins = []
+    for n in nets:
+        if n.prefixlen > 48:
+            n = n.supernet(new_prefix=48)
+            if any(n.subnet_of(m) for m in le48):
+                continue
+        origins.append(n)
+    owner: dict[int, int] = {}
+    for position, n in enumerate(origins):
+        for index in subnet_span(n, 48):
+            owner.setdefault(index, position)
+    runs = [edges_of(i for i, o in owner.items() if o == position) for position in range(len(origins))]
+    return [
+        (str(n), "bgp48", start, stop)
+        for n, edges in zip(origins, runs)
+        for start, stop in zip(edges[::2], edges[1::2])
+    ]
+
+
+@st.composite
+def nesting_prefix_lists(draw, lengths, region=P("2001:db8::/40")):
+    """Prefixes of `lengths` at or near `region`, drawn from few blocks so
+    they nest, repeat and touch, in drawn, reversed, sorted or repeated order."""
+    out = []
+    for _ in range(draw(st.integers(0, 10))):
+        length = draw(lengths)
+        bits = region.bits | draw(st.integers(0, 15)) << (124 - region.length)
+        bits |= draw(st.integers(0, 3)) << (128 - length)
+        out.append(Ipv6Prefix(bits & ~(MAX128 >> length) & MAX128, length))
+    arrange = draw(st.sampled_from(["drawn", "reversed", "sorted", "repeated"]))
+    if arrange == "reversed":
+        out.reverse()
+    elif arrange == "sorted":
+        out.sort()
+    elif arrange == "repeated":
+        out = out + out[::-1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefixes=nesting_prefix_lists(st.integers(40, 56)))
+@example(prefixes=[])
+@example(prefixes=[P("2001:db8:1:200::/56"), P("2001:db8:1::/64"), P("2001:db8:7:1::/64")])
+@example(prefixes=[P("2001:db8::/44"), P("2001:db8:5::/48"), P("2001:db8::/46")])
+@example(prefixes=[P("2001:db8:5::/48"), P("2001:db8::/46"), P("2001:db8::/44")])
+@example(prefixes=[P("2001:db8:2::/47"), P("2001:db8::/47"), P("2001:db8:4::/46")])
+@example(prefixes=[P("2001:db8:10::/44"), P("2001:db8:1:100::/56"), P("2001:db8:20::/48")])
+def test_stage2_entries_match_brute_force(prefixes):
+    """Stage 2's entry boundaries, not only its addresses, against the
+    brute-force first-owner runs."""
+    got = [(str(o), s.value, r.start, r.stop) for o, s, r in stage2_plan(prefixes)]
+    assert got == stage2_reference(prefixes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)), max_size=10))
+def test_merged_matches_a_brute_force_union(ranges):
+    ranges = [(start, start + width) for start, width in ranges]
+    union = {x for start, end in ranges for x in range(start, end)}
+    assert target_gen._merged(ranges) == edges_of(union)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefixes=nesting_prefix_lists(st.integers(56, 72), region=P("2001:db8::/56")))
+def test_route6_contested_matches_brute_force(prefixes):
+    """The /64 indices that two or more distinct prefixes lie in."""
+    prefixes = list(dict.fromkeys(prefixes))
+    depth: dict[int, int] = {}
+    for p in prefixes:
+        for index in subnet_span(ipaddress.IPv6Network((p.bits, p.length)), 64):
+            depth[index] = depth.get(index, 0) + 1
+    contested = [index for index, n in depth.items() if n >= 2]
+    assert target_gen._route6_contested(prefixes) == edges_of(contested)
+
+
 # --- stage 3 -----------------------------------------------------------------
 
 
