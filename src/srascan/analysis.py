@@ -7,17 +7,31 @@ stability, loop detection, and dataset comparisons.  Inputs are iterables
 of ReplyRecord plus the probed target set; a probed target that drew no
 reply is silent and has no entry among the answers, so a mostly silent
 sweep costs about its replies.  Results are dataclasses; nothing touches
-the network or a file.  The CLI renders them as JSON and CSV reports.
+the network or opens a file.
+
+`REPORTS` holds one report per `analyze` action.  Each reads its files
+through the loader the CLI passes in and returns its JSON report, its CSV
+header and its CSV rows; the CLI prints the one and writes the others.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Iterable
 
-from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
-from .target_gen import MAX128, Ipv6Prefix, PrefixTable
+from .addresses import (
+    MAX128,
+    Ipv6Prefix,
+    PrefixTable,
+    format_address,
+    parse_label_row,
+    read_addresses,
+    read_prefixes,
+    read_records,
+)
+from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord, read_replies
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
@@ -361,3 +375,113 @@ def compare_datasets(
         by_label=by_label,
     )
 
+
+# --- the analyze command's reports ------------------------------------------------
+#
+# Each takes the command's arguments, the probed targets (None for compare)
+# and `load(path, read, *args)`, which returns the list that `read(lines,
+# *args)` yields over a file's lines.  A bad argument is a ValueError.
+
+
+def _matched(targets, path, load) -> MatchResult:
+    return match_replies(targets, load(path, read_replies))
+
+
+def _aliased(args, load) -> list[Ipv6Prefix]:
+    return load(args.aliased, read_prefixes) if args.aliased else []
+
+
+def _summarize(args, targets, load):
+    names = [Path(path).name for path in args.replies]
+    shared = [path for path, name in zip(args.replies, names) if names.count(name) > 1]
+    if shared:
+        raise ValueError(
+            f"summarize keys its report by file name, which {' and '.join(shared)} share"
+        )
+    report = {
+        name: vars(summarize_scan(_matched(targets, path, load)))
+        for name, path in zip(names, args.replies)
+    }
+    header = ["scan", *(f.name for f in fields(ScanSummary))]
+    return report, header, ([name, *s.values()] for name, s in report.items())
+
+
+def _visibility(args, targets, load):
+    aliased = _aliased(args, load)
+    per_scan = [
+        {o.router_ip for o in alias_filter(_matched(targets, path, load), aliased, index)}
+        for index, path in enumerate(args.replies)
+    ]
+    report = visibility(build_visibility_matrix(per_scan))
+    summary = {
+        "scans": report.scans,
+        "always": len(report.always),
+        "sometimes": len(report.sometimes),
+        "never": len(report.never),
+        "histogram": report.histogram,  # json writes the int keys as text
+    }
+    return summary, ["scans_present", "routers"], report.histogram.items()
+
+
+def _stability(args, targets, load):
+    aliased = _aliased(args, load)
+    scans = [stability_mapping(_matched(targets, path, load), aliased) for path in args.replies]
+    rows = [vars(r) for r in sra_stability(scans, baseline=args.baseline)]
+    header = [f.name for f in fields(StabilityRow)]
+    return rows, header, (r.values() for r in rows)
+
+
+def _loops(args, targets, load):
+    if len(args.replies) != 1:
+        raise ValueError("loops reads exactly one reply file")
+    if not 0 <= args.subnet_length <= 128:
+        raise ValueError("--subnet-length must be in 0..128")
+    if args.min_time_exceeded < 1:
+        raise ValueError("--min-time-exceeded must be at least 1")
+    (path,) = args.replies
+    report = detect_loops(
+        _matched(targets, path, load),
+        subnet_length=args.subnet_length,
+        min_time_exceeded=args.min_time_exceeded,
+    )
+    routers = {format_address(ip): vars(src) for ip, src in report.per_router.items()}
+    summary = {
+        "looping_subnets": sorted(str(p) for p in report.looping_subnets),
+        "routers": routers,
+    }
+    header = ["router", *(f.name for f in fields(LoopSource))]
+    return summary, header, ([ip, *src.values()] for ip, src in routers.items())
+
+
+def _compare(args, targets, load):
+    paths = {}
+    for item in args.set:
+        if "=" not in item:
+            raise ValueError(f"--set wants NAME=FILE, got {item!r}")
+        name, _, path = item.partition("=")
+        if name in paths:
+            raise ValueError(f"--set names {name!r} twice")
+        paths[name] = path
+    named = {name: load(path, read_addresses) for name, path in paths.items()}
+    table = None
+    if args.labels:
+        table = PrefixTable(load(args.labels, read_records, parse_label_row))
+    report = compare_datasets(named, table)
+    exclusive = {"+".join(k): v for k, v in report.exclusive.items()}
+    summary = {
+        "sizes": report.sizes,
+        "union": report.union_size,
+        "exclusive": exclusive,
+        "pairwise": {f"{a}&{b}": v for (a, b), v in report.pairwise.items()},
+        "by_label": report.by_label,
+    }
+    return summary, ["member_of", "addresses"], exclusive.items()
+
+
+REPORTS = {
+    "summarize": _summarize,
+    "visibility": _visibility,
+    "stability": _stability,
+    "loops": _loops,
+    "compare": _compare,
+}

@@ -7,20 +7,26 @@ and `demo` copies the bundled example inputs somewhere writable.
 
 A JSON config file (`--config`) can preload defaults for gen-targets and
 scan; each value is checked like its flag, and flags on the command line
-still win.  `analyze` renders the analysis results as JSON and CSV reports.
+still win.  `analyze` renders the reports of `analysis.REPORTS` as JSON and
+CSV.
+
+Each process runs one command, and where no bytecode is cached it compiles
+every module it imports, so a command imports what only it uses when it
+runs: `gen-targets` imports `target_gen`, `scan` `probe_engine` (and
+`netsim` for a simulated scan), `analyze` `analysis`, and the manifest code
+`hashlib`.  Every command reads its inputs through `addresses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from . import probe_engine, target_gen
+from . import addresses
 
 CONFIG_VERSION = 1
 MANIFEST_VERSION = 1
@@ -33,6 +39,8 @@ _CONFIG_SECTIONS = {
 
 
 def _sha256_file(path) -> str:
+    import hashlib  # only the manifest code digests files
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -41,6 +49,8 @@ def _sha256_file(path) -> str:
 
 
 def _secret_digest(secret: int) -> str:
+    import hashlib
+
     return hashlib.sha256(secret.to_bytes(8, "big")).hexdigest()
 
 
@@ -116,15 +126,15 @@ def _load(path, read, *args, into=list):
     """`read(lines, *args)` over the lines of a line-oriented input file,
     collected by `into`.
 
-    `read` is `target_gen.read_addresses` for a probe list,
-    `target_gen.read_hitlist` for a hitlist, `target_gen.read_prefixes` for a
+    `read` is `addresses.read_addresses` for a probe list,
+    `addresses.read_hitlist` for a hitlist, `addresses.read_prefixes` for a
     prefix file, `probe_engine.read_replies` for a reply file, or
-    `target_gen.read_records` with the parser of one line.  The lines come
-    from `target_gen.text_lines`, a decoded chunk at a time.
+    `addresses.read_records` with the parser of one line.  The lines come
+    from `addresses.text_lines`, a decoded chunk at a time.
     """
     try:
         with open(path) as fh:
-            return into(read(target_gen.text_lines(fh), *args))
+            return into(read(addresses.text_lines(fh), *args))
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:
@@ -141,6 +151,8 @@ def _open_out(path):
 
 
 def cmd_gen_targets(args) -> int:
+    from . import target_gen
+
     if args.max_targets is not None and args.max_targets < 0:
         raise CliError("--max-targets must be >= 0")
     try:
@@ -153,12 +165,12 @@ def cmd_gen_targets(args) -> int:
     if args.mode == "hitlist":
         if not args.hitlist:
             raise CliError("--mode hitlist needs --hitlist FILE")
-        source = _load(args.hitlist, target_gen.read_hitlist)
+        source = _load(args.hitlist, addresses.read_hitlist)
         plan = target_gen.hitlist_plan(source)
     else:
         if not args.prefixes:
             raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        source = _load(args.prefixes, target_gen.read_prefixes)
+        source = _load(args.prefixes, addresses.read_prefixes)
         if args.mode == "route6":
             plan = target_gen.route6_plan(source, cfg)
         elif args.stage == "all" and args.count_only:
@@ -222,6 +234,8 @@ def _manifest_entry(path, manifest) -> dict:
 
 
 def cmd_scan(args) -> int:
+    from . import probe_engine
+
     if not (math.isfinite(args.rate) and args.rate > 0):
         raise CliError("--rate must be a finite number above 0")
     if not 1 <= args.passes <= 1 << 16:  # the pass index is the 16-bit ICMP identifier
@@ -249,7 +263,7 @@ def cmd_scan(args) -> int:
     source = probe_engine.ProbeConfig().source_address
     if args.source:
         try:
-            source = target_gen.parse_address(args.source)
+            source = addresses.parse_address(args.source)
         except ValueError as exc:
             raise CliError(f"--source: {exc}") from None
     # Every simulated reply is queued by the send that causes it and
@@ -267,13 +281,13 @@ def cmd_scan(args) -> int:
         raise CliError(str(exc)) from None
 
     # Every flag is checked above, before any input is read.
-    targets = _load(args.targets, target_gen.read_addresses)
+    targets = _load(args.targets, addresses.read_addresses)
     input_paths = [args.targets]
     if args.exclude:
-        excluded = _load(args.exclude, target_gen.read_prefixes)
+        excluded = _load(args.exclude, addresses.read_prefixes)
         input_paths.append(args.exclude)
         before = len(targets)
-        targets = target_gen.exclude(targets, excluded)
+        targets = addresses.exclude(targets, excluded)
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
 
     if live:
@@ -327,7 +341,7 @@ def cmd_scan(args) -> int:
                 "cooldown": cooldown,
                 "passes": args.passes,
                 "targets_probed": len(targets),
-                "source": target_gen.format_address(source),
+                "source": addresses.format_address(source),
                 "secret_sha256": _secret_digest(secret),
             },
             "inputs": [_manifest_entry(p, args.manifest) for p in input_paths],
@@ -387,127 +401,7 @@ def cmd_manifest_verify(args) -> int:
 # --- analyze ----------------------------------------------------------------------
 
 
-def _matched(targets, path):
-    records = _load(path, probe_engine.read_replies)
-    return analysis.match_replies(targets, records)
-
-
-def _aliased(args):
-    if not args.aliased:
-        return []
-    return _load(args.aliased, target_gen.read_prefixes)
-
-
-# Each action returns its JSON report, its CSV header and its CSV rows.
-
-
-def _summarize(args, targets):
-    names = [Path(path).name for path in args.replies]
-    shared = [path for path, name in zip(args.replies, names) if names.count(name) > 1]
-    if shared:
-        raise CliError(
-            f"summarize keys its report by file name, which {' and '.join(shared)} share"
-        )
-    report = {
-        name: vars(analysis.summarize_scan(_matched(targets, path)))
-        for name, path in zip(names, args.replies)
-    }
-    header = ["scan", *(f.name for f in dataclasses.fields(analysis.ScanSummary))]
-    return report, header, ([name, *s.values()] for name, s in report.items())
-
-
-def _visibility(args, targets):
-    aliased = _aliased(args)
-    per_scan = [
-        {o.router_ip for o in analysis.alias_filter(_matched(targets, path), aliased, index)}
-        for index, path in enumerate(args.replies)
-    ]
-    report = analysis.visibility(analysis.build_visibility_matrix(per_scan))
-    summary = {
-        "scans": report.scans,
-        "always": len(report.always),
-        "sometimes": len(report.sometimes),
-        "never": len(report.never),
-        "histogram": report.histogram,  # json writes the int keys as text
-    }
-    return summary, ["scans_present", "routers"], report.histogram.items()
-
-
-def _stability(args, targets):
-    aliased = _aliased(args)
-    scans = [
-        analysis.stability_mapping(_matched(targets, path), aliased) for path in args.replies
-    ]
-    rows = [vars(r) for r in analysis.sra_stability(scans, baseline=args.baseline)]
-    header = [f.name for f in dataclasses.fields(analysis.StabilityRow)]
-    return rows, header, (r.values() for r in rows)
-
-
-def _loops(args, targets):
-    if len(args.replies) != 1:
-        raise CliError("loops reads exactly one reply file")
-    if not 0 <= args.subnet_length <= 128:
-        raise CliError("--subnet-length must be in 0..128")
-    if args.min_time_exceeded < 1:
-        raise CliError("--min-time-exceeded must be at least 1")
-    (path,) = args.replies
-    report = analysis.detect_loops(
-        _matched(targets, path),
-        subnet_length=args.subnet_length,
-        min_time_exceeded=args.min_time_exceeded,
-    )
-    routers = {
-        target_gen.format_address(ip): vars(src) for ip, src in report.per_router.items()
-    }
-    summary = {
-        "looping_subnets": sorted(str(p) for p in report.looping_subnets),
-        "routers": routers,
-    }
-    header = ["router", *(f.name for f in dataclasses.fields(analysis.LoopSource))]
-    return summary, header, ([ip, *src.values()] for ip, src in routers.items())
-
-
-def _compare(args, targets):
-    paths = {}
-    for item in args.set:
-        if "=" not in item:
-            raise CliError(f"--set wants NAME=FILE, got {item!r}")
-        name, _, path = item.partition("=")
-        if name in paths:
-            raise CliError(f"--set names {name!r} twice")
-        paths[name] = path
-    named = {name: _load(path, target_gen.read_addresses) for name, path in paths.items()}
-    table = None
-    if args.labels:
-        rows = _load(args.labels, target_gen.read_records, target_gen.parse_label_row)
-        table = target_gen.PrefixTable(rows)
-    report = analysis.compare_datasets(named, table)
-    exclusive = {"+".join(k): v for k, v in report.exclusive.items()}
-    summary = {
-        "sizes": report.sizes,
-        "union": report.union_size,
-        "exclusive": exclusive,
-        "pairwise": {f"{a}&{b}": v for (a, b), v in report.pairwise.items()},
-        "by_label": report.by_label,
-    }
-    return summary, ["member_of", "addresses"], exclusive.items()
-
-
-_ANALYSES = {
-    "summarize": _summarize,
-    "visibility": _visibility,
-    "stability": _stability,
-    "loops": _loops,
-    "compare": _compare,
-}
-
-
 def cmd_analyze(args) -> int:
-    # Only this command reads analysis and dataclasses, so only it imports
-    # them; the report builders above find them among the module's globals.
-    global analysis, dataclasses
-    import dataclasses
-
     from . import analysis
 
     targets = None
@@ -517,10 +411,10 @@ def cmd_analyze(args) -> int:
         if not args.targets:
             raise CliError(f"{args.action} needs --targets FILE")
         # One set for every reply file: match_replies keeps a frozenset uncopied.
-        targets = _load(args.targets, target_gen.read_addresses, into=frozenset)
+        targets = _load(args.targets, addresses.read_addresses, into=frozenset)
 
     try:
-        report, header, rows = _ANALYSES[args.action](args, targets)
+        report, header, rows = analysis.REPORTS[args.action](args, targets, _load)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     print(json.dumps(report, indent=2))
@@ -601,7 +495,9 @@ def _scan_args(scan: argparse.ArgumentParser) -> None:
 
 
 def _analyze_args(an: argparse.ArgumentParser) -> None:
-    an.add_argument("action", choices=_ANALYSES)
+    from . import analysis  # the actions are its reports
+
+    an.add_argument("action", choices=analysis.REPORTS)
     an.add_argument("--replies", metavar="FILE", nargs="*", default=[])
     an.add_argument("--targets", metavar="FILE")
     an.add_argument("--aliased", metavar="FILE", help="known aliased prefixes")

@@ -44,7 +44,7 @@ import sys
 from collections import deque
 from typing import NamedTuple
 
-from .target_gen import (
+from .addresses import (
     Ipv6Prefix,
     PrefixTable,
     format_address,

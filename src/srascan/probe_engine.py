@@ -17,16 +17,21 @@ or spoofed packets cannot pollute results (false accept ~ 2^-64).
 from __future__ import annotations
 
 import enum
-import hashlib
-import hmac
 import json
 import math
-import socket
 import struct
 import time
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
-from .target_gen import format_address, parse_address, read_blocks
+# The C functions behind hashlib.blake2b, socket.inet_pton and
+# hmac.compare_digest's fallback (constant time, as OpenSSL's is): importing
+# hashlib, hmac or socket would load OpenSSL or build socket's enums in every
+# scan process, for functions the scan does not call.
+from _blake2 import blake2b
+from _operator import _compare_digest as compare_digest
+from _socket import AF_INET6, inet_pton
+
+from .addresses import format_address, parse_address, read_blocks
 
 
 # Looked up once: on a per-packet path, reading the classmethod off `int`
@@ -179,7 +184,7 @@ def _reply_block(block: list[str]) -> list[ReplyRecord]:
     records = []
     append = records.append
     new = tuple.__new__
-    pton, af, from_bytes = socket.inet_pton, socket.AF_INET6, int.from_bytes
+    pton, af, from_bytes = inet_pton, AF_INET6, int.from_bytes
     for (d, end), line in zip(map(_scan_json, block, [0] * len(block)), block):
         if end != len(line):
             raise ValueError("extra data after the JSON value")
@@ -217,7 +222,7 @@ def read_replies(lines: Iterable[str]) -> Iterator[ReplyRecord]:
 
 def _payload_mac(address_bytes: bytes, secret: int) -> bytes:
     key = secret.to_bytes(8, "big")
-    return hashlib.blake2b(address_bytes, key=key, digest_size=8).digest()
+    return blake2b(address_bytes, key=key, digest_size=8).digest()
 
 
 def encode_payload(target_address: int, secret: int) -> bytes:
@@ -236,7 +241,7 @@ def decode_payload(data: bytes, secret: int) -> int | None:
     if len(data) < PAYLOAD_LEN:
         return None
     addr = data[:16]
-    if not hmac.compare_digest(_payload_mac(addr, secret), data[16:PAYLOAD_LEN]):
+    if not compare_digest(_payload_mac(addr, secret), data[16:PAYLOAD_LEN]):
         return None
     return _from_bytes(addr, "big")
 
@@ -286,7 +291,7 @@ class ProbeTemplate:
             "!IHBB", 6 << 28, ICMP6_HEADER_LEN + PAYLOAD_LEN, 58, cfg.hop_limit
         ) + cfg.source_address.to_bytes(16, "big")
         self._ident = struct.pack("!HH", cfg.scan_pass, cfg.shard)
-        self._mac = hashlib.blake2b(key=cfg.secret.to_bytes(8, "big"), digest_size=8)
+        self._mac = blake2b(key=cfg.secret.to_bytes(8, "big"), digest_size=8)
         self._cksum = icmpv6_checksum(
             cfg.source_address, 0, b"\x80\x00\x00\x00" + self._ident + bytes(PAYLOAD_LEN)
         )
@@ -487,6 +492,8 @@ class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
     """
 
     def __init__(self, interface: str, source_address: int, hop_limit: int = 64):
+        import socket  # only a live scan opens sockets
+
         self._send_sock = socket.socket(
             socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6
         )
@@ -513,7 +520,7 @@ class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
         self._recv_sock.settimeout(timeout)
         try:
             data = self._recv_sock.recv(65535)
-        except (TimeoutError, socket.timeout, BlockingIOError):
+        except (TimeoutError, BlockingIOError):  # socket.timeout is TimeoutError
             return None
         return data, time.monotonic()
 

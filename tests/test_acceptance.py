@@ -46,12 +46,11 @@ from srascan.probe_engine import (
     encode_payload,
     run_scan,
 )
+from srascan.addresses import parse_address, parse_prefix
 from srascan.target_gen import (
     GenerationConfig,
     gen_route6,
     gen_stage2,
-    parse_address,
-    parse_prefix,
     plan_size,
     stage2_plan,
     stage3_plan,

@@ -29,7 +29,7 @@ from srascan.analysis import (
 )
 from srascan import cli
 from srascan.probe_engine import ReplyKind, ReplyRecord
-from srascan.target_gen import parse_address, parse_label_row, parse_prefix, read_records
+from srascan.addresses import parse_address, parse_label_row, parse_prefix, read_records
 
 A = parse_address
 

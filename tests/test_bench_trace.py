@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from srascan import cli, target_gen
+from srascan import addresses, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,7 +111,7 @@ def test_the_benchmark_replay_matches_a_two_pass_scan(demo, monkeypatch):
         "--secret", "0x5ec", "-o", str(demo / "replay.ndjson"),
     ]) == 0
     with open(demo / "targets.txt") as fh:
-        targets = list(target_gen.read_addresses(fh))
+        targets = list(addresses.read_addresses(fh))
     expected = checks.replay(demo / "demo_topology.json", targets, 2, 64, 0x5EC, 1000.0)
     for scan_pass, lines in enumerate(expected):
         written = (demo / f"replay.pass{scan_pass}.ndjson").read_text().splitlines()

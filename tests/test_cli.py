@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
-from srascan import cli, netsim, probe_engine, target_gen
+from srascan import addresses, cli, netsim, probe_engine, target_gen
 
 
 def run(*argv):
@@ -154,16 +154,16 @@ class TestGenTargets:
         # Each target's provenance is the origin and stage of its plan entry.
         with open(prefixes) as p, open(hitlist) as h:
             plan = MODE_PLANS[mode](
-                list(target_gen.read_prefixes(p)),
-                list(target_gen.read_records(h, target_gen.parse_address)),
+                list(addresses.read_prefixes(p)),
+                list(addresses.read_records(h, addresses.parse_address)),
             )
             provenance = [(str(origin), stage.value) for origin, stage, indices in plan
                           for _ in indices]
-        addresses = (demo / "targets.txt").read_text().splitlines()
-        assert 0 < len(addresses) == min(len(provenance), max_targets or len(provenance))
+        written = (demo / "targets.txt").read_text().splitlines()
+        assert 0 < len(written) == min(len(provenance), max_targets or len(provenance))
         expected = "".join(
             json.dumps({"address": address, "origin": origin, "stage": stage}) + "\n"
-            for address, (origin, stage) in zip(addresses, provenance)
+            for address, (origin, stage) in zip(written, provenance)
         )
         assert (demo / "targets.ndjson").read_text() == expected
 
@@ -301,7 +301,7 @@ class TestGenTargets:
 
     def test_bad_target_line_past_the_first_block_names_its_line(self, demo, capsys):
         """A probe list is parsed in blocks; the line number still counts from 1."""
-        lines = [target_gen.format_address(0x20010DB8 << 96 | i << 64) for i in range(5000)]
+        lines = [addresses.format_address(0x20010DB8 << 96 | i << 64) for i in range(5000)]
         lines[4500] = "2001:db8::/64"
         targets = write(demo, "t.txt", "\n".join(lines) + "\n")
         replies = write(demo, "r.ndjson", "")
@@ -322,12 +322,12 @@ class TestGenTargets:
         for i in range(n):
             target = targets[i % 10]
             kind = kinds[i % 3 == 0]
-            source = target_gen.parse_address("fe80::1") if i % 3 == 0 else target | 1
+            source = addresses.parse_address("fe80::1") if i % 3 == 0 else target | 1
             record = probe_engine.ReplyRecord(
                 kind, 129 if i % 3 else 1, 0, source, target, 64, i / 1000
             )
             lines.append(record.to_json())
-        return lines, "".join(target_gen.format_address(t) + "\n" for t in targets)
+        return lines, "".join(addresses.format_address(t) + "\n" for t in targets)
 
     def test_bad_reply_line_past_the_first_block_names_its_line(self, demo, capsys):
         """A reply file is decoded in blocks; the line number still counts from 1."""
@@ -1079,7 +1079,7 @@ def reference_read(path, parse):
     `_load` reports it."""
     try:
         with open(path) as fh:
-            return list(target_gen.read_records(fh, parse))
+            return list(addresses.read_records(fh, parse))
     except ValueError as exc:
         return f"{path}: {exc}"
 
@@ -1107,23 +1107,23 @@ _REPLY_LINES = TestGenTargets.reply_lines(10)[0]
 # Each reader of _load, the parser of one of its lines, and its valid lines.
 LINE_READERS = {
     "addresses": (
-        target_gen.read_addresses,
-        target_gen.parse_target_line,
+        addresses.read_addresses,
+        addresses.parse_target_line,
         st.one_of(
-            _addresses.map(target_gen.format_address),
-            _addresses.map(lambda a: json.dumps({"address": target_gen.format_address(a)})),
+            _addresses.map(addresses.format_address),
+            _addresses.map(lambda a: json.dumps({"address": addresses.format_address(a)})),
         ),
     ),
     "hitlist": (
-        target_gen.read_hitlist,
-        target_gen.parse_address,
-        st.one_of(_addresses.map(target_gen.format_address), st.just("fe80::1%eth0")),
+        addresses.read_hitlist,
+        addresses.parse_address,
+        st.one_of(_addresses.map(addresses.format_address), st.just("fe80::1%eth0")),
     ),
     "prefixes": (
-        target_gen.read_prefixes,
-        target_gen.parse_prefix,
+        addresses.read_prefixes,
+        addresses.parse_prefix,
         st.builds(
-            lambda a, n: f"{target_gen.format_address(a >> (128 - n) << (128 - n))}/{n}",
+            lambda a, n: f"{addresses.format_address(a >> (128 - n) << (128 - n))}/{n}",
             _addresses, st.integers(0, 128),
         ),
     ),
@@ -1200,7 +1200,7 @@ def test_load_reads_what_iterating_the_file_reads(name, data, input_path):
     input_path.write_bytes(data.draw(line_files(valid)))
     with open(input_path) as fh, open(input_path) as iterated:
         assert fh._CHUNK_SIZE == CHUNK
-        assert lines_until_error(target_gen.text_lines(fh)) == lines_until_error(
+        assert lines_until_error(addresses.text_lines(fh)) == lines_until_error(
             line.removesuffix("\n") for line in iterated
         )
     assert loaded(input_path, read) == reference_read(input_path, parse)
@@ -1219,7 +1219,7 @@ def test_a_bad_line_ending_a_chunk_is_named_before_an_undecodable_byte_in_the_ne
     assert len(head + "zz\n") == CHUNK + shift
     assert run("scan", "--targets", str(path), "--sim-topology", "unread.json") == 2
     err = capsys.readouterr().err
-    assert err == f"error: {reference_read(path, target_gen.parse_target_line)}\n"
+    assert err == f"error: {reference_read(path, addresses.parse_target_line)}\n"
     assert err.startswith(f"error: {path}: {raised}")
 
 
@@ -1299,14 +1299,73 @@ def loaded_after(modules: str, names: set[str], *flags: str) -> str:
 
 
 def test_importing_the_cli_leaves_what_only_some_commands_read_unloaded():
-    names = {"srascan.analysis", "srascan.netsim", "csv", "datetime"}
+    names = {
+        "srascan.analysis", "srascan.netsim", "srascan.target_gen", "srascan.probe_engine",
+        "csv", "datetime", "hashlib",
+    }
     assert loaded_after("srascan.cli", names) == "[]\n"
 
 
 def test_the_scan_path_imports_neither_dataclasses_nor_inspect():
     # bench/setup_probe.py times these imports as every scan's set-up; -S
-    # keeps site's own imports out of the answer.
-    assert loaded_after("srascan.cli, srascan.netsim", {"dataclasses", "inspect"}, "-S") == "[]\n"
+    # keeps site's own imports out of the answer.  A scan runs no plan, no
+    # report and no OpenSSL code, and opens no socket of its own.
+    names = {
+        "dataclasses", "inspect", "srascan.target_gen", "srascan.analysis",
+        "hashlib", "_hashlib", "hmac", "socket",
+    }
+    assert loaded_after("srascan.cli, srascan.netsim", names, "-S") == "[]\n"
+
+
+def modules_loaded_by(cwd, argv: list[str], names: set[str]) -> str:
+    """The printed sorted list of `names` loaded once `cli.main(argv)` has
+    run in a fresh interpreter; the command must succeed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; from srascan import cli; rc = cli.main(sys.argv[2:]); "
+        "print(rc, sorted(set(sys.argv[1].split()) & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code, " ".join(sorted(names)), *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
+    assert rc == "0", proc.stderr
+    return loaded
+
+
+def test_gen_targets_loads_no_scan_module(demo):
+    argv = ["gen-targets", "--mode", "bgp", "--prefixes", "demo_subnets.txt", "-o", "t.txt"]
+    assert modules_loaded_by(demo, argv, {"srascan.probe_engine", "srascan.netsim"}) == "[]"
+
+
+def test_a_simulated_scan_loads_no_generation_module(demo):
+    write(demo, "targets.txt", "2001:db8:100::\n")
+    argv = ["scan", "--targets", "targets.txt", "--sim-topology", "demo_topology.json",
+            "-o", "r.ndjson"]
+    assert modules_loaded_by(demo, argv, {"srascan.target_gen", "hashlib"}) == "[]"
+
+
+def test_the_scan_path_takes_the_c_functions_behind_the_public_ones():
+    """The scan path imports these from the C modules, so a Python whose
+    public functions are something else fails here instead of scanning
+    differently."""
+    import _blake2
+    import _operator
+    import _socket
+    import hashlib
+    import hmac
+    import socket
+
+    assert _blake2.blake2b is hashlib.blake2b
+    assert _socket.inet_pton is socket.inet_pton
+    assert _socket.inet_ntop is socket.inet_ntop
+    assert _socket.AF_INET6 == socket.AF_INET6
+    for a, b in [(b"", b""), (b"tag", b"tag"), (b"tag", b"tog"), (b"tag", b"tags"),
+                 (bytes(8), bytes(8)), (bytes(8), bytes(7) + b"\x01")]:
+        assert _operator._compare_digest(a, b) is hmac.compare_digest(a, b) is (a == b)
 
 
 def test_the_scan_path_leaves_the_hex_digit_table_unbuilt():

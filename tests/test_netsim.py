@@ -36,7 +36,7 @@ from srascan.probe_engine import (
     classify_icmp,
     run_scan,
 )
-from srascan.target_gen import parse_address, parse_prefix
+from srascan.addresses import parse_address, parse_prefix
 from test_netsim_reference import scenarios
 
 SECRET = 0xC0FFEE

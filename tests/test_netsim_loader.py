@@ -22,7 +22,7 @@ from srascan.netsim import (
     topology_to_dict,
 )
 from srascan.probe_engine import ProbeConfig, ReplyKind, build_echo_request, classify_icmp
-from srascan.target_gen import parse_address, parse_prefix
+from srascan.addresses import parse_address, parse_prefix
 
 
 def two_routers() -> dict:

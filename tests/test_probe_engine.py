@@ -11,6 +11,7 @@ import ipaddress
 import json
 import math
 import struct
+import sys
 import threading
 import time
 from collections import Counter, deque
@@ -38,8 +39,7 @@ from srascan.probe_engine import (
     read_replies,
     run_scan,
 )
-from srascan import target_gen
-from srascan.target_gen import format_address, read_records
+from srascan.addresses import READ_BLOCK, format_address, read_blocks, read_records
 
 
 def addr(text: str) -> int:
@@ -484,12 +484,12 @@ def _decode(read, lines):
         st.one_of(reply_records().map(lambda r: r.to_json() + "\n"), reply_lines()),
         max_size=30,
     ),
-    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+    block=st.sampled_from([1, 2, 3, 7, READ_BLOCK]),
 )
 def test_read_replies_matches_from_json_line_by_line(lines, block):
     """Block decoding yields what `from_json` yields per line, or its error."""
     expected = _decode(lambda ls: read_records(ls, ReplyRecord.from_json), lines)
-    with mock.patch.object(target_gen, "READ_BLOCK", block):
+    with mock.patch.object(sys.modules[read_blocks.__module__], "READ_BLOCK", block):
         assert _decode(read_replies, lines) == expected
         assert _decode(read_replies, iter(lines)) == expected
 
@@ -500,13 +500,13 @@ def test_read_replies_matches_from_json_line_by_line(lines, block):
         st.one_of(reply_records().map(ReplyRecord.to_json), reply_lines().map(lambda l: l[:-1])),
         max_size=30,
     ),
-    block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
+    block=st.sampled_from([1, 2, 3, 7, READ_BLOCK]),
 )
 def test_read_replies_matches_from_json_on_newline_free_lines(lines, block):
     """The same on lines without their newlines, as `text_lines` gives them:
     the lines that block decoding takes whole."""
     expected = _decode(lambda ls: read_records(ls, ReplyRecord.from_json), lines)
-    with mock.patch.object(target_gen, "READ_BLOCK", block):
+    with mock.patch.object(sys.modules[read_blocks.__module__], "READ_BLOCK", block):
         assert _decode(read_replies, lines) == expected
 
 

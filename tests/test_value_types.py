@@ -13,7 +13,8 @@ import pytest
 
 from srascan.netsim import Delivery, Emission, Interface, Route, SimRouter
 from srascan.probe_engine import ProbeConfig, ReplyKind, ReplyRecord
-from srascan.target_gen import GenerationConfig, Ipv6Prefix, parse_prefix
+from srascan.addresses import Ipv6Prefix, parse_prefix
+from srascan.target_gen import GenerationConfig
 
 
 def addr(text: str) -> int:
