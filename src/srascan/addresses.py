@@ -12,7 +12,9 @@ The value types are NamedTuples, not dataclasses, because every command
 imports this module and importing `dataclasses` is a start-up cost each
 command would pay.  A checked type is a NamedTuple base plus a subclass
 whose `__new__` runs the checks; `_replace` and `_make` skip that
-`__new__`, so nothing calls them on a checked type.
+`__new__`, so nothing calls them on a checked type.  A block of a prefix
+file is checked a column at a time instead, and its prefixes are built
+with `tuple.__new__`.
 
 The socket calls come from `_socket`, the C module behind `socket`:
 `socket.inet_pton` and `socket.inet_ntop` are `_socket`'s functions, and
@@ -162,13 +164,19 @@ class PrefixTable:
         return False
 
 
+# glibc writes the last 32 bits of ::/96 and ::ffff:0:0/96 as a dotted
+# quad, and so does ipaddress, from Python 3.13, for ::ffff:0:0/96.  Both
+# lie below LOW_ADDRESSES, so one comparison takes every such address off
+# inet_ntop.
+LOW_ADDRESSES = 1 << 48
+
+
 def format_address(address: int) -> str:
     """RFC 5952 text of a 128-bit address, with every group in hex."""
-    if address < 1 << 48 and address >> 32 in (0, 0xFFFF):
-        # glibc writes the last 32 bits of ::/96 and ::ffff:0:0/96 as a
-        # dotted quad; ipaddress writes hex.  Both lie below 2^48, so one
-        # comparison clears every other address.
-        return str(ipaddress.IPv6Address(address))
+    if address < LOW_ADDRESSES:
+        # The top five groups are zero, the longest run of zeros: the text
+        # is `::`, then the groups from the first one that is not zero.
+        return "::" + ":".join([f"{address >> s & 0xFFFF:x}" for s in (32, 16, 0) if address >> s])
     return inet_ntop(AF_INET6, address.to_bytes(16, "big"))
 
 
@@ -378,40 +386,44 @@ def read_hitlist(lines: Iterable[str]) -> Iterator[int]:
 
 def _prefix_columns(block: list[str]) -> tuple[list[int], list[int]]:
     """The bits and the lengths of a block of `address/length` lines, each
-    address through inet_pton and each length ASCII decimal."""
+    address through inet_pton and each length ASCII decimal.
+
+    Every length and host part is checked at once, as Ipv6Prefix checks
+    one: a block with a length above 128, or with host bits set, raises
+    ValueError.
+    """
     addresses, _, lengths = zip(*map(str.partition, block, itertools.repeat("/")))
     if not (all(map(str.isdigit, lengths)) and "".join(lengths).isascii()):
         raise ValueError("a prefix length is not ASCII decimal")
-    bits = map(
+    bits = list(map(
         int.from_bytes,
         map(inet_pton, itertools.repeat(AF_INET6), addresses),
         itertools.repeat("big"),
-    )
-    return list(bits), list(map(int, lengths))
+    ))
+    lengths = list(map(int, lengths))
+    if max(lengths) > 128 or any(map(operator.and_, bits, map(MAX128.__rshift__, lengths))):
+        raise ValueError("a prefix length is above 128, or host bits are set")
+    return bits, lengths
 
 
 def _prefix_block(block: list[str]) -> list[Ipv6Prefix]:
-    """A block of `address/length` lines, each prefix through Ipv6Prefix's checks."""
-    return list(map(Ipv6Prefix, *_prefix_columns(block)))
+    """A block of `address/length` lines, checked by column, so the
+    prefixes are built without running Ipv6Prefix's checks per line."""
+    return list(map(tuple.__new__, itertools.repeat(Ipv6Prefix), zip(*_prefix_columns(block))))
 
 
 def parse_prefix_keys(texts: list[str]) -> list[tuple[int, int]]:
     """`(bits, length)` of `parse_prefix` of each text, in one C chain.
 
-    The chain checks every length and host part at once, as Ipv6Prefix
-    does.  A list it refuses (a bare, scoped, padded, non-text or bad item)
-    is parsed item by item, so a bad item is refused with parse_prefix's
+    The chain checks every length and host part at once (`_prefix_columns`).
+    A list it refuses (a bare, scoped, padded, non-text or bad item) is
+    parsed item by item, so a bad item is refused with parse_prefix's
     message.
     """
     try:
-        bits, lengths = _prefix_columns(texts)
-        if 0 <= min(lengths) and max(lengths) <= 128 and not any(
-            map(operator.and_, bits, map(MAX128.__rshift__, lengths))
-        ):
-            return list(zip(bits, lengths))
+        return list(zip(*_prefix_columns(texts)))
     except (OSError, TypeError, ValueError):
-        pass
-    return [(p.bits, p.length) for p in map(parse_prefix, texts)]
+        return [(p.bits, p.length) for p in map(parse_prefix, texts)]
 
 
 def read_prefixes(lines: Iterable[str]) -> Iterator[Ipv6Prefix]:

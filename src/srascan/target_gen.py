@@ -11,11 +11,14 @@ billions of addresses can be streamed to a sender or counted.  Each mode's
 plan is read four ways: `gen_*` yields its addresses, `plan_size` sums its
 sizes, `plan_text` writes the probe list as text, and `plan_ndjson` writes
 it as NDJSON records that name the prefix and rule that produced each
-address.  `take` cuts a plan to its first n targets.  Deduplication is exact
-and runs on one index range per prefix, not on per-address sets: ranges are
-sorted and merged into disjoint ones (`_merged`), and stage 2's claims come
-from one sweep over them in sorted order (`_first_claims`), so planning
-costs O(n log n) in n prefixes.
+address.  `take` cuts a plan to its first n targets.  The writers format a
+run of up to READ_BLOCK targets at once (`format_addresses`), and the
+stage-1 and hitlist plans are built READ_BLOCK inputs at a time, so an
+entry of one target, as each of theirs is, runs no Python frame of its own.
+Deduplication is exact and runs on one index range per prefix, not on
+per-address sets: ranges are sorted and merged into disjoint ones (`_merged`),
+and stage 2's claims come from one sweep over them in sorted order
+(`_first_claims`), so planning costs O(n log n) in n prefixes.
 
 Only `gen-targets` imports this module; the addresses, prefixes and line
 readers that every command uses are in `addresses`.  `GenerationConfig` is
@@ -33,9 +36,16 @@ import itertools
 import operator
 import random
 import struct
+from _socket import AF_INET6, inet_ntop
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .addresses import READ_BLOCK, Ipv6Prefix, _merged, format_address
+from .addresses import (
+    LOW_ADDRESSES,
+    READ_BLOCK,
+    Ipv6Prefix,
+    _merged,
+    format_address,
+)
 
 # A plan's inputs are prefixes: the prefix type, its parser and the address
 # bound stay importable from here beside the plans that take them.
@@ -117,24 +127,6 @@ def take(plan: Iterable[_PlanEntry], n: int) -> Iterator[_PlanEntry]:
         yield origin, stage, indices
 
 
-def line_blocks(lines: Iterable[str], lead: str = "", end: str = "\n") -> Iterator[str]:
-    """`lines` joined READ_BLOCK at a time, each line between `lead` and `end`."""
-    lines = iter(lines)
-    joint = end + lead
-    while block := list(itertools.islice(lines, READ_BLOCK)):
-        yield lead + joint.join(block) + end
-
-
-def _fills_one_group(entry: _PlanEntry) -> bool:
-    """Whether `plan_text` writes an entry by filling in one group per line:
-    a range of at least two targets whose shift is a multiple of 16, >= 64."""
-    origin, stage, indices = entry
-    if type(indices) is not range or len(indices) < 2 or indices.step != 1:
-        return False
-    shift = _shift(origin, stage)
-    return shift >= 64 and shift % 16 == 0
-
-
 # An aligned run of 16**3 values of a 16-bit group: their hex texts differ
 # only in the last three digits.
 DIGIT_WINDOW = 4096
@@ -186,41 +178,118 @@ def _grid_text(
         start = block_end
 
 
+def format_addresses(addresses: list[int]) -> list[str]:
+    """`format_address` of each address, in one C chain: `int.to_bytes`,
+    then `inet_ntop`.
+
+    A list that holds an address below LOW_ADDRESSES, whose text glibc may
+    write as a dotted quad, is formatted address by address.
+    """
+    if min(addresses, default=LOW_ADDRESSES) < LOW_ADDRESSES:
+        return list(map(format_address, addresses))
+    return list(map(
+        inet_ntop,
+        itertools.repeat(AF_INET6),
+        map(int.to_bytes, addresses, itertools.repeat(16), itertools.repeat("big")),
+    ))
+
+
+# An NDJSON line of `plan_ndjson`: address, origin bits and length, stage.
+_NDJSON_LINE = '{{"address": "{}", "origin": "{}/{}", "stage": "{}"}}\n'
+
+
+def _run_text(
+    targets: list[int], origins: list[Ipv6Prefix], stages: list[str], ndjson: bool
+) -> str:
+    """The lines of `targets`, as text or, with each one's origin and stage
+    value, as NDJSON, formatted together (`format_addresses`)."""
+    texts = format_addresses(targets)
+    if not ndjson:
+        return "\n".join(texts) + "\n"
+    bits = list(map(operator.itemgetter(0), origins))
+    # A stage-1 or hitlist origin is its target's prefix: the same text.
+    origin_texts = texts if bits == targets else format_addresses(bits)
+    lengths = map(operator.itemgetter(1), origins)
+    return "".join(map(_NDJSON_LINE.format, texts, origin_texts, lengths, stages))
+
+
+def _plan_blocks(plan: Iterable[_PlanEntry], ndjson: bool) -> Iterator[str]:
+    """The blocks of `plan_text`, or with `ndjson` of `plan_ndjson`.
+
+    A range entry of /64-grid targets (a step-1 range of at least two
+    targets whose shift is a multiple of 16, >= 64) is written by
+    `_grid_text`.  The targets of all other entries are gathered, across
+    entries, into runs of at most READ_BLOCK targets, each written at once
+    by `_run_text`.  An entry of one index, as each of stage 1 and of a
+    hitlist is, costs no Python call: no generator, key function, map or
+    enum hash.
+    """
+    # The run gathered so far: per target, its address, and its entry's
+    # origin and stage value.
+    targets: list[int] = []
+    origins: list[Ipv6Prefix] = []
+    stages: list[str] = []
+    stage = None
+    for origin, entry_stage, indices in plan:
+        if entry_stage is not stage:
+            stage = entry_stage
+            sublen, value = _STAGE_SUBNET_LEN[stage], stage.value
+        shift = 128 - (sublen or origin.length)
+        if type(indices) is range and len(indices) == 1:
+            targets.append(indices.start << shift)
+            origins.append(origin)
+            stages.append(value)
+            if len(targets) == READ_BLOCK:
+                yield _run_text(targets, origins, stages, ndjson)
+                targets, origins, stages = [], [], []
+        elif type(indices) is range and indices.step == 1 and shift >= 64 and not shift % 16:
+            if targets:
+                yield _run_text(targets, origins, stages, ndjson)
+                targets, origins, stages = [], [], []
+            lead, end = "", "\n"
+            if ndjson:
+                lead = '{"address": "'
+                end = f'", "origin": "{origin}", "stage": "{value}"}}\n'
+            yield from _grid_text(indices.start, indices.stop, shift, lead, end)
+        else:
+            found = map(shift.__rlshift__, indices)
+            while chunk := list(itertools.islice(found, READ_BLOCK - len(targets))):
+                targets += chunk
+                origins += itertools.repeat(origin, len(chunk))
+                stages += itertools.repeat(value, len(chunk))
+                if len(targets) == READ_BLOCK:
+                    yield _run_text(targets, origins, stages, ndjson)
+                    targets, origins, stages = [], [], []
+    if targets:
+        yield _run_text(targets, origins, stages, ndjson)
+
+
 def plan_text(plan: Iterable[_PlanEntry]) -> Iterator[str]:
     """The probe list of `plan` as text blocks: `format_address` of each
     target, in walk order, one per line, at most READ_BLOCK lines a block.
 
-    A range entry of /64-grid targets (`_fills_one_group`) is written by
-    filling in only the group that changes from one address to the next.
-    Runs of other entries (single addresses, samples) are formatted one
-    address at a time.
+    A range entry of /64-grid targets is written by filling in only the
+    group that changes from one address to the next (`_grid_text`).  The
+    targets of other entries (announced prefixes, hitlist /64s, route6
+    samples) are formatted a run of up to READ_BLOCK targets at a time, in
+    one C chain (`format_addresses`), with no Python call per one-address
+    entry (`_plan_blocks`).
     """
-    for fills, run in itertools.groupby(plan, _fills_one_group):
-        if fills:
-            for origin, stage, indices in run:
-                yield from _grid_text(indices.start, indices.stop, _shift(origin, stage))
-        else:
-            yield from line_blocks(map(format_address, _walk(run)))
+    return _plan_blocks(plan, False)
 
 
 def plan_ndjson(plan: Iterable[_PlanEntry]) -> Iterator[str]:
     """The probe list of `plan` as NDJSON blocks: per target, in walk order,
     `json.dumps({"address": ..., "origin": ..., "stage": ...})` on one line.
 
-    Each line is the address text `plan_text` writes for the target's entry,
-    between a fixed lead and an end built once per entry from its origin and
-    stage, joined in the same blocks as `plan_text`'s lines.  That equals
-    `json.dumps` byte for byte, because address text, prefix text and stage
-    values are ASCII with nothing JSON escapes.
+    Each line holds the address text `plan_text` writes for the target, in
+    the same blocks.  A grid entry's lines are that text between a fixed
+    lead and an end built once per entry from its origin and stage; a run
+    of other targets is formatted with its origins (`_run_text`).  That
+    equals `json.dumps` byte for byte, because address text, prefix text
+    and stage values are ASCII with nothing JSON escapes.
     """
-    lead = '{"address": "'
-    for entry in plan:
-        origin, stage, indices = entry
-        end = f'", "origin": "{origin}", "stage": "{stage.value}"}}\n'
-        if _fills_one_group(entry):
-            yield from _grid_text(indices.start, indices.stop, _shift(origin, stage), lead, end)
-        else:
-            yield from line_blocks(map(format_address, _walk([entry])), lead, end)
+    return _plan_blocks(plan, True)
 
 
 def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
@@ -243,14 +312,24 @@ def stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
     """One entry per distinct SRA address; the first prefix that has it wins.
 
     Its size is the number of distinct SRA addresses among the prefixes.
+    The entries are planned READ_BLOCK prefixes at a time and flattened in
+    C, so no Python frame is resumed per entry.
     """
+    return itertools.chain.from_iterable(_stage1_blocks(iter(prefixes)))
+
+
+def _stage1_blocks(prefixes: Iterator[Ipv6Prefix]) -> Iterator[list[_PlanEntry]]:
     seen: set[int] = set()
-    for p in prefixes:
-        sra = p.sra
-        if sra not in seen:
-            seen.add(sra)
-            idx = sra >> (128 - p.length)
-            yield p, Stage.BGP_AS_ANNOUNCED, range(idx, idx + 1)
+    stage = Stage.BGP_AS_ANNOUNCED
+    while block := list(itertools.islice(prefixes, READ_BLOCK)):
+        entries = []
+        for p in block:
+            sra, length = p  # a prefix's SRA is its bits
+            if sra not in seen:
+                seen.add(sra)
+                idx = sra >> (128 - length)
+                entries.append((p, stage, range(idx, idx + 1)))
+        yield entries
 
 
 def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
@@ -466,13 +545,27 @@ def gen_route6(
 
 
 def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
-    """One entry per distinct /64 of the hitlist's addresses, in first-seen order."""
+    """One entry per distinct /64 of the hitlist's addresses, in first-seen order.
+
+    The entries are planned READ_BLOCK addresses at a time and flattened in
+    C, so no Python frame runs per entry.
+    """
+    return itertools.chain.from_iterable(_hitlist_blocks(iter(addresses)))
+
+
+def _hitlist_blocks(addresses: Iterator[int]) -> Iterator[list[_PlanEntry]]:
     seen: set[int] = set()
-    for addr in addresses:
-        idx = addr >> 64
-        if idx not in seen:
-            seen.add(idx)
-            yield Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64, range(idx, idx + 1)
+    stage = Stage.HITLIST_64
+    while block := list(itertools.islice(addresses, READ_BLOCK)):
+        entries = []
+        for addr in block:
+            idx = addr >> 64
+            if idx not in seen:
+                seen.add(idx)
+                # A canonical /64, so built without Ipv6Prefix's checks.
+                origin = tuple.__new__(Ipv6Prefix, (idx << 64, 64))
+                entries.append((origin, stage, range(idx, idx + 1)))
+        yield entries
 
 
 def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:

@@ -39,6 +39,7 @@ from srascan.addresses import (
     read_hitlist,
     read_prefixes,
     read_records,
+    text_lines,
 )
 from srascan.target_gen import (
     GenerationConfig,
@@ -189,8 +190,27 @@ def address_texts(draw):
 @example(a=0xFFFF01020304)
 def test_format_address_matches_ipaddress_and_round_trips(a):
     text = format_address(a)
-    assert text == str(ipaddress.IPv6Address(a))
+    if a >> 32 == 0xFFFF:
+        # From Python 3.13 ipaddress writes ::ffff:0:0/96 with a dotted quad.
+        assert text == f"::ffff:{a >> 16 & 0xFFFF:x}:{a & 0xFFFF:x}"
+    else:
+        assert text == str(ipaddress.IPv6Address(a))
     assert parse_address(text) == a
+
+
+@pytest.mark.parametrize("a, text", [
+    (0, "::"),
+    (1, "::1"),
+    (0x10000, "::1:0"),
+    (0x01020304, "::102:304"),
+    (0xFFFF00000000, "::ffff:0:0"),
+    (0xFFFF01020304, "::ffff:102:304"),
+    ((1 << 48) - 1, "::ffff:ffff:ffff"),
+    (1 << 48, "::1:0:0:0"),
+])
+def test_format_address_writes_hex_on_every_python(a, text):
+    """The same text on every supported Python, whatever its ipaddress writes."""
+    assert format_address(a) == text
 
 
 def _parsed(parse, text):
@@ -1133,6 +1153,138 @@ def test_plan_ndjson_equals_json_dumps_per_target(plan):
             for idx in indices
         )
     _assert_same_text("".join(plan_ndjson(plan)), expected)
+
+
+# Addresses at the edges where the formatter changes path: around 2^32 and
+# 2^48, in ::ffff:0:0/96, and at the top of the space.
+_edge_addresses = st.one_of(
+    st.integers(-3, 3).map(lambda d: (1 << 32) + d),
+    st.integers(-3, 3).map(lambda d: (1 << 48) + d),
+    st.integers(0, (1 << 32) - 1).map(lambda low: 0xFFFF << 32 | low),
+    st.integers(0, 3).map(lambda d: MAX128 - d),
+    addresses,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(_edge_addresses, max_size=20))
+def test_format_addresses_equals_format_address_per_address(batch):
+    assert target_gen.format_addresses(batch) == list(map(format_address, batch))
+
+
+def _one_address_inputs(seed: int, hitlist: bool) -> list:
+    """2 * READ_BLOCK + 1 stage-1 prefixes (lengths 0..128), or hitlist
+    addresses, with repeats that dedup and bases below 2^48."""
+    rnd = random.Random(seed)
+    out: list = []
+    for _ in range(2 * target_gen.READ_BLOCK + 1):
+        base = rnd.choice(
+            [rnd.getrandbits(128)] * 8 + [rnd.getrandbits(48), 0xFFFF << 32 | rnd.getrandbits(32)]
+        )
+        if out and rnd.random() < 0.1:
+            base = rnd.choice(out) if hitlist else rnd.choice(out).bits
+        if hitlist:
+            # Another address of a /64 seen before, or a new one.
+            out.append(base ^ rnd.getrandbits(64) if rnd.random() < 0.5 else base)
+        else:
+            # The same SRA under another length, or the prefix repeated.
+            length = rnd.randrange(129)
+            out.append(Ipv6Prefix(base & ~((1 << (128 - length)) - 1) & MAX128, length))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["stage1", "hitlist"])
+@pytest.mark.parametrize("block, seed", [(7, 1), (5000, 2), (4096, 3)])
+def test_one_address_runs_cross_blocks(mode, block, seed):
+    """Runs of one-address entries that cross blocks: each writer equals
+    its per-target reference, in blocks of 1..READ_BLOCK lines, and a cut
+    plan writes exactly the first n lines."""
+    inputs = _one_address_inputs(seed, hitlist=mode == "hitlist")
+    n = random.Random(seed).randrange(len(inputs) + 2)
+    plan_of = stage1_plan if mode == "stage1" else hitlist_plan
+    with mock.patch.object(target_gen, "READ_BLOCK", block):
+        plan = list(plan_of(inputs))
+        assert len(plan) > block
+        text_blocks = list(target_gen.plan_text(plan))
+        ndjson_blocks = list(plan_ndjson(plan))
+        head = "".join(target_gen.plan_text(take(plan_of(inputs), n)))
+    # The first producer of each target wins.
+    first: dict = {}
+    for item in inputs:
+        key = item >> 64 if mode == "hitlist" else item.bits
+        first.setdefault(key, item)
+    if mode == "hitlist":
+        want = [(Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64) for idx in first]
+    else:
+        want = [(p, Stage.BGP_AS_ANNOUNCED) for p in first.values()]
+    assert [(origin, stage) for origin, stage, _ in plan] == want
+    assert all(type(origin) is Ipv6Prefix for origin, _, _ in plan)
+
+    expected = _expected_text(plan)
+    _assert_same_text("".join(text_blocks), expected)
+    _assert_same_text(head, "".join(expected.splitlines(keepends=True)[:n]))
+    records = "".join(
+        json.dumps({"address": format_address(a), "origin": str(o), "stage": s.value}) + "\n"
+        for a, (o, s, _) in zip(target_gen._walk(plan), plan)
+    )
+    _assert_same_text("".join(ndjson_blocks), records)
+    for blocks in (text_blocks, ndjson_blocks):
+        assert all(0 < text.count("\n") <= block for text in blocks)
+
+
+def _python_calls(fn, code=None) -> int:
+    """The Python-level calls, generator resumes included, that `fn()` makes,
+    or with `code` those that run that code object."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and code in (None, frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["stage1", "hitlist"])
+def test_one_address_plans_stay_within_a_call_budget(mode):
+    """Planning and writing a stage-1 or hitlist probe list runs no Python
+    frame per entry: the count of calls grows by at most 2 per extra target
+    as text and 4 as NDJSON."""
+    rnd = random.Random(0)
+    inputs = [0x2001_0DB8 << 96 | rnd.getrandbits(32) << 64 for _ in range(6000)]
+    if mode == "stage1":
+        inputs, plan_of = [Ipv6Prefix(a, 64) for a in inputs], stage1_plan
+    else:
+        plan_of = hitlist_plan
+    for writer, bound in ((target_gen.plan_text, 2), (plan_ndjson, 4)):
+        small, large = (
+            _python_calls(lambda: "".join(writer(plan_of(inputs[:k])))) for k in (2000, 6000)
+        )
+        assert (large - small) / 4000 <= bound, (writer.__name__, small, large)
+
+
+def test_reading_a_canonical_prefix_file_checks_by_column(tmp_path):
+    """A prefix file of canonical `address/length` lines is checked a block
+    at a time: Ipv6Prefix.__new__ runs for none of its lines."""
+    rnd = random.Random(0)
+    prefixes = []
+    for _ in range(6000):
+        length = rnd.randrange(129)
+        bits = rnd.getrandbits(128) & ~((1 << (128 - length)) - 1) & MAX128
+        prefixes.append(Ipv6Prefix(bits, length))
+    path = tmp_path / "prefixes.txt"
+    path.write_text("".join(f"{p}\n" for p in prefixes))
+    read: list = []
+    with open(path) as fh:
+        checks = _python_calls(
+            lambda: read.extend(read_prefixes(text_lines(fh))), Ipv6Prefix.__new__.__code__
+        )
+    assert read == prefixes and checks == 0
+    assert all(type(p) is Ipv6Prefix for p in read)
 
 
 def test_grid_text_formats_one_address_per_block():
