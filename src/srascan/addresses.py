@@ -173,7 +173,7 @@ LOW_ADDRESSES = 1 << 48
 
 def format_address(address: int) -> str:
     """RFC 5952 text of a 128-bit address, with every group in hex."""
-    if address < LOW_ADDRESSES:
+    if 0 <= address < LOW_ADDRESSES:
         # The top five groups are zero, the longest run of zeros: the text
         # is `::`, then the groups from the first one that is not zero.
         return "::" + ":".join([f"{address >> s & 0xFFFF:x}" for s in (32, 16, 0) if address >> s])

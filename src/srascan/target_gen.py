@@ -206,9 +206,7 @@ def _run_text(
     texts = format_addresses(targets)
     if not ndjson:
         return "\n".join(texts) + "\n"
-    bits = list(map(operator.itemgetter(0), origins))
-    # A stage-1 or hitlist origin is its target's prefix: the same text.
-    origin_texts = texts if bits == targets else format_addresses(bits)
+    origin_texts = format_addresses(list(map(operator.itemgetter(0), origins)))
     lengths = map(operator.itemgetter(1), origins)
     return "".join(map(_NDJSON_LINE.format, texts, origin_texts, lengths, stages))
 
@@ -236,6 +234,9 @@ def _plan_blocks(plan: Iterable[_PlanEntry], ndjson: bool) -> Iterator[str]:
             sublen, value = _STAGE_SUBNET_LEN[stage], stage.value
         shift = 128 - (sublen or origin.length)
         if type(indices) is range and len(indices) == 1:
+            # Each stage-1 and hitlist entry.  The last branch would write
+            # it the same, but its map, islice and repeats per entry made
+            # writing such a plan about three times as slow per target.
             targets.append(indices.start << shift)
             origins.append(origin)
             stages.append(value)
@@ -557,12 +558,15 @@ def _hitlist_blocks(addresses: Iterator[int]) -> Iterator[list[_PlanEntry]]:
     seen: set[int] = set()
     stage = Stage.HITLIST_64
     while block := list(itertools.islice(addresses, READ_BLOCK)):
+        if min(block) < 0 or max(block) > MAX128:
+            raise ValueError("prefix bits out of 128-bit range")
         entries = []
         for addr in block:
             idx = addr >> 64
             if idx not in seen:
                 seen.add(idx)
-                # A canonical /64, so built without Ipv6Prefix's checks.
+                # A canonical /64 (the block is in range), so built
+                # without Ipv6Prefix's checks.
                 origin = tuple.__new__(Ipv6Prefix, (idx << 64, 64))
                 entries.append((origin, stage, range(idx, idx + 1)))
         yield entries

@@ -213,6 +213,14 @@ def test_format_address_writes_hex_on_every_python(a, text):
     assert format_address(a) == text
 
 
+@pytest.mark.parametrize("a", [-1, -(1 << 48), 1 << 128])
+def test_format_address_refuses_values_outside_128_bits(a):
+    with pytest.raises(OverflowError):
+        format_address(a)
+    with pytest.raises(OverflowError):
+        target_gen.format_addresses([1 << 64, a])
+
+
 def _parsed(parse, text):
     try:
         return parse(text)
@@ -844,6 +852,12 @@ def test_hitlist_masks_to_64_and_dedups():
     assert record["stage"] == "hitlist64"
     assert record["origin"] == "2001:db8:1:2::/64"
     assert plan_size(hitlist_plan(addresses)) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 128])
+def test_hitlist_refuses_addresses_outside_128_bits(bad):
+    with pytest.raises(ValueError, match="out of 128-bit range"):
+        list(hitlist_plan([addr("2001:db8::1"), bad]))
 
 
 # --- combined bgp stages -----------------------------------------------------
