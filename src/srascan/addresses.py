@@ -109,19 +109,17 @@ class PrefixTable:
     prefixes; only a miss returns `default`.
     """
 
-    __slots__ = ("default", "_by_length", "_buckets")
+    __slots__ = ("default", "_buckets")
 
     def __init__(
         self,
         entries: Iterable[tuple[Ipv6Prefix, object]] = (),
         default: object = "unknown",
     ):
-        self.default = default
-        self._by_length: dict[int, dict[int, object]] = {}
-        by_length = self._by_length
+        by_length: dict[int, dict[int, object]] = {}
         for prefix, value in entries:
             by_length.setdefault(prefix.length, {})[prefix.bits] = value
-        self._index()
+        self._index(by_length, default)
 
     @classmethod
     def grouped(
@@ -129,26 +127,16 @@ class PrefixTable:
     ) -> "PrefixTable":
         """The table of `{length: {bits: value}}`, whose dicts it keeps as they are."""
         table = cls.__new__(cls)
-        table.default = default
-        table._by_length = by_length
-        table._index()
+        table._index(by_length, default)
         return table
 
-    def _index(self) -> None:
-        # (mask, bucket) per distinct length, longest first; rebuilt by add
-        # only when a new length appears.
-        by_length = self._by_length
+    def _index(self, by_length: dict[int, dict[int, object]], default: object) -> None:
+        self.default = default
+        # (mask, bucket) per distinct length, longest first.
         self._buckets = [(_MASKS[n], by_length[n]) for n in sorted(by_length, reverse=True)]
 
-    def add(self, prefix: Ipv6Prefix, value: object) -> None:
-        bucket = self._by_length.get(prefix.length)
-        if bucket is None:
-            bucket = self._by_length[prefix.length] = {}
-            self._index()
-        bucket[prefix.bits] = value
-
     def __len__(self) -> int:
-        return sum(len(b) for b in self._by_length.values())
+        return sum(len(bucket) for _, bucket in self._buckets)
 
     def lookup(self, address: int):
         for mask, bucket in self._buckets:

@@ -29,10 +29,11 @@ Per router visit, in order:
 Virtual time only advances between injected packets, so a token bucket
 refills according to the probe send rate and the whole run is replayable.
 
-Topology files are JSON; `topology_from_dict` checks each scalar field's
-JSON type, so a quoted number or a `"no"` flag is refused, not misread.
-One compiler, `_compile`, turns a topology in that JSON form into the
-lookups a Simulation runs on, in one pass over the file's columns.
+A topology has one form, a SimTopology of SimRouters, whether it is built
+in Python or loaded from a JSON file.  One checker, `_check_topology`,
+refuses what no simulation can use (a quoted number or a `"no"` flag is
+refused, not misread), and one compiler, `_compile`, turns the routers as
+they stand when a Simulation is built into the lookups it runs on.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import sys
 from collections import deque
+from itertools import repeat
 from typing import NamedTuple
 
 from .addresses import (
@@ -109,8 +112,8 @@ def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor
 
 
 class SimRouter:
-    """One router of a topology built in Python.  Its fields stay
-    assignable: each Simulation compiles them when it is built."""
+    """One router of a topology.  Its fields stay assignable: each
+    Simulation checks and compiles them when it is built."""
 
     def __init__(
         self,
@@ -143,12 +146,10 @@ class SimRouter:
 class SimTopology:
     """Routers, the router probes enter at, aliased prefixes and an event budget.
 
-    One built in Python is compiled from `topology_to_dict` of it: once when
-    it is built, to check it, and again by each Simulation, so that edits
-    made before then take effect.  One loaded from a file keeps what the
-    compiler made, and builds SimRouter objects only when `routers` is first
-    read; from then on, since the caller may edit them, it is compiled again
-    like one built in Python.
+    It is checked when it is built, and again by each Simulation, which
+    compiles the routers as they stand then: an edit made before a
+    Simulation is built takes effect in it, or is refused there with the
+    message a file holding the same values gets.
     """
 
     def __init__(
@@ -162,29 +163,7 @@ class SimTopology:
         self.entry_router = entry_router
         self.aliased_prefixes = [] if aliased_prefixes is None else aliased_prefixes
         self.max_events = max_events
-        _compile(topology_to_dict(self))
-
-    @classmethod
-    def _loaded(cls, net: _Network) -> SimTopology:
-        topology = cls.__new__(cls)
-        topology._routers, topology._net = None, net
-        topology.entry_router = net.entry_router
-        topology.aliased_prefixes = net.aliased_prefixes
-        topology.max_events = net.max_events
-        return topology
-
-    @property
-    def routers(self) -> list[SimRouter]:
-        if self._routers is None:
-            self._routers, self._net = self._net.routers(), None
-        return self._routers
-
-    @routers.setter
-    def routers(self, routers: list[SimRouter]) -> None:
-        self._routers, self._net = routers, None
-
-    def _compiled(self) -> _Network:
-        return self._net if self._net is not None else _compile(topology_to_dict(self))
+        _check_topology(self)
 
 
 class Emission(NamedTuple):
@@ -221,7 +200,7 @@ class _TokenBucket:
 
 
 class _Router:
-    """One router's lookups: immutable, so Simulations of one topology share them.
+    """One router's lookups, as `_compile` builds them for a Simulation.
 
     `sources[i]` answers an anycast probe that arrived on interface i: that
     interface's address, or the first interface's for "first_interface".
@@ -241,51 +220,25 @@ class _Router:
         self.burst = burst
 
 
-class _Network:
-    """What `_compile` makes of a topology: per-router lookups, the ingress
-    index, and the checked values that SimRouter objects are built from."""
-
-    __slots__ = ("routers_by_id", "ingress", "specs", "entry_router", "aliased_prefixes",
-                 "max_events")
-
-    def __init__(self, routers_by_id, ingress, specs, entry_router, aliased_prefixes,
-                 max_events):
-        self.routers_by_id = routers_by_id
-        self.ingress = ingress
-        self.specs = specs
-        self.entry_router = entry_router
-        self.aliased_prefixes = aliased_prefixes
-        self.max_events = max_events
-
-    def routers(self) -> list[SimRouter]:
-        return [
-            SimRouter(
-                rid,
-                [Interface(a, Ipv6Prefix(*k)) for a, k in zip(addresses, subnets)],
-                [Route(Ipv6Prefix(*k), hop) for k, hop in zip(route_keys, hops)],
-                *knobs,
-            )
-            for rid, addresses, subnets, route_keys, hops, *knobs in self.specs
-        ]
-
-
 class Simulation:
     """Mutable token-bucket state over an immutable topology.
 
     The lookup tables are a snapshot of the topology taken at construction:
-    edit routers, routes or aliased prefixes before building a Simulation.
-    Each hop then costs one dict lookup per distinct prefix length.
+    edit routers, routes, aliased prefixes or the budget before building a
+    Simulation.  Each hop then costs one dict lookup per distinct prefix
+    length.
     """
 
     def __init__(self, topology: SimTopology):
+        _check_topology(topology)
         self.topology = topology
-        net = topology._compiled()
-        self._routers = net.routers_by_id
-        self._ingress = net.ingress
+        self._routers, self._ingress = _compile(topology.routers)
         self._buckets = {
             rid: _TokenBucket(node.rate, node.burst) for rid, node in self._routers.items()
         }
         self._aliased = PrefixTable((p, True) for p in topology.aliased_prefixes)
+        self._entry_router = topology.entry_router
+        self._budget = topology.max_events
 
     def token_states(self) -> dict[str, float]:
         return {rid: round(b.tokens, 9) for rid, b in sorted(self._buckets.items())}
@@ -312,14 +265,14 @@ class Simulation:
         dst = _from_bytes(packet[24:40], "big")
 
         emissions: list[Emission] = []
-        budget = self.topology.max_events
+        budget = self._budget
         events = 0
         seq = 0
         aliased = self._aliased.covers(dst)
         routers, buckets, heappop = self._routers, self._buckets, heapq.heappop
         # Every copy of one probe shares its bytes and its time, so an entry
         # is (router id, arrival order, hop limit, ingress interface index).
-        heap = [(self.topology.entry_router, seq, packet[7], 0)]
+        heap = [(self._entry_router, seq, packet[7], 0)]
         while heap:
             if events >= budget:
                 return Delivery(emissions, events, True)
@@ -407,6 +360,150 @@ class SimTransport:
         return None
 
 
+# --- checking and compiling a topology --------------------------------------------
+
+
+_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
+# The types json.load gives each kind: a column of only these needs no other check.
+_LOADED_TYPES = {"number": {int, float}, "integer": {int}, "boolean": {bool}, "string": {str}}
+
+
+def _check_type(key: str, value, kind: str):
+    """`value`, refused unless its JSON type is `kind`.
+
+    JSON's true and false load as Python bools, which are ints too, so a
+    number or an integer must not be a bool and a boolean must be one.
+    """
+    if not (
+        isinstance(value, _JSON_TYPES[kind])
+        and isinstance(value, bool) == (kind == "boolean")
+    ):
+        raise ValueError(f"{key}: expected {kind}, got {value!r}")
+    return value
+
+
+def _typed_column(values: list, key: str, kind: str) -> list:
+    """`values`, each refused unless its JSON type is `kind`: one set test
+    when every value has a type json.load gives that kind."""
+    if not _LOADED_TYPES[kind].issuperset(map(type, values)):
+        for value in values:
+            _check_type(key, value, kind)
+    return values
+
+
+def _check_topology(topology: SimTopology) -> None:
+    """Refuse a topology that no simulation can use: every check a topology
+    gets, loaded or built in Python, and however edited since.
+
+    Each check runs over a column of the routers' attributes: the JSON type
+    of every scalar field, then the event budget, the router ids, the entry
+    router, each router's knob ranges and its next hops.  A topology with
+    one fault is refused with the message that fault always had; with
+    several, any of them may be named.
+    """
+    routers = topology.routers
+    ids = _typed_column([r.id for r in routers], "id", "string")
+    rates = _typed_column([r.error_rate for r in routers], "error_rate", "number")
+    bursts = _typed_column([r.error_burst for r in routers], "error_burst", "number")
+    _typed_column([r.sra_enabled for r in routers], "sra_enabled", "boolean")
+    factors = _typed_column(
+        [r.replication_factor for r in routers], "replication_factor", "integer"
+    )
+    sources = _typed_column([r.sra_source for r in routers], "sra_source", "string")
+    routes = [(r.id, route) for r in routers for route in r.routes]
+    hops = _typed_column([route.next_hop for _, route in routes], "next_hop", "string")
+    entry_router = _check_type("entry_router", topology.entry_router, "string")
+    if _check_type("max_events", topology.max_events, "integer") < 1:
+        raise ValueError("max_events must be >= 1")
+
+    known = set(ids)
+    if len(known) != len(ids):
+        raise ValueError("duplicate router ids")
+    if entry_router not in known:
+        raise ValueError(f"entry router {entry_router!r} not defined")
+    for router, rate, burst, factor, source in zip(routers, rates, bursts, factors, sources):
+        # A router that passes this passes _check_router, which decides the
+        # rest (an int too large for a float, say) with its own messages.
+        if not (
+            router.interfaces
+            and 0 <= rate <= sys.float_info.max
+            and 0 <= burst <= sys.float_info.max
+            and factor >= 1
+            and source in _SRA_SOURCES
+        ):
+            _check_router(router.id, len(router.interfaces), rate, burst, factor, source)
+    known.update((LOCAL, DEFAULT))
+    if not known.issuperset(hops) or any(map(operator.eq, hops, [rid for rid, _ in routes])):
+        for rid, (prefix, hop) in routes:
+            if hop not in known:
+                raise ValueError(f"router {rid!r}: route to unknown next hop {hop!r}")
+            if hop == rid:
+                raise ValueError(f"router {rid!r}: route {prefix} points at itself")
+
+
+def _forward(connected: tuple[Ipv6Prefix, ...], routes: list[Route]) -> PrefixTable:
+    """A router's forwarding table: router id, LOCAL, or None (no route).
+
+    An explicit route beats a connected subnet of equal length, duplicates
+    keep the max next hop, and DEFAULT resolves through the first /0 route
+    in list order.
+    """
+    explicit: dict[Ipv6Prefix, str] = {}
+    for prefix, hop in routes:
+        if prefix not in explicit or hop > explicit[prefix]:
+            explicit[prefix] = hop
+    fallback = next((hop for prefix, hop in routes if prefix.length == 0), None)
+    if fallback == DEFAULT:
+        fallback = None
+    best: dict[Ipv6Prefix, str | None] = dict.fromkeys(connected, LOCAL)
+    for prefix, hop in explicit.items():
+        best[prefix] = fallback if hop == DEFAULT else hop
+    by_length: dict[int, dict[int, str | None]] = {}
+    for (bits, length), action in best.items():
+        by_length.setdefault(length, {})[bits] = action
+    return PrefixTable.grouped(by_length, default=None)
+
+
+def _compile(routers: list[SimRouter]) -> tuple[dict[str, _Router], dict[tuple[str, str], int]]:
+    """Every checked router's lookups, by id, and the ingress index, from one
+    walk over the routers.
+
+    An Ipv6Prefix is a `(bits, length)` tuple, so subnets and route
+    prefixes serve as dict keys as they are.  Interface index a packet from
+    `a` arrives on at `b`: the first interface of `b` on a subnet `a` also
+    has.  Pairs sharing no subnet are absent and arrive on interface 0.
+    """
+    routers_by_id: dict[str, _Router] = {}
+    ingress: dict[tuple[str, str], int] = {}
+    on_subnet: dict[Ipv6Prefix, dict[str, int]] = {}
+    for router in routers:
+        rid = router.id
+        own, connected = zip(*router.interfaces)
+        attached: dict[int, dict[int, str]] = {}
+        for index, subnet in enumerate(connected):
+            attached.setdefault(subnet[1], {})[subnet[0]] = LOCAL
+            members = on_subnet.setdefault(subnet, {})
+            if rid not in members:
+                for a, first in members.items():
+                    ingress[(rid, a)] = min(first, ingress.get((rid, a), first))
+                    ingress[(a, rid)] = min(index, ingress.get((a, rid), index))
+                members[rid] = index
+        # Only `covers` reads the attached table, so it doubles as the
+        # forwarding table of a router without routes.
+        connected_table = PrefixTable.grouped(attached, default=None)
+        routers_by_id[rid] = _Router(
+            _forward(connected, router.routes) if router.routes else connected_table,
+            connected_table,
+            frozenset([bits for bits, _ in connected]) if router.sra_enabled else frozenset(),
+            frozenset(own),
+            own if router.sra_source == "ingress" else [own[0]] * len(own),
+            router.replication_factor,
+            router.error_rate,
+            router.error_burst,
+        )
+    return routers_by_id, ingress
+
+
 # --- topology files -------------------------------------------------------------
 
 
@@ -437,80 +534,15 @@ def topology_to_dict(topology: SimTopology) -> dict:
     }
 
 
-_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
-# The types json.load gives each kind: a column of only these needs no other check.
-_LOADED_TYPES = {"number": {int, float}, "integer": {int}, "boolean": {bool}, "string": {str}}
+def topology_from_dict(data: dict) -> SimTopology:
+    """The topology that a file's JSON holds, refused as SimTopology refuses
+    one, or with the message its parser gives a bad address or prefix text.
 
-
-def _check_type(key: str, value, kind: str):
-    """`value`, refused unless its JSON type is `kind`.
-
-    JSON's true and false load as Python bools, which are ints too, so a
-    number or an integer must not be a bool and a boolean must be one.
-    """
-    if not (
-        isinstance(value, _JSON_TYPES[kind])
-        and isinstance(value, bool) == (kind == "boolean")
-    ):
-        raise ValueError(f"{key}: expected {kind}, got {value!r}")
-    return value
-
-
-def _typed(obj: dict, key: str, kind: str, default=None):
-    """obj[key] (or `default` if absent), refused unless its JSON type is `kind`."""
-    return _check_type(key, obj[key] if default is None else obj.get(key, default), kind)
-
-
-def _typed_column(values: list, key: str, kind: str) -> list:
-    """`values`, each refused unless its JSON type is `kind`: one set test
-    when every value has a type json.load gives that kind."""
-    if not _LOADED_TYPES[kind].issuperset(map(type, values)):
-        for value in values:
-            _check_type(key, value, kind)
-    return values
-
-
-
-def _forward(rid, connected, destinations, next_hops, known) -> PrefixTable:
-    """A router's forwarding table: router id, LOCAL, or None (no route).
-
-    An explicit route beats a connected subnet of equal length, duplicates
-    keep the max next hop, and DEFAULT resolves through the first /0 route
-    in list order.
-    """
-    if rid in next_hops or not known.issuperset(next_hops):
-        for key, hop in zip(destinations, next_hops):
-            if hop not in known:
-                raise ValueError(f"router {rid!r}: route to unknown next hop {hop!r}")
-            if hop == rid:
-                raise ValueError(f"router {rid!r}: route {Ipv6Prefix(*key)} points at itself")
-    explicit: dict[tuple[int, int], str] = {}
-    for key, hop in zip(destinations, next_hops):
-        if key not in explicit or hop > explicit[key]:
-            explicit[key] = hop
-    fallback = next(
-        (hop for (_, length), hop in zip(destinations, next_hops) if length == 0), None
-    )
-    if fallback == DEFAULT:
-        fallback = None
-    best: dict[tuple[int, int], str | None] = dict.fromkeys(connected, LOCAL)
-    for key, hop in explicit.items():
-        best[key] = fallback if hop == DEFAULT else hop
-    by_length: dict[int, dict[int, str | None]] = {}
-    for (bits, length), action in best.items():
-        by_length.setdefault(length, {})[bits] = action
-    return PrefixTable.grouped(by_length, default=None)
-
-
-def _compile(data: dict) -> _Network:
-    """Check a topology in its JSON form and build every router's lookups.
-
-    Each column of the file (ids, knobs, interface addresses, prefix texts,
-    next hops) is read in one pass and checked at once; each distinct prefix
-    text is parsed once.  The router walk then groups every router's
-    forwarding and attached-subnet entries by prefix length, and the ingress
-    index comes from the same walk.  A file with one fault is refused with
-    the message that fault always had; with several, any of them may be named.
+    Every interface address and every distinct prefix text is parsed in one
+    C chain (`parse_addresses`, `parse_prefix_keys`), and each interface is
+    checked to lie in its subnet.  The Interface, Route and SimRouter
+    objects are then built from those checked values without running their
+    constructors' checks; SimTopology's checker makes the rest.
     """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -518,104 +550,49 @@ def _compile(data: dict) -> _Network:
     if version != TOPOLOGY_FORMAT_VERSION:
         raise ValueError(f"unsupported topology format version {version!r}")
     rows = data["routers"]
-    ids = _typed_column([rd["id"] for rd in rows], "id", "string")
-    interfaces = [rd["interfaces"] for rd in rows]
-    routes = [rd.get("routes", []) for rd in rows]
-    knobs = zip(
-        _typed_column([rd.get("error_rate", 10.0) for rd in rows], "error_rate", "number"),
-        _typed_column([rd.get("error_burst", 10.0) for rd in rows], "error_burst", "number"),
-        _typed_column([rd.get("sra_enabled", True) for rd in rows], "sra_enabled", "boolean"),
-        _typed_column(
-            [rd.get("replication_factor", 1) for rd in rows], "replication_factor", "integer"
-        ),
-        _typed_column([rd.get("sra_source", "ingress") for rd in rows], "sra_source", "string"),
-    )
-    addresses = parse_addresses([i["addr"] for group in interfaces for i in group])
-    subnet_texts = [i["subnet"] for group in interfaces for i in group]
-    route_texts = [rt["prefix"] for group in routes for rt in group]
-    hops = _typed_column(
-        [rt["next_hop"] for group in routes for rt in group], "next_hop", "string"
-    )
-    entry_router = _typed(data, "entry_router", "string")
+    interface_rows = [rd["interfaces"] for rd in rows]
+    route_rows = [rd.get("routes", []) for rd in rows]
+    addresses = parse_addresses([i["addr"] for group in interface_rows for i in group])
+    subnet_texts = [i["subnet"] for group in interface_rows for i in group]
+    route_texts = [rt["prefix"] for group in route_rows for rt in group]
     aliased_texts = list(data.get("aliased_prefixes", []))
-    max_events = _typed(data, "max_events", "integer", DEFAULT_MAX_EVENTS)
 
     texts = subnet_texts + route_texts + aliased_texts
     try:
         texts = list(dict.fromkeys(texts))
     except TypeError:
         pass  # an unhashable item, which parse_prefix_keys refuses by name
-    keys = dict(zip(texts, parse_prefix_keys(texts)))
-    subnets = list(map(keys.__getitem__, subnet_texts))
+    prefixes = dict(zip(texts, map(tuple.__new__, repeat(Ipv6Prefix), parse_prefix_keys(texts))))
+    subnets = list(map(prefixes.__getitem__, subnet_texts))
     for address, (bits, length) in zip(addresses, subnets):
         if (address ^ bits) >> (128 - length):
             raise _outside(address, Ipv6Prefix(bits, length))
+    interfaces = list(map(tuple.__new__, repeat(Interface), zip(addresses, subnets)))
+    routes = list(map(tuple.__new__, repeat(Route), zip(
+        map(prefixes.__getitem__, route_texts),
+        [rt["next_hop"] for group in route_rows for rt in group],
+    )))
 
-    if max_events < 1:
-        raise ValueError("max_events must be >= 1")
-    known = set(ids)
-    if len(known) != len(ids):
-        raise ValueError("duplicate router ids")
-    if entry_router not in known:
-        raise ValueError(f"entry router {entry_router!r} not defined")
-    known.update((LOCAL, DEFAULT))
-
-    route_keys = list(map(keys.__getitem__, route_texts))
-    routers_by_id: dict[str, _Router] = {}
-    specs = []
-    # Interface index a packet from `a` arrives on at `b`: the first
-    # interface of `b` on a subnet `a` also has.  Pairs sharing no subnet
-    # are absent and arrive on interface 0.
-    ingress: dict[tuple[str, str], int] = {}
-    on_subnet: dict[tuple[int, int], dict[str, int]] = {}
+    routers = []
     i = j = 0
-    for rid, group, routed, knob in zip(ids, interfaces, routes, knobs):
-        rate, burst, sra_enabled, replication, sra_source = knob
+    for rd, group, routed in zip(rows, interface_rows, route_rows):
         n, m = len(group), len(routed)
-        # A router that passes this passes _check_router, which decides the
-        # rest (an int too large for a float, say) with its own messages.
-        if not (
-            n
-            and 0 <= rate <= sys.float_info.max
-            and 0 <= burst <= sys.float_info.max
-            and replication >= 1
-            and sra_source in _SRA_SOURCES
-        ):
-            _check_router(rid, n, rate, burst, replication, sra_source)
-        own, connected = addresses[i : i + n], subnets[i : i + n]
-        destinations, next_hops = route_keys[j : j + m], hops[j : j + m]
-        specs.append((rid, own, connected, destinations, next_hops, *knob))
+        router = SimRouter.__new__(SimRouter)
+        router.id = rd["id"]
+        router.interfaces, router.routes = interfaces[i : i + n], routes[j : j + m]
+        router.error_rate = rd.get("error_rate", 10.0)
+        router.error_burst = rd.get("error_burst", 10.0)
+        router.sra_enabled = rd.get("sra_enabled", True)
+        router.replication_factor = rd.get("replication_factor", 1)
+        router.sra_source = rd.get("sra_source", "ingress")
+        routers.append(router)
         i, j = i + n, j + m
-
-        attached: dict[int, dict[int, str]] = {}
-        for index, key in enumerate(connected):
-            attached.setdefault(key[1], {})[key[0]] = LOCAL
-            members = on_subnet.setdefault(key, {})
-            if rid not in members:
-                for a, first in members.items():
-                    ingress[(rid, a)] = min(first, ingress.get((rid, a), first))
-                    ingress[(a, rid)] = min(index, ingress.get((a, rid), index))
-                members[rid] = index
-        # Only `covers` reads the attached table, so it doubles as the
-        # forwarding table of a router without routes.
-        connected_table = PrefixTable.grouped(attached, default=None)
-        routers_by_id[rid] = _Router(
-            _forward(rid, connected, destinations, next_hops, known) if m else connected_table,
-            connected_table,
-            frozenset([bits for bits, _ in connected]) if sra_enabled else frozenset(),
-            frozenset(own),
-            own if sra_source == "ingress" else [own[0]] * n,
-            replication,
-            rate,
-            burst,
-        )
-
-    aliased = [Ipv6Prefix(*keys[t]) for t in aliased_texts]
-    return _Network(routers_by_id, ingress, specs, entry_router, aliased, max_events)
-
-
-def topology_from_dict(data: dict) -> SimTopology:
-    return SimTopology._loaded(_compile(data))
+    return SimTopology(
+        routers,
+        data["entry_router"],
+        [prefixes[text] for text in aliased_texts],
+        data.get("max_events", DEFAULT_MAX_EVENTS),
+    )
 
 
 def load_topology(path) -> SimTopology:

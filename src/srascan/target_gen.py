@@ -109,8 +109,8 @@ def _walk(plan: Iterable[_PlanEntry]) -> Iterator[int]:
 
 
 def plan_size(plan: Iterable[_PlanEntry]) -> int:
-    """Number of targets in `plan`: the sum of its entry lengths."""
-    return sum(len(indices) for _, _, indices in plan)
+    """Number of targets in `plan`: the sum of its entry lengths, taken in C."""
+    return sum(map(len, map(operator.itemgetter(2), plan)))
 
 
 def take(plan: Iterable[_PlanEntry], n: int) -> Iterator[_PlanEntry]:

@@ -516,16 +516,21 @@ class TestPrefixTable:
         ),
         st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10),
     )
-    def test_adds_between_lookups_match_the_ipaddress_module(self, batches, raw_addresses):
+    def test_tables_built_between_lookups_match_the_ipaddress_module(
+        self, batches, raw_addresses
+    ):
+        """A table of the entries so far, built after each batch, whose
+        entries may reuse a prefix (the last label wins) or add a length."""
         base = A("2001:db8::")
-        table = PrefixTable()
+        entries: list = []
         networks: dict = {}
         for batch in batches:
             for salt, length in batch:
                 net = ipaddress.IPv6Network((base | (salt << 64), length), strict=False)
                 label = f"label-{salt & 0xF}"
-                table.add(parse_prefix(str(net)), label)
+                entries.append((parse_prefix(str(net)), label))
                 networks[net] = label
+            table = PrefixTable(entries)
             addresses = [base | (salt << 48) for salt in raw_addresses]
             addresses += [int(net.network_address) for net in networks]
             for address in addresses:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
+from srascan import netsim
 from srascan.netsim import (
     DEFAULT_MAX_EVENTS,
     Interface,
@@ -493,6 +494,68 @@ class TestTopologyFiles:
                 interfaces=[Interface(addr("2001:db8::1"), parse_prefix("2001:db8::/64"))],
                 replication_factor=0,
             )
+
+
+def small_fanout():
+    return build_gateway_fanout(n_inactive=2, m_active=3, aliased=1, seed=5)[0]
+
+
+class TestTopologyChecks:
+    """A topology built in Python is refused as a file with the same values
+    is, when it is built and again, after any edit, by each Simulation."""
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("replication_factor", 2.0, "integer"), ("sra_enabled", 1, "boolean"),
+         ("error_rate", True, "number")],
+    )
+    def test_a_value_of_the_wrong_json_type_is_refused_when_built(self, field, value, kind):
+        router = SimRouter(
+            id="r",
+            interfaces=[Interface(addr("2001:db8::1"), parse_prefix("2001:db8::/64"))],
+            **{field: value},
+        )
+        with pytest.raises(ValueError) as refused:
+            SimTopology(routers=[router], entry_router="r")
+        assert str(refused.value) == f"{field}: expected {kind}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda t: setattr(t.routers[0], "replication_factor", 3.0),
+             "replication_factor: expected integer, got 3.0"),
+            (lambda t: setattr(t, "max_events", 0), "max_events must be >= 1"),
+            (lambda t: t.routers[1].routes.append(Route(parse_prefix("::/0"), "ghost")),
+             "router 'leaf0': route to unknown next hop 'ghost'"),
+        ],
+    )
+    def test_an_edit_after_construction_is_refused_by_the_next_simulation(self, edit, message):
+        topology = small_fanout()
+        Simulation(topology)
+        edit(topology)
+        with pytest.raises(ValueError) as refused:
+            Simulation(topology)
+        assert str(refused.value) == message
+
+    def test_a_built_topology_is_checked_and_compiled_without_address_text(self, monkeypatch):
+        """Neither the check of a Python-built fanout nor its Simulation
+        formats or parses an address or prefix."""
+        topology, _ = build_gateway_fanout(n_inactive=20, m_active=30, aliased=5, seed=3)
+        calls = []
+        for name in ("format_address", "parse_addresses", "parse_prefix_keys"):
+            real = getattr(netsim, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(netsim, name, counted)
+        SimTopology(
+            topology.routers, topology.entry_router, topology.aliased_prefixes,
+            topology.max_events,
+        )
+        Simulation(topology)
+        assert calls == []
 
 
 class TestSimTransport:

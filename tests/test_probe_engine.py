@@ -481,13 +481,17 @@ def _decode(read, lines):
 @settings(max_examples=500, deadline=None)
 @given(
     lines=st.lists(
-        st.one_of(reply_records().map(lambda r: r.to_json() + "\n"), reply_lines()),
+        st.tuples(
+            st.one_of(reply_records().map(ReplyRecord.to_json), reply_lines().map(lambda l: l[:-1])),
+            st.sampled_from(["\n", ""]),
+        ).map("".join),
         max_size=30,
     ),
     block=st.sampled_from([1, 2, 3, 7, READ_BLOCK]),
 )
 def test_read_replies_matches_from_json_line_by_line(lines, block):
-    """Block decoding yields what `from_json` yields per line, or its error."""
+    """Block decoding yields what `from_json` yields per line, or its error,
+    on lines with and without their newlines, mixed."""
     expected = _decode(lambda ls: read_records(ls, ReplyRecord.from_json), lines)
     with mock.patch.object(sys.modules[read_blocks.__module__], "READ_BLOCK", block):
         assert _decode(read_replies, lines) == expected

@@ -326,14 +326,18 @@ def _read(read, lines):
 @settings(max_examples=500, deadline=None)
 @given(
     lines=st.lists(
-        st.tuples(st.sampled_from(["", " ", "\t "]), probe_list_lines, st.sampled_from(["", " "]))
-        .map(lambda parts: "".join(parts) + "\n"),
+        st.tuples(
+            st.sampled_from(["", " ", "\t "]), probe_list_lines, st.sampled_from(["", " "]),
+            st.sampled_from(["\n", ""]),
+        ).map("".join),
         max_size=30,
     ),
     block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
 )
 def test_read_addresses_matches_read_records(lines, block):
-    """Block parsing yields what line-by-line parsing yields, or its error."""
+    """Block parsing yields what line-by-line parsing yields, or its error,
+    on raw lines and on lines without their newlines, mixed, so that some
+    blocks reach the block parser and some fall back to line by line."""
     expected = _read(lambda ls: read_records(ls, parse_target_line), lines)
     with mock.patch.object(sys.modules[read_addresses.__module__], "READ_BLOCK", block):
         assert _read(read_addresses, lines) == expected
@@ -380,15 +384,18 @@ prefix_file_lines = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(
     lines=st.lists(
-        st.tuples(st.sampled_from(["", " "]), prefix_file_lines, st.sampled_from(["", "\t"]))
-        .map(lambda parts: "".join(parts) + "\n"),
+        st.tuples(
+            st.sampled_from(["", " "]), prefix_file_lines, st.sampled_from(["", "\t"]),
+            st.sampled_from(["\n", ""]),
+        ).map("".join),
         max_size=30,
     ),
     block=st.sampled_from([1, 2, 3, 7, target_gen.READ_BLOCK]),
 )
 def test_read_prefixes_matches_read_records(lines, block):
     """Block parsing yields the prefixes, or names the line, that
-    `read_records(lines, parse_prefix)` does."""
+    `read_records(lines, parse_prefix)` does, on lines with and without
+    their newlines, mixed."""
     expected = _read(lambda ls: read_records(ls, parse_prefix), lines)
     with mock.patch.object(sys.modules[read_prefixes.__module__], "READ_BLOCK", block):
         assert _read(read_prefixes, lines) == expected
@@ -1267,7 +1274,8 @@ def _python_calls(fn, code=None) -> int:
 def test_one_address_plans_stay_within_a_call_budget(mode):
     """Planning and writing a stage-1 or hitlist probe list runs no Python
     frame per entry: the count of calls grows by at most 2 per extra target
-    as text and 4 as NDJSON."""
+    as text and 4 as NDJSON, and counting its targets (`--count-only`) by
+    at most 0.01."""
     rnd = random.Random(0)
     inputs = [0x2001_0DB8 << 96 | rnd.getrandbits(32) << 64 for _ in range(6000)]
     if mode == "stage1":
@@ -1279,6 +1287,10 @@ def test_one_address_plans_stay_within_a_call_budget(mode):
             _python_calls(lambda: "".join(writer(plan_of(inputs[:k])))) for k in (2000, 6000)
         )
         assert (large - small) / 4000 <= bound, (writer.__name__, small, large)
+    small, large = (
+        _python_calls(lambda: target_gen.plan_size(plan_of(inputs[:k]))) for k in (2000, 6000)
+    )
+    assert (large - small) / 4000 <= 0.01, ("plan_size", small, large)
 
 
 def test_reading_a_canonical_prefix_file_checks_by_column(tmp_path):
