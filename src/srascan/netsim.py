@@ -360,7 +360,34 @@ class SimTransport:
         return None
 
 
-# --- checking and compiling a topology --------------------------------------------
+# --- topology files -------------------------------------------------------------
+
+
+def topology_to_dict(topology: SimTopology) -> dict:
+    return {
+        "version": TOPOLOGY_FORMAT_VERSION,
+        "entry_router": topology.entry_router,
+        "max_events": topology.max_events,
+        "aliased_prefixes": [str(p) for p in topology.aliased_prefixes],
+        "routers": [
+            {
+                "id": r.id,
+                "sra_enabled": r.sra_enabled,
+                "sra_source": r.sra_source,
+                "replication_factor": r.replication_factor,
+                "error_rate": r.error_rate,
+                "error_burst": r.error_burst,
+                "interfaces": [
+                    {"addr": format_address(i.address), "subnet": str(i.subnet)}
+                    for i in r.interfaces
+                ],
+                "routes": [
+                    {"prefix": str(rt.prefix), "next_hop": rt.next_hop} for rt in r.routes
+                ],
+            }
+            for r in topology.routers
+        ],
+    }
 
 
 _JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
@@ -502,36 +529,6 @@ def _compile(routers: list[SimRouter]) -> tuple[dict[str, _Router], dict[tuple[s
             router.error_burst,
         )
     return routers_by_id, ingress
-
-
-# --- topology files -------------------------------------------------------------
-
-
-def topology_to_dict(topology: SimTopology) -> dict:
-    return {
-        "version": TOPOLOGY_FORMAT_VERSION,
-        "entry_router": topology.entry_router,
-        "max_events": topology.max_events,
-        "aliased_prefixes": [str(p) for p in topology.aliased_prefixes],
-        "routers": [
-            {
-                "id": r.id,
-                "sra_enabled": r.sra_enabled,
-                "sra_source": r.sra_source,
-                "replication_factor": r.replication_factor,
-                "error_rate": r.error_rate,
-                "error_burst": r.error_burst,
-                "interfaces": [
-                    {"addr": format_address(i.address), "subnet": str(i.subnet)}
-                    for i in r.interfaces
-                ],
-                "routes": [
-                    {"prefix": str(rt.prefix), "next_hop": rt.next_hop} for rt in r.routes
-                ],
-            }
-            for r in topology.routers
-        ],
-    }
 
 
 def topology_from_dict(data: dict) -> SimTopology:
