@@ -15,16 +15,24 @@ every module it imports, so a command imports what only it uses when it
 runs: `gen-targets` imports `target_gen`, `scan` `probe_engine` (and
 `netsim` for a simulated scan), `analyze` `analysis`, and the manifest code
 `hashlib`.  Every command reads its inputs through `addresses`.
+
+Every flag is declared once, in the option table `_SUBCOMMANDS`.  A
+well-formed command line (the subcommand first, exact flag names, each
+value taken as given) is read by that table alone (`_parse_exact`), so
+such a command loads no argparse, and with it no gettext or locale.  Any
+other command line (help, `--config`, an abbreviation, `--flag=value`, a
+bad value) goes to argparse, built from the same table, which prints what
+it always printed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import addresses
 
@@ -446,111 +454,180 @@ def cmd_demo(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def _gen_targets_args(gen: argparse.ArgumentParser) -> None:
-    gen.add_argument("--mode", choices=("bgp", "route6", "hitlist"), required=True)
-    gen.add_argument("--prefixes", metavar="FILE", help="announced prefixes, one per line")
-    gen.add_argument("--hitlist", metavar="FILE", help="known addresses, one per line")
-    gen.add_argument(
-        "--stage",
-        choices=("1", "2", "3", "all"),
-        default="all",
-        help="bgp mode: announced prefixes (1), /48 grid (2), /64 grid (3)",
-    )
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--samples-per-prefix", type=int, default=10_000)
-    gen.add_argument("--max-targets", type=int, default=None)
-    gen.add_argument("--ndjson", action="store_true", help="emit records with provenance")
-    gen.add_argument("--count-only", action="store_true", help="print counts, no addresses")
-    gen.add_argument("-o", "--output", metavar="FILE", default=None)
-    gen.set_defaults(func=cmd_gen_targets)
-
-
-def _scan_args(scan: argparse.ArgumentParser) -> None:
-    scan.add_argument("--targets", metavar="FILE", required=True)
-    scan.add_argument("--transport", choices=("live", "sim"), default="sim")
-    scan.add_argument("--sim-topology", metavar="FILE")
-    scan.add_argument("--interface", help="live mode: interface to sniff replies on")
-    scan.add_argument("--rate", type=float, default=200_000.0, help="probes per second")
-    scan.add_argument("--hop-limit", type=int, default=64)
-    scan.add_argument(
-        "--cooldown",
-        type=float,
-        default=None,
-        help="seconds to keep listening after the last probe (10 live, 0 sim)",
-    )
-    scan.add_argument(
-        "--secret",
-        default=None,
-        help=f"payload authentication key (integer; default ${SECRET_ENV_VAR} or 0)",
-    )
-    scan.add_argument("--source", metavar="ADDRESS", default=None)
-    scan.add_argument("--passes", type=int, default=1, help="repeat the scan N times (1..65536)")
-    scan.add_argument(
-        "--exclude", metavar="FILE", help="prefixes to drop from the target list"
-    )
-    scan.add_argument("--i-understand-live", action="store_true")
-    scan.add_argument("-o", "--output", metavar="FILE", default=None)
-    scan.add_argument("--manifest", metavar="FILE", help="record digests of the run")
-    scan.set_defaults(func=cmd_scan)
-
-
-def _analyze_args(an: argparse.ArgumentParser) -> None:
+def _report_names():
     from . import analysis  # the actions are its reports
 
-    an.add_argument("action", choices=analysis.REPORTS)
-    an.add_argument("--replies", metavar="FILE", nargs="*", default=[])
-    an.add_argument("--targets", metavar="FILE")
-    an.add_argument("--aliased", metavar="FILE", help="known aliased prefixes")
-    an.add_argument("--baseline", choices=("first", "previous"), default="first")
-    an.add_argument("--subnet-length", type=int, default=48)
-    an.add_argument("--min-time-exceeded", type=int, default=1)
-    an.add_argument("--set", metavar="NAME=FILE", action="append", default=[])
-    an.add_argument("--labels", metavar="FILE", help="prefix,label rows for compare")
-    an.add_argument("--csv", metavar="FILE")
-    an.set_defaults(func=cmd_analyze)
+    return analysis.REPORTS
 
 
-def _manifest_verify_args(verify: argparse.ArgumentParser) -> None:
-    verify.add_argument("manifest", metavar="MANIFEST")
-    verify.set_defaults(func=cmd_manifest_verify)
-
-
-def _demo_args(demo: argparse.ArgumentParser) -> None:
-    demo.add_argument(
-        "--into", metavar="DIR", default=".", help="directory to copy into (default: .)"
-    )
-    demo.set_defaults(func=cmd_demo)
-
-
+# Each subcommand's function, help line and arguments, every flag declared
+# here once.  An argument is the names and keywords that `add_argument`
+# takes, in the order help lists them; a callable `choices` is called when
+# the subcommand is built.  `build_parser` hands each argument to argparse
+# as it stands, and `_parse_exact` reads a well-formed command line by the
+# same entries, using only `type`, `choices`, `default`, `required`,
+# `action` ("store_true" or "append") and `nargs` ("*").
 _SUBCOMMANDS = {
-    "gen-targets": ("build a probe list from routing data", _gen_targets_args),
-    "scan": ("send one echo request per target", _scan_args),
-    "analyze": ("reduce reply files to findings", _analyze_args),
-    "manifest-verify": ("re-check a recorded run", _manifest_verify_args),
-    "demo": ("copy the bundled example inputs", _demo_args),
+    "gen-targets": (cmd_gen_targets, "build a probe list from routing data", (
+        (("--mode",), dict(choices=("bgp", "route6", "hitlist"), required=True)),
+        (("--prefixes",), dict(metavar="FILE", help="announced prefixes, one per line")),
+        (("--hitlist",), dict(metavar="FILE", help="known addresses, one per line")),
+        (("--stage",), dict(
+            choices=("1", "2", "3", "all"),
+            default="all",
+            help="bgp mode: announced prefixes (1), /48 grid (2), /64 grid (3)",
+        )),
+        (("--seed",), dict(type=int, default=0)),
+        (("--samples-per-prefix",), dict(type=int, default=10_000)),
+        (("--max-targets",), dict(type=int, default=None)),
+        (("--ndjson",), dict(action="store_true", help="emit records with provenance")),
+        (("--count-only",), dict(action="store_true", help="print counts, no addresses")),
+        (("-o", "--output"), dict(metavar="FILE", default=None)),
+    )),
+    "scan": (cmd_scan, "send one echo request per target", (
+        (("--targets",), dict(metavar="FILE", required=True)),
+        (("--transport",), dict(choices=("live", "sim"), default="sim")),
+        (("--sim-topology",), dict(metavar="FILE")),
+        (("--interface",), dict(help="live mode: interface to sniff replies on")),
+        (("--rate",), dict(type=float, default=200_000.0, help="probes per second")),
+        (("--hop-limit",), dict(type=int, default=64)),
+        (("--cooldown",), dict(
+            type=float,
+            default=None,
+            help="seconds to keep listening after the last probe (10 live, 0 sim)",
+        )),
+        (("--secret",), dict(
+            default=None,
+            help=f"payload authentication key (integer; default ${SECRET_ENV_VAR} or 0)",
+        )),
+        (("--source",), dict(metavar="ADDRESS", default=None)),
+        (("--passes",), dict(type=int, default=1, help="repeat the scan N times (1..65536)")),
+        (("--exclude",), dict(metavar="FILE", help="prefixes to drop from the target list")),
+        (("--i-understand-live",), dict(action="store_true")),
+        (("-o", "--output"), dict(metavar="FILE", default=None)),
+        (("--manifest",), dict(metavar="FILE", help="record digests of the run")),
+    )),
+    "analyze": (cmd_analyze, "reduce reply files to findings", (
+        (("action",), dict(choices=_report_names)),
+        (("--replies",), dict(metavar="FILE", nargs="*", default=[])),
+        (("--targets",), dict(metavar="FILE")),
+        (("--aliased",), dict(metavar="FILE", help="known aliased prefixes")),
+        (("--baseline",), dict(choices=("first", "previous"), default="first")),
+        (("--subnet-length",), dict(type=int, default=48)),
+        (("--min-time-exceeded",), dict(type=int, default=1)),
+        (("--set",), dict(metavar="NAME=FILE", action="append", default=[])),
+        (("--labels",), dict(metavar="FILE", help="prefix,label rows for compare")),
+        (("--csv",), dict(metavar="FILE")),
+    )),
+    "manifest-verify": (cmd_manifest_verify, "re-check a recorded run", (
+        (("manifest",), dict(metavar="MANIFEST")),
+    )),
+    "demo": (cmd_demo, "copy the bundled example inputs", (
+        (("--into",), dict(
+            metavar="DIR", default=".", help="directory to copy into (default: .)"
+        )),
+    )),
 }
+
+
+def _arguments(command: str):
+    """The names and keywords of `command`'s arguments, with a callable
+    `choices` called and a list `default` copied, so no two parses share one."""
+    for names, kw in _SUBCOMMANDS[command][2]:
+        kw = dict(kw)
+        if callable(kw.get("choices")):
+            kw["choices"] = kw["choices"]()
+        if isinstance(kw.get("default"), list):
+            kw["default"] = list(kw["default"])
+        yield names, kw
+
+
+def _exact_value(kw: dict, text: str):
+    """`text` as the argument of `kw` reads it; a ValueError where argparse
+    must answer: a value that starts with "-", fails its type or lies
+    outside its choices."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = kw.get("type", str)(text)
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _parse_exact(argv: list[str]):
+    """The namespace that argparse gives a well-formed `argv`, read by the
+    table without argparse, or None where argparse must answer.
+
+    Well-formed is the subcommand first and its positional right after it,
+    then exact flag names, each followed by its value: a switch by none, an
+    `nargs="*"` flag by every token up to the next one that starts with
+    "-", and a repeated flag as argparse takes it.  Help, `--config`,
+    `--flag=value`, an abbreviation, an unknown token, a value that starts
+    with "-", a bad value or a missing required flag give None.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    values = {"config": None, "command": argv[0]}
+    positionals, flags, required = [], {}, set()
+    for names, kw in _arguments(argv[0]):
+        if not names[0].startswith("-"):
+            positionals.append((names[0], kw))
+            continue
+        # argparse names the value after the first long flag.
+        dest = next(n for n in names if n.startswith("--"))[2:].replace("-", "_")
+        values[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+        flags.update(dict.fromkeys(names, (dest, kw)))
+        if kw.get("required"):
+            required.add(dest)
+    i = 1 + len(positionals)
+    try:
+        for (dest, kw), text in zip(positionals, argv[1:i], strict=True):
+            values[dest] = _exact_value(kw, text)
+        while i < len(argv):
+            dest, kw = flags[argv[i]]
+            required.discard(dest)
+            i += 1
+            if kw.get("action") == "store_true":
+                values[dest] = True
+            elif kw.get("nargs") == "*":
+                start = i
+                while i < len(argv) and not argv[i].startswith("-"):
+                    i += 1
+                values[dest] = [_exact_value(kw, text) for text in argv[start:i]]
+            else:
+                value = _exact_value(kw, argv[i])
+                i += 1
+                if kw.get("action") == "append":
+                    value = (values[dest] or []) + [value]
+                values[dest] = value
+    except (LookupError, ValueError):
+        return None
+    if required:
+        return None
+    return SimpleNamespace(**values, func=_SUBCOMMANDS[argv[0]][0])
 
 
 class _Unsure(Exception):
     """A parser built for one subcommand met what only the full parser answers."""
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """Refuses, instead of printing help or an error whose usage would list
-    only the subcommands it was built with."""
+def build_parser(config_path=None, command=None):
+    """The argparse parser of every subcommand, or, given `command`, a parser
+    of that one (and of the two that `--config` presets) which raises
+    _Unsure on any argv it cannot parse."""
+    import argparse  # only a command line that _parse_exact leaves loads it
 
-    def error(self, message):
-        raise _Unsure
+    class OneCommandParser(argparse.ArgumentParser):
+        """Refuses, instead of printing help or an error whose usage would
+        list only the subcommands it was built with."""
 
-    def print_help(self, file=None):
-        raise _Unsure
+        def error(self, message):
+            raise _Unsure
 
+        def print_help(self, file=None):
+            raise _Unsure
 
-def build_parser(config_path=None, command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given `command`, a parser of that
-    one (and of the two that `--config` presets) which raises _Unsure on any
-    argv it cannot parse."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    parser = (argparse.ArgumentParser if command is None else OneCommandParser)(
         prog="srascan",
         description="Probe subnet-router anycast addresses and study what answers.",
     )
@@ -559,10 +636,12 @@ def build_parser(config_path=None, command=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     built = {}
-    for name, (help_text, add_args) in _SUBCOMMANDS.items():
+    for name, (func, help_text, _) in _SUBCOMMANDS.items():
         if command is None or name == command or (config_path and name in _CONFIG_SECTIONS):
             built[name] = sub.add_parser(name, help=help_text)
-            add_args(built[name])
+            for names, kw in _arguments(name):
+                built[name].add_argument(*names, **kw)
+            built[name].set_defaults(func=func)
 
     if config_path:
         config = load_config(config_path)
@@ -575,9 +654,15 @@ def build_parser(config_path=None, command=None) -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser(config).parse_args(argv)`, building only the subcommand
+def parse_args(argv: list[str]):
+    """The namespace of `argv`: `_parse_exact`'s, or else
+    `build_parser(config).parse_args(argv)`, building only the subcommand
     that argv names when that parser can parse argv whole."""
+    args = _parse_exact(argv)
+    if args is not None:
+        return args
+    import argparse
+
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import operator
 import sys
 from collections import deque
@@ -97,13 +96,27 @@ class Route(NamedTuple):
 
 _SRA_SOURCES = ("ingress", "first_interface")
 
+# A router's knobs as SimRouter and a topology file default them: its
+# Destination Unreachable / Time Exceeded rate per second and burst,
+# whether it answers its SRA, how many copies it forwards, and the
+# interface its SRA replies come from (one of _SRA_SOURCES).
+_KNOB_DEFAULTS = {
+    "error_rate": 10.0,
+    "error_burst": 10.0,
+    "sra_enabled": True,
+    "replication_factor": 1,
+    "sra_source": "ingress",
+}
+
 
 def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor, sra_source):
     """Refuse a router's values that no simulation can use."""
     if not n_interfaces:
         raise ValueError(f"router {rid!r} needs at least one interface")
     for name, value in (("error_rate", error_rate), ("error_burst", error_burst)):
-        if not (math.isfinite(value) and value >= 0):
+        # Compared, not passed to math.isfinite, which overflows on an int
+        # too large for a float.
+        if not 0 <= value <= sys.float_info.max:
             raise ValueError(f"router {rid!r}: {name} must be a finite number >= 0")
     if replication_factor < 1:
         raise ValueError("replication_factor must be >= 1")
@@ -120,11 +133,11 @@ class SimRouter:
         id: str,
         interfaces: list[Interface],
         routes: list[Route] | None = None,
-        error_rate: float = 10.0,  # Destination Unreachable / Time Exceeded per second
-        error_burst: float = 10.0,
-        sra_enabled: bool = True,
-        replication_factor: int = 1,
-        sra_source: str = "ingress",  # or "first_interface"
+        error_rate: float = _KNOB_DEFAULTS["error_rate"],
+        error_burst: float = _KNOB_DEFAULTS["error_burst"],
+        sra_enabled: bool = _KNOB_DEFAULTS["sra_enabled"],
+        replication_factor: int = _KNOB_DEFAULTS["replication_factor"],
+        sra_source: str = _KNOB_DEFAULTS["sra_source"],
     ):
         _check_router(
             id, len(interfaces), error_rate, error_burst, replication_factor, sra_source
@@ -449,8 +462,7 @@ def _check_topology(topology: SimTopology) -> None:
     if entry_router not in known:
         raise ValueError(f"entry router {entry_router!r} not defined")
     for router, rate, burst, factor, source in zip(routers, rates, bursts, factors, sources):
-        # A router that passes this passes _check_router, which decides the
-        # rest (an int too large for a float, say) with its own messages.
+        # _check_router decides these ranges the same way, and names the fault.
         if not (
             router.interfaces
             and 0 <= rate <= sys.float_info.max
@@ -571,17 +583,14 @@ def topology_from_dict(data: dict) -> SimTopology:
     )))
 
     routers = []
+    knobs, defaults = tuple(_KNOB_DEFAULTS), tuple(_KNOB_DEFAULTS.values())
     i = j = 0
     for rd, group, routed in zip(rows, interface_rows, route_rows):
         n, m = len(group), len(routed)
         router = SimRouter.__new__(SimRouter)
         router.id = rd["id"]
         router.interfaces, router.routes = interfaces[i : i + n], routes[j : j + m]
-        router.error_rate = rd.get("error_rate", 10.0)
-        router.error_burst = rd.get("error_burst", 10.0)
-        router.sra_enabled = rd.get("sra_enabled", True)
-        router.replication_factor = rd.get("replication_factor", 1)
-        router.sra_source = rd.get("sra_source", "ingress")
+        vars(router).update(zip(knobs, map(rd.get, knobs, defaults)))
         routers.append(router)
         i, j = i + n, j + m
     return SimTopology(

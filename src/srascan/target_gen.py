@@ -114,17 +114,35 @@ def plan_size(plan: Iterable[_PlanEntry]) -> int:
 
 
 def take(plan: Iterable[_PlanEntry], n: int) -> Iterator[_PlanEntry]:
-    """The plan of the first `n` targets of `plan`, in walk order."""
-    for origin, stage, indices in plan:
-        if n <= 0:
-            return
-        if len(indices) > n:
+    """The plan of the first `n` targets of `plan`, in walk order.
+
+    The cut is found READ_BLOCK entries at a time, from the running sums of
+    their sizes, and the entries are flattened in C, so a plan of
+    one-target entries runs no Python frame per entry.
+    """
+    return itertools.chain.from_iterable(_take_blocks(iter(plan), n))
+
+
+def _take_blocks(plan: Iterator[_PlanEntry], n: int) -> Iterator[list[_PlanEntry]]:
+    while n > 0 and (block := list(itertools.islice(plan, READ_BLOCK))):
+        sizes = map(len, map(operator.itemgetter(2), block))
+        starts = list(itertools.accumulate(sizes, initial=0))
+        if starts[-1] < n:
+            yield block
+            n -= starts[-1]
+            continue
+        # The entries that start before the n-th target; the last may run past it.
+        kept = bisect.bisect_left(starts, n, 0, len(block))
+        origin, stage, indices = block[kept - 1]
+        if starts[kept] > n:
+            left = n - starts[kept - 1]
             if type(indices) is range:
-                indices = indices[:n]
+                indices = indices[:left]
             else:
-                indices = list(itertools.islice(indices, n))
-        n -= len(indices)
-        yield origin, stage, indices
+                indices = list(itertools.islice(indices, left))
+            block[kept - 1] = origin, stage, indices
+        yield block[:kept]
+        return
 
 
 # An aligned run of 16**3 values of a 16-bit group: their hex texts differ

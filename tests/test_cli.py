@@ -13,7 +13,7 @@ from collections import Counter, deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
@@ -632,6 +632,21 @@ class TestScan:
         assert err.startswith(f"error: {demo / 'demo_topology.json'}: ") and message in err
         assert "Traceback" not in err
         assert not (demo / "x.ndjson").exists()
+
+    @pytest.mark.parametrize("key", ["error_rate", "error_burst"])
+    def test_a_bucket_too_large_for_a_float_is_refused_with_one_error_line(
+        self, demo, capsys, monkeypatch, key
+    ):
+        topology = json.loads((demo / "demo_topology.json").read_text())
+        router = topology["routers"][0]
+        router[key] = 10**400
+        (demo / "demo_topology.json").write_text(json.dumps(topology))
+        monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+        assert run(*self.scan_args(demo, "x.ndjson")) == 2
+        path = demo / "demo_topology.json"
+        assert capsys.readouterr().err == (
+            f"error: {path}: router {router['id']!r}: {key} must be a finite number >= 0\n"
+        )
 
     @pytest.mark.parametrize("where", ["subnet", "route", "aliased"])
     def test_non_string_prefix_in_topology_is_refused_before_sending(
@@ -1348,6 +1363,85 @@ def test_a_simulated_scan_loads_no_generation_module(demo):
     assert modules_loaded_by(demo, argv, {"srascan.target_gen", "hashlib"}) == "[]"
 
 
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    assert loaded_after("srascan.cli", PARSER_MODULES) == "[]\n"
+
+
+def bench_command_lines(demo) -> dict[str, list[str]]:
+    """The command lines that bench/pipeline.py builds, over the demo inputs,
+    each after the commands whose outputs it reads have run."""
+    exclude = write(demo, "exclude.txt", "2001:db8:ffff::/48\n")
+    aliased = write(demo, "aliased.txt", "2001:db8:100::/48\n")
+    return {
+        "gen-targets": [
+            "gen-targets", "--mode", "bgp", "--stage", "all",
+            "--prefixes", "demo_subnets.txt", "--count-only",
+        ],
+        "gen-targets stage 1": [
+            "gen-targets", "--mode", "bgp", "--stage", "1",
+            "--prefixes", "demo_subnets.txt", "-o", "targets.txt",
+        ],
+        "gen-targets route6": [
+            "gen-targets", "--mode", "route6", "--samples-per-prefix", "250",
+            "--seed", "3141592653", "--prefixes", "demo_subnets.txt", "-o", "targets.txt",
+        ],
+        "scan --transport sim": [
+            "scan", "--targets", "targets.txt", "--transport", "sim",
+            "--sim-topology", "demo_topology.json", "--rate", "10000000.0",
+            "--hop-limit", "64", "--passes", "2", "--secret", "16045690984503098046",
+            "-o", "replies.ndjson", "--exclude", exclude,
+        ],
+        "analyze summarize": [
+            "analyze", "summarize", "--replies", "replies.pass0.ndjson", "replies.pass1.ndjson",
+            "--targets", "targets.txt", "--aliased", aliased,
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["gen-targets", "gen-targets stage 1", "gen-targets route6", "scan --transport sim",
+             "analyze summarize"],
+)
+def test_a_benchmark_command_line_is_parsed_without_argparse(demo, monkeypatch, name):
+    monkeypatch.chdir(demo)
+    lines = bench_command_lines(demo)
+    for before in list(lines)[1:list(lines).index(name)]:
+        assert run(*lines[before]) == 0
+    argv = lines[name]
+    assert vars(cli._parse_exact(argv)) == vars(full_parse(argv))
+    assert modules_loaded_by(demo, argv, PARSER_MODULES) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["gen-targets", "--mo", "nope"],  # an abbreviated flag
+        ["scan", "--targets", "t.txt", "--h"],  # --help or --hop-limit
+        ["--config"],
+        ["--config", "{config}", "scan", "--help"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_command_line_left_to_argparse_prints_its_text(tmp_path, monkeypatch, capsys, argv):
+    config = write(tmp_path, "c.json", json.dumps({"version": 1, "scan": {"rate": 5}}))
+    argv = [arg.format(config=config) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert cli._parse_exact(argv) is None
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "srascan", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        capture_output=True, text=True, timeout=60,
+    )
+    outcome, out, err = parse_outcome(full_parse, argv, capsys)
+    assert outcome[0] == "exit" and err + out != ""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (outcome[1], out, err)
+
+
 def test_the_scan_path_takes_the_c_functions_behind_the_public_ones():
     """The scan path imports these from the C modules, so a Python whose
     public functions are something else fails here instead of scanning
@@ -1494,3 +1588,131 @@ def test_a_named_subcommand_builds_only_its_own_arguments():
     assert list(subcommands.choices) == ["scan"]
     args = parser.parse_args(["scan", "--targets", "t.txt", "--rate", "10"])
     assert (args.func, args.targets, args.rate) == (cli.cmd_scan, "t.txt", 10.0)
+
+
+def test_the_option_table_holds_only_what_the_exact_parser_reads():
+    for _, _, arguments in cli._SUBCOMMANDS.values():
+        for flags, kw in arguments:
+            assert set(kw) <= {
+                "type", "choices", "default", "required", "action", "nargs", "metavar", "help"
+            }
+            assert kw.get("type") in (None, int, float)
+            assert kw.get("action") in (None, "store_true", "append")
+            assert kw.get("nargs") in (None, "*")
+            assert len(flags) == 1 or all(flag.startswith("-") for flag in flags)
+
+
+def test_no_two_parses_share_a_list_default():
+    for argv in (["analyze", "compare"], ["analyze", "compare", "--lab", "l.csv"]):
+        first = cli.parse_args(argv)
+        first.set.append("a=x")
+        first.replies.append("r.ndjson")
+        again = cli.parse_args(argv)
+        assert (again.set, again.replies) == ([], [])
+    twice = ["analyze", "compare", "--set", "a=x", "--set", "b=y"]
+    assert cli.parse_args(twice).set == ["a=x", "b=y"] == cli.parse_args(twice).set
+
+
+TABLE = {name: list(cli._arguments(name)) for name in cli._SUBCOMMANDS}
+BAD_VALUES = ["", "x", "1.5", "1e400", "0x10", "nope", "inf"]
+DASH_VALUES = ["-", "-1", "-0.5", "--", "--targets", "-o", "-x"]
+STRAY_TOKENS = ["extra", "-x", "--bogus", "--", "-", "-h", "--help", "--config", "--config=c.json"]
+
+
+def _value(kw: dict):
+    """A text that the argument of `kw` takes and that starts with no "-"."""
+    if "choices" in kw:
+        return st.sampled_from(list(kw["choices"]))
+    if kw.get("type") is int:
+        return st.integers(0, 1 << 70).map(str)
+    if kw.get("type") is float:
+        return st.one_of(st.floats(min_value=0), st.just(float("nan"))).map(repr)
+    return st.sampled_from(["t.txt", "a", "b.ndjson", ".", "name=f", " -x"])
+
+
+@st.composite
+def _flag_tokens(draw, flags: tuple, kw: dict) -> list[str]:
+    flag = draw(st.sampled_from(flags))
+    if kw.get("action") == "store_true":
+        return [flag]
+    if kw.get("nargs") == "*":
+        return [flag, *draw(st.lists(_value(kw), max_size=3))]
+    return [flag, draw(_value(kw))]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the option table, and whether it is well-formed.
+
+    A well-formed one gives the subcommand, its positional and every
+    required flag, then flags drawn from the table (repeats among them),
+    each by its exact name with values it takes.  The others are such a
+    line with one or two faults: a value replaced by an unconvertible or
+    out-of-range one or by one that starts with "-", a flag abbreviated or
+    written `--flag=value`, a token group dropped (a required flag, say) or
+    its value left off, or a stray token put in.
+    """
+    command = draw(st.sampled_from(list(TABLE)))
+    groups = [[command]]
+    options = []
+    for flags, kw in TABLE[command]:
+        if not flags[0].startswith("-"):
+            groups.append([draw(_value(kw))])
+            continue
+        options.append((flags, kw))
+        if kw.get("required"):
+            groups.append(draw(_flag_tokens(flags, kw)))
+    for _ in range(draw(st.integers(0, 5)) if options else 0):
+        groups.append(draw(_flag_tokens(*draw(st.sampled_from(options)))))
+    faults = draw(st.integers(0, 2))
+    for _ in range(faults):
+        i = draw(st.integers(0, len(groups)))
+        fault = draw(st.sampled_from(
+            ["value", "dash", "abbreviation", "equals", "drop", "bare", "stray"]
+        ))
+        if fault == "stray" or i == len(groups):
+            groups.insert(i, [draw(st.sampled_from(STRAY_TOKENS))])
+            continue
+        group = groups[i]
+        if fault in ("value", "dash"):
+            values = BAD_VALUES if fault == "value" else DASH_VALUES
+            group[draw(st.integers(min(1, len(group) - 1), len(group) - 1))] = draw(
+                st.sampled_from(values)
+            )
+        elif fault == "abbreviation" and group[0].startswith("--") and len(group[0]) > 3:
+            group[0] = group[0][: draw(st.integers(3, len(group[0]) - 1))]
+        elif fault == "equals" and group[0].startswith("-"):
+            value = group.pop(1) if len(group) > 1 else draw(st.sampled_from(BAD_VALUES))
+            group[0] = f"{group[0]}={value}"
+        elif fault == "drop":
+            del groups[i]
+        elif fault == "bare":
+            del group[1:]
+    return [token for group in groups for token in group], faults == 0
+
+
+def _nan_as_text(outcome):
+    """`parse_outcome`'s result with each NaN value as "nan", which compares equal."""
+    result, out, err = outcome
+    if result[0] == "namespace":
+        result = ("namespace", {k: "nan" if v != v else v for k, v in result[1].items()})
+    return result, out, err
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=command_lines())
+# `--flag=value` of a switch, an nargs="*" flag and an append flag
+@example(drawn=(["gen-targets", "--mode", "bgp", "--ndjson=1"], False))
+@example(drawn=(["analyze", "summarize", "--replies=a", "b"], False))
+@example(drawn=(["analyze", "compare", "--set=a=x"], False))
+# a value that argparse reads as a flag, or as the end of the flags
+@example(drawn=(["scan", "--targets", "-o", "x"], False))
+@example(drawn=(["scan", "--targets", "--"], False))
+def test_the_table_parser_agrees_with_argparse(drawn, tmp_path, monkeypatch, capsys):
+    argv, well_formed = drawn
+    monkeypatch.chdir(tmp_path)  # a --config path names no file here
+    outcome = _nan_as_text(parse_outcome(cli.parse_args, argv, capsys))
+    assert outcome == _nan_as_text(parse_outcome(full_parse, argv, capsys)), argv
+    if well_formed:
+        assert cli._parse_exact(argv) is not None, argv

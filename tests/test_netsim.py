@@ -5,6 +5,7 @@ The loop amplification counts are computed from first principles below
 so the two must agree independently.
 """
 
+import json
 import time
 
 import pytest
@@ -486,6 +487,33 @@ class TestTopologyFiles:
             topology_from_dict(data)
         data["routers"][0][field] = 0  # zero is in range: no errors at all
         assert getattr(topology_from_dict(data).routers[0], field) == 0
+
+    @pytest.mark.parametrize("field", ["error_rate", "error_burst"])
+    def test_an_int_too_large_for_a_float_is_refused(self, field):
+        message = f"router 'r': {field} must be a finite number >= 0"
+        with pytest.raises(ValueError, match=message):
+            SimRouter(
+                "r", [Interface(addr("2001:db8::1"), parse_prefix("2001:db8::/64"))],
+                **{field: 10**400},
+            )
+        data = topology_to_dict(build_loop_topology())
+        data["routers"][0][field] = 10**400
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            topology_from_dict(data)
+
+    def test_a_router_without_knobs_loads_with_the_defaults_of_a_built_one(self, tmp_path):
+        knobs = ("error_rate", "error_burst", "sra_enabled", "replication_factor", "sra_source")
+        data = topology_to_dict(build_loop_topology())
+        for rd in data["routers"]:
+            for key in knobs:
+                del rd[key]
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(data))
+        for router in load_topology(path).routers:
+            built = SimRouter(router.id, router.interfaces)
+            assert [(getattr(router, k), type(getattr(router, k))) for k in knobs] == [
+                (getattr(built, k), type(getattr(built, k))) for k in knobs
+            ]
 
     def test_replication_below_one_is_refused(self):
         with pytest.raises(ValueError, match="replication_factor"):

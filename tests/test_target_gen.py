@@ -1274,8 +1274,8 @@ def _python_calls(fn, code=None) -> int:
 def test_one_address_plans_stay_within_a_call_budget(mode):
     """Planning and writing a stage-1 or hitlist probe list runs no Python
     frame per entry: the count of calls grows by at most 2 per extra target
-    as text and 4 as NDJSON, and counting its targets (`--count-only`) by
-    at most 0.01."""
+    as text and 4 as NDJSON, and counting its targets (`--count-only`) or
+    writing its first k targets as text (`--max-targets`) by at most 0.01."""
     rnd = random.Random(0)
     inputs = [0x2001_0DB8 << 96 | rnd.getrandbits(32) << 64 for _ in range(6000)]
     if mode == "stage1":
@@ -1291,6 +1291,11 @@ def test_one_address_plans_stay_within_a_call_budget(mode):
         _python_calls(lambda: target_gen.plan_size(plan_of(inputs[:k]))) for k in (2000, 6000)
     )
     assert (large - small) / 4000 <= 0.01, ("plan_size", small, large)
+    small, large = (
+        _python_calls(lambda: "".join(target_gen.plan_text(take(plan_of(inputs), k))))
+        for k in (2000, 6000)
+    )
+    assert (large - small) / 4000 <= 0.01, ("take", small, large)
 
 
 def test_reading_a_canonical_prefix_file_checks_by_column(tmp_path):
