@@ -9,6 +9,11 @@ reply is silent and has no entry among the answers, so a mostly silent
 sweep costs about its replies.  Results are dataclasses; nothing touches
 the network or opens a file.
 
+`read_replies` decodes the lines of a reply file into ReplyRecords.  Only
+`analyze` reads reply files, so the reader lives here and not in
+`probe_engine`, which every scan imports; `ReplyRecord.from_json`, the
+one-line parse it falls back to, stays with the record.
+
 `REPORTS` holds one report per `analyze` action.  Each reads its files
 through the loader the CLI passes in and returns its JSON report, its CSV
 header and its CSV rows; the CLI prints the one and writes the others.
@@ -16,10 +21,14 @@ header and its CSV rows; the CLI prints the one and writes the others.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+# The C function behind socket.inet_pton: importing socket builds its enums.
+from _socket import AF_INET6, inet_pton
 
 from .addresses import (
     MAX128,
@@ -28,15 +37,67 @@ from .addresses import (
     format_address,
     parse_label_row,
     read_addresses,
+    read_blocks,
     read_prefixes,
     read_records,
 )
-from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord, read_replies
+from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
     mask = (MAX128 << (128 - length)) & MAX128 if length else 0
     return Ipv6Prefix(address & mask, length)
+
+
+# --- reply files ----------------------------------------------------------------
+
+
+_KIND_BY_VALUE = {kind.value: kind for kind in ReplyKind}
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _reply_block(block: list[str]) -> list[ReplyRecord]:
+    """The records of a block of reply lines, each line a JSON object with
+    the seven keys and bare addresses; raises on any other block.
+
+    Each line goes through the C JSON scanner with no Python frame, and must
+    be used up to its end.  Each record is built by `tuple.__new__` from its
+    fields, which skips the Python frame of `ReplyRecord.__new__`.
+    """
+    records = []
+    append = records.append
+    new = tuple.__new__
+    pton, af, from_bytes = inet_pton, AF_INET6, int.from_bytes
+    for (d, end), line in zip(map(_scan_json, block, [0] * len(block)), block):
+        if end != len(line):
+            raise ValueError("extra data after the JSON value")
+        embedded = d["embedded_target"]
+        append(new(ReplyRecord, (
+            _KIND_BY_VALUE[d["kind"]],
+            d["type"],
+            d["code"],
+            from_bytes(pton(af, d["src"]), "big"),
+            None if embedded is None else from_bytes(pton(af, embedded), "big"),
+            d["hop_limit"],
+            d["ts"],
+        )))
+    # A line with no JSON value at its start (a blank, # or padded line)
+    # makes the scanner raise StopIteration, which ends `map` early.
+    if len(records) != len(block):
+        raise ValueError("a line holds no JSON value")
+    return records
+
+
+def read_replies(lines: Iterable[str]) -> Iterator[ReplyRecord]:
+    """The records of a reply file: `read_records(lines, ReplyRecord.from_json)`,
+    decoded a block of lines at a time.
+
+    A block that holds anything but plain record lines (a blank, #, scoped
+    or padded line, or a bad one) is parsed line by line (`read_blocks`),
+    so it yields the same records, or names the same `line N`, as
+    `from_json`.
+    """
+    return read_blocks(lines, _reply_block, ReplyRecord.from_json)
 
 
 # --- matching -----------------------------------------------------------------

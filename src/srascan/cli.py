@@ -5,24 +5,25 @@ lists, `scan` sends them (live, or against a simulated topology), `analyze`
 reduces reply files to findings, `manifest-verify` re-checks a recorded run,
 and `demo` copies the bundled example inputs somewhere writable.
 
-A JSON config file (`--config`) can preload defaults for gen-targets and
-scan; each value is checked like its flag, and flags on the command line
-still win.  `analyze` renders the reports of `analysis.REPORTS` as JSON and
-CSV.
-
 Each process runs one command, and where no bytecode is cached it compiles
-every module it imports, so a command imports what only it uses when it
-runs: `gen-targets` imports `target_gen`, `scan` `probe_engine` (and
-`netsim` for a simulated scan), `analyze` `analysis`, and the manifest code
-`hashlib`.  Every command reads its inputs through `addresses`.
+every module it imports, so this module holds only what a simulated scan
+runs, plus `analyze` and `demo`.  The option table names each command's
+function by module, resolved when a command line names it (`_command`):
+`gen-targets` runs `target_gen.cmd_gen_targets` and `manifest-verify`
+`manifest.cmd_manifest_verify`.  A command imports what only it uses when
+it runs: `scan` imports `probe_engine`, with `netsim` or `live` for its
+transport and `manifest` for `--manifest`, and `analyze` `analysis`.
+Every command reads its inputs through `addresses`.
 
 Every flag is declared once, in the option table `_SUBCOMMANDS`.  A
 well-formed command line (the subcommand first, exact flag names, each
 value taken as given) is read by that table alone (`_parse_exact`), so
 such a command loads no argparse, and with it no gettext or locale.  Any
 other command line (help, `--config`, an abbreviation, `--flag=value`, a
-bad value) goes to argparse, built from the same table, which prints what
-it always printed.
+bad value) goes to `cli_fallback`, whose argparse parser, built from the
+same table, prints what it always printed; a JSON config file
+(`--config`) preloads defaults for gen-targets and scan there.  `analyze`
+renders the reports of `analysis.REPORTS` as JSON and CSV.
 """
 
 from __future__ import annotations
@@ -36,30 +37,7 @@ from types import SimpleNamespace
 
 from . import addresses
 
-CONFIG_VERSION = 1
-MANIFEST_VERSION = 1
 SECRET_ENV_VAR = "SRASCAN_SECRET"
-
-_CONFIG_SECTIONS = {
-    "gen-targets": {"seed", "samples_per_prefix", "max_targets", "ndjson"},
-    "scan": {"rate", "hop_limit", "cooldown", "passes", "source", "interface"},
-}
-
-
-def _sha256_file(path) -> str:
-    import hashlib  # only the manifest code digests files
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _secret_digest(secret: int) -> str:
-    import hashlib
-
-    return hashlib.sha256(secret.to_bytes(8, "big")).hexdigest()
 
 
 def data_dir():
@@ -77,56 +55,6 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-# --- config preloading ------------------------------------------------------------
-
-
-def _read_json_object(path) -> dict:
-    """A JSON file holding one object; any other content is a CliError."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise CliError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object")
-    return data
-
-
-def load_config(path) -> dict:
-    data = _read_json_object(path)
-    if data.get("version") != CONFIG_VERSION:
-        raise CliError(f"{path}: unsupported config version {data.get('version')!r}")
-    for section, values in data.items():
-        if section == "version":
-            continue
-        allowed = _CONFIG_SECTIONS.get(section)
-        if allowed is None:
-            raise CliError(f"{path}: unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise CliError(f"{path}: config section {section!r} is not an object")
-        unknown = set(values) - allowed
-        if unknown:
-            raise CliError(
-                f"{path}: unknown config keys in {section!r}: {', '.join(sorted(unknown))}"
-            )
-    return data
-
-
-def _config_value(path, section: str, action, value):
-    """`value` as its flag would read it: a JSON bool for a switch, else the
-    text of a string or number through the flag's `type=`."""
-    try:
-        if action.nargs == 0:
-            if isinstance(value, bool):
-                return value
-        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            return (action.type or str)(str(value))
-    except ValueError:
-        pass
-    want = "true or false" if action.nargs == 0 else getattr(action.type, "__name__", "str")
-    raise CliError(f"{path}: {section}.{action.dest}: expected {want}, got {value!r}")
-
-
 # --- shared input helpers ---------------------------------------------------------
 
 
@@ -136,7 +64,7 @@ def _load(path, read, *args, into=list):
 
     `read` is `addresses.read_addresses` for a probe list,
     `addresses.read_hitlist` for a hitlist, `addresses.read_prefixes` for a
-    prefix file, `probe_engine.read_replies` for a reply file, or
+    prefix file, `analysis.read_replies` for a reply file, or
     `addresses.read_records` with the parser of one line.  The lines come
     from `addresses.text_lines`, a decoded chunk at a time.
     """
@@ -153,64 +81,6 @@ def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
     return open(path, "w"), True
-
-
-# --- gen-targets ------------------------------------------------------------------
-
-
-def cmd_gen_targets(args) -> int:
-    from . import target_gen
-
-    if args.max_targets is not None and args.max_targets < 0:
-        raise CliError("--max-targets must be >= 0")
-    try:
-        cfg = target_gen.GenerationConfig(
-            route6_samples_per_prefix=args.samples_per_prefix,
-            rng_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if args.mode == "hitlist":
-        if not args.hitlist:
-            raise CliError("--mode hitlist needs --hitlist FILE")
-        source = _load(args.hitlist, addresses.read_hitlist)
-        plan = target_gen.hitlist_plan(source)
-    else:
-        if not args.prefixes:
-            raise CliError(f"--mode {args.mode} needs --prefixes FILE")
-        source = _load(args.prefixes, addresses.read_prefixes)
-        if args.mode == "route6":
-            plan = target_gen.route6_plan(source, cfg)
-        elif args.stage == "all" and args.count_only:
-            # The per-stage counts, each stage planned once, then the total
-            # of the plan as --max-targets cuts it.
-            counts = target_gen.count_bgp_all(source)
-            if args.max_targets is not None:
-                counts["deduplicated_total"] = min(counts["deduplicated_total"], args.max_targets)
-            print(json.dumps(counts, indent=2))
-            return 0
-        else:
-            plan = {
-                "1": target_gen.stage1_plan,
-                "2": target_gen.stage2_plan,
-                "3": target_gen.stage3_plan,
-                "all": target_gen.bgp_all_plan,
-            }[args.stage](source)
-    if args.max_targets is not None:
-        plan = target_gen.take(plan, args.max_targets)
-
-    if args.count_only:
-        print(target_gen.plan_size(plan))
-        return 0
-
-    blocks = (target_gen.plan_ndjson if args.ndjson else target_gen.plan_text)(plan)
-    out, close = _open_out(args.output)
-    try:
-        out.writelines(blocks)
-    finally:
-        if close:
-            out.close()
-    return 0
 
 
 # --- scan -------------------------------------------------------------------------
@@ -233,12 +103,6 @@ def _pass_path(base: str, index: int, passes: int) -> str:
         return base
     p = Path(base)
     return str(p.with_name(f"{p.stem}.pass{index}{p.suffix}"))
-
-
-def _manifest_entry(path, manifest) -> dict:
-    """Digest of `path`, recorded relative to the manifest's directory."""
-    relative = os.path.relpath(path, os.path.dirname(os.path.abspath(manifest)))
-    return {"path": relative, "sha256": _sha256_file(path)}
 
 
 def cmd_scan(args) -> int:
@@ -299,14 +163,16 @@ def cmd_scan(args) -> int:
         print(f"excluded {before - len(targets)} of {before} targets", file=sys.stderr)
 
     if live:
-        transport = probe_engine.LiveTransport(args.interface, source, args.hop_limit)
+        from .live import LiveTransport  # only a live scan opens sockets
+
+        transport = LiveTransport(args.interface, source, args.hop_limit)
     else:
         from . import netsim  # only a simulated scan reads it
 
         input_paths.append(args.sim_topology)
         try:
             topology = netsim.load_topology(args.sim_topology)
-        except (ValueError, OSError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, OSError, TypeError, RecursionError) as exc:
             raise CliError(f"{args.sim_topology}: {exc}") from None
         # A simulated scan runs on the transport's clock and never sleeps.
         transport = netsim.SimTransport(topology, tick=1.0 / args.rate)
@@ -335,74 +201,11 @@ def cmd_scan(args) -> int:
             transport.close()
 
     if args.manifest:
-        from datetime import datetime, timezone
+        from . import manifest  # only --manifest digests files
 
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "tool": "srascan",
-            "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "command": "scan",
-            "config": {
-                "transport": args.transport,
-                "rate": args.rate,
-                "hop_limit": args.hop_limit,
-                "cooldown": cooldown,
-                "passes": args.passes,
-                "targets_probed": len(targets),
-                "source": addresses.format_address(source),
-                "secret_sha256": _secret_digest(secret),
-            },
-            "inputs": [_manifest_entry(p, args.manifest) for p in input_paths],
-            "outputs": [_manifest_entry(p, args.manifest) for p in outputs],
-        }
-        with open(args.manifest, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-    return 0
-
-
-def _manifest_entries(path) -> list[dict]:
-    """The input and output entries of a manifest, each with a path and a digest."""
-    manifest = _read_json_object(path)
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise CliError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
-    entries = []
-    for key in ("inputs", "outputs"):
-        listed = manifest.get(key, [])
-        if not isinstance(listed, list):
-            raise CliError(f"{path}: {key!r} is not a list")
-        for entry in listed:
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("sha256"), str)
-            ):
-                raise CliError(f"{path}: each entry needs a 'path' and a 'sha256' string")
-        entries += listed
-    return entries
-
-
-def cmd_manifest_verify(args) -> int:
-    root = Path(args.manifest).parent
-    bad = 0
-    checked = 0
-    for entry in _manifest_entries(args.manifest):
-        path = Path(entry["path"])
-        if not path.is_absolute():
-            path = root / path
-        checked += 1
-        try:
-            actual = _sha256_file(path)
-        except OSError:
-            print(f"missing: {entry['path']}", file=sys.stderr)
-            bad += 1
-            continue
-        if actual != entry["sha256"]:
-            print(f"digest mismatch: {entry['path']}", file=sys.stderr)
-            bad += 1
-    if bad:
-        return 1
-    print(f"ok: {checked} files verified")
+        manifest.write_scan_manifest(
+            args, cooldown, len(targets), source, secret, input_paths, outputs
+        )
     return 0
 
 
@@ -460,15 +263,16 @@ def _report_names():
     return analysis.REPORTS
 
 
-# Each subcommand's function, help line and arguments, every flag declared
-# here once.  An argument is the names and keywords that `add_argument`
-# takes, in the order help lists them; a callable `choices` is called when
-# the subcommand is built.  `build_parser` hands each argument to argparse
-# as it stands, and `_parse_exact` reads a well-formed command line by the
-# same entries, using only `type`, `choices`, `default`, `required`,
-# `action` ("store_true" or "append") and `nargs` ("*").
+# Each subcommand's function, as "module.function" within srascan, its help
+# line and its arguments, every flag declared here once.  An argument is the
+# names and keywords that `add_argument` takes, in the order help lists
+# them; a callable `choices` is called when the subcommand is built.
+# `cli_fallback.build_parser` hands each argument to argparse as it
+# stands, and `_parse_exact` reads a well-formed command line by the same
+# entries, using only `type`, `choices`, `default`, `required`, `action`
+# ("store_true" or "append") and `nargs` ("*").
 _SUBCOMMANDS = {
-    "gen-targets": (cmd_gen_targets, "build a probe list from routing data", (
+    "gen-targets": ("target_gen.cmd_gen_targets", "build a probe list from routing data", (
         (("--mode",), dict(choices=("bgp", "route6", "hitlist"), required=True)),
         (("--prefixes",), dict(metavar="FILE", help="announced prefixes, one per line")),
         (("--hitlist",), dict(metavar="FILE", help="known addresses, one per line")),
@@ -484,7 +288,7 @@ _SUBCOMMANDS = {
         (("--count-only",), dict(action="store_true", help="print counts, no addresses")),
         (("-o", "--output"), dict(metavar="FILE", default=None)),
     )),
-    "scan": (cmd_scan, "send one echo request per target", (
+    "scan": ("cli.cmd_scan", "send one echo request per target", (
         (("--targets",), dict(metavar="FILE", required=True)),
         (("--transport",), dict(choices=("live", "sim"), default="sim")),
         (("--sim-topology",), dict(metavar="FILE")),
@@ -507,7 +311,7 @@ _SUBCOMMANDS = {
         (("-o", "--output"), dict(metavar="FILE", default=None)),
         (("--manifest",), dict(metavar="FILE", help="record digests of the run")),
     )),
-    "analyze": (cmd_analyze, "reduce reply files to findings", (
+    "analyze": ("cli.cmd_analyze", "reduce reply files to findings", (
         (("action",), dict(choices=_report_names)),
         (("--replies",), dict(metavar="FILE", nargs="*", default=[])),
         (("--targets",), dict(metavar="FILE")),
@@ -519,10 +323,10 @@ _SUBCOMMANDS = {
         (("--labels",), dict(metavar="FILE", help="prefix,label rows for compare")),
         (("--csv",), dict(metavar="FILE")),
     )),
-    "manifest-verify": (cmd_manifest_verify, "re-check a recorded run", (
+    "manifest-verify": ("manifest.cmd_manifest_verify", "re-check a recorded run", (
         (("manifest",), dict(metavar="MANIFEST")),
     )),
-    "demo": (cmd_demo, "copy the bundled example inputs", (
+    "demo": ("cli.cmd_demo", "copy the bundled example inputs", (
         (("--into",), dict(
             metavar="DIR", default=".", help="directory to copy into (default: .)"
         )),
@@ -540,6 +344,14 @@ def _arguments(command: str):
         if isinstance(kw.get("default"), list):
             kw["default"] = list(kw["default"])
         yield names, kw
+
+
+def _command(command: str):
+    """The function that runs `command`, from the module that the table
+    names for it, which is imported here if it is not loaded yet."""
+    module, _, function = _SUBCOMMANDS[command][0].partition(".")
+    __import__(f"{__package__}.{module}")
+    return getattr(sys.modules[f"{__package__}.{module}"], function)
 
 
 def _exact_value(kw: dict, text: str):
@@ -604,74 +416,18 @@ def _parse_exact(argv: list[str]):
         return None
     if required:
         return None
-    return SimpleNamespace(**values, func=_SUBCOMMANDS[argv[0]][0])
-
-
-class _Unsure(Exception):
-    """A parser built for one subcommand met what only the full parser answers."""
-
-
-def build_parser(config_path=None, command=None):
-    """The argparse parser of every subcommand, or, given `command`, a parser
-    of that one (and of the two that `--config` presets) which raises
-    _Unsure on any argv it cannot parse."""
-    import argparse  # only a command line that _parse_exact leaves loads it
-
-    class OneCommandParser(argparse.ArgumentParser):
-        """Refuses, instead of printing help or an error whose usage would
-        list only the subcommands it was built with."""
-
-        def error(self, message):
-            raise _Unsure
-
-        def print_help(self, file=None):
-            raise _Unsure
-
-    parser = (argparse.ArgumentParser if command is None else OneCommandParser)(
-        prog="srascan",
-        description="Probe subnet-router anycast addresses and study what answers.",
-    )
-    parser.add_argument(
-        "--config", metavar="FILE", help="JSON file with defaults for the subcommands"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    built = {}
-    for name, (func, help_text, _) in _SUBCOMMANDS.items():
-        if command is None or name == command or (config_path and name in _CONFIG_SECTIONS):
-            built[name] = sub.add_parser(name, help=help_text)
-            for names, kw in _arguments(name):
-                built[name].add_argument(*names, **kw)
-            built[name].set_defaults(func=func)
-
-    if config_path:
-        config = load_config(config_path)
-        for name in _CONFIG_SECTIONS:
-            actions = {a.dest: a for a in built[name]._actions}
-            built[name].set_defaults(**{
-                key: _config_value(config_path, name, actions[key], value)
-                for key, value in config.get(name, {}).items()
-            })
-    return parser
+    return SimpleNamespace(**values, func=_command(argv[0]))
 
 
 def parse_args(argv: list[str]):
-    """The namespace of `argv`: `_parse_exact`'s, or else
-    `build_parser(config).parse_args(argv)`, building only the subcommand
-    that argv names when that parser can parse argv whole."""
+    """The namespace of `argv`: `_parse_exact`'s, or else the one that
+    `cli_fallback.parse_args` builds with argparse."""
     args = _parse_exact(argv)
     if args is not None:
         return args
-    import argparse
+    from . import cli_fallback
 
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    if rest and rest[0] in _SUBCOMMANDS:
-        try:
-            return build_parser(known.config, rest[0]).parse_args(argv)
-        except _Unsure:
-            pass  # the full parser prints the help or the error
-    return build_parser(known.config).parse_args(argv)
+    return cli_fallback.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -688,4 +444,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Run as a script, this file is a copy of `srascan.cli`; the commands
+    # that live in other modules raise that module's CliError.
+    from srascan.cli import main
+
     sys.exit(main())

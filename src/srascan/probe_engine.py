@@ -12,6 +12,12 @@ Payload layout (24 bytes):
 
 A reply is attributed to a target only if the checksum verifies, so stray
 or spoofed packets cannot pollute results (false accept ~ 2^-64).
+
+Every scan imports this module, so it holds what a scan runs: crafting,
+classifying, `run_scan` and the reply record with its line format.  Code
+that a simulated scan never runs lives elsewhere: the raw-socket transport
+in `live`, and the block reader of reply files, which only `analyze` uses,
+in `analysis` (`read_replies`).
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ import struct
 import time
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
-# The C functions behind hashlib.blake2b, socket.inet_pton and
-# hmac.compare_digest's fallback (constant time, as OpenSSL's is): importing
-# hashlib, hmac or socket would load OpenSSL or build socket's enums in every
-# scan process, for functions the scan does not call.
+# The C functions behind hashlib.blake2b and hmac.compare_digest's fallback
+# (constant time, as OpenSSL's is): importing hashlib or hmac would load
+# OpenSSL in every scan process, for functions the scan does not call.
 from _blake2 import blake2b
 from _operator import _compare_digest as compare_digest
-from _socket import AF_INET6, inet_pton
 
-from .addresses import format_address, parse_address, read_blocks
+from .addresses import format_address, parse_address
 
 
 # Looked up once: on a per-packet path, reading the classmethod off `int`
@@ -167,54 +171,6 @@ class ReplyRecord(NamedTuple):
             )
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
-
-
-_KIND_BY_VALUE = {kind.value: kind for kind in ReplyKind}
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
-
-
-def _reply_block(block: list[str]) -> list[ReplyRecord]:
-    """The records of a block of reply lines, each line a JSON object with
-    the seven keys and bare addresses; raises on any other block.
-
-    Each line goes through the C JSON scanner with no Python frame, and must
-    be used up to its end.  Each record is built by `tuple.__new__` from its
-    fields, which skips the Python frame of `ReplyRecord.__new__`.
-    """
-    records = []
-    append = records.append
-    new = tuple.__new__
-    pton, af, from_bytes = inet_pton, AF_INET6, int.from_bytes
-    for (d, end), line in zip(map(_scan_json, block, [0] * len(block)), block):
-        if end != len(line):
-            raise ValueError("extra data after the JSON value")
-        embedded = d["embedded_target"]
-        append(new(ReplyRecord, (
-            _KIND_BY_VALUE[d["kind"]],
-            d["type"],
-            d["code"],
-            from_bytes(pton(af, d["src"]), "big"),
-            None if embedded is None else from_bytes(pton(af, embedded), "big"),
-            d["hop_limit"],
-            d["ts"],
-        )))
-    # A line with no JSON value at its start (a blank, # or padded line)
-    # makes the scanner raise StopIteration, which ends `map` early.
-    if len(records) != len(block):
-        raise ValueError("a line holds no JSON value")
-    return records
-
-
-def read_replies(lines: Iterable[str]) -> Iterator[ReplyRecord]:
-    """The records of a reply file: `read_records(lines, ReplyRecord.from_json)`,
-    decoded a block of lines at a time.
-
-    A block that holds anything but plain record lines (a blank, #, scoped
-    or padded line, or a bad one) is parsed line by line (`read_blocks`),
-    so it yields the same records, or names the same `line N`, as
-    `from_json`.
-    """
-    return read_blocks(lines, _reply_block, ReplyRecord.from_json)
 
 
 # --- payload tagging ----------------------------------------------------------
@@ -480,50 +436,3 @@ def run_scan(
                 yield rec
             item = receive(0.0)
     yield from receive_until(clock() + cfg.cooldown)
-
-
-class LiveTransport:  # pragma: no cover - needs CAP_NET_RAW and a real network
-    """Raw-socket transport.  Requires root (or CAP_NET_RAW).
-
-    Sending hands the kernel the ICMPv6 part of the crafted packet (the
-    kernel rebuilds an equivalent IPv6 header; hop limit and source are
-    pinned via socket options).  Receiving sniffs full IPv6 frames so the
-    classifier sees real headers.
-    """
-
-    def __init__(self, interface: str, source_address: int, hop_limit: int = 64):
-        import socket  # only a live scan opens sockets
-
-        self._send_sock = socket.socket(
-            socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6
-        )
-        self._send_sock.setsockopt(
-            socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, hop_limit
-        )
-        self._send_sock.bind((format_address(source_address), 0))
-        # ETH_P_IPV6 = 0x86DD; AF_PACKET delivers whole frames
-        self._recv_sock = socket.socket(
-            socket.AF_PACKET, socket.SOCK_DGRAM, socket.htons(0x86DD)
-        )
-        self._recv_sock.bind((interface, 0x86DD))
-        self._recv_sock.settimeout(0.05)
-
-    def send(self, packet: bytes) -> None:
-        parsed = parse_ipv6(packet)
-        if parsed is None:
-            raise ValueError("not an IPv6 packet")
-        _, dst, _, _, payload = parsed
-        self._send_sock.sendto(payload, (format_address(dst), 0))
-
-    def receive(self, timeout: float) -> tuple[bytes, float] | None:
-        # settimeout(0) makes the socket non-blocking: receive(0) never waits.
-        self._recv_sock.settimeout(timeout)
-        try:
-            data = self._recv_sock.recv(65535)
-        except (TimeoutError, BlockingIOError):  # socket.timeout is TimeoutError
-            return None
-        return data, time.monotonic()
-
-    def close(self) -> None:
-        self._send_sock.close()
-        self._recv_sock.close()

@@ -20,8 +20,10 @@ per-address sets: ranges are sorted and merged into disjoint ones (`_merged`),
 and stage 2's claims come from one sweep over them in sorted order
 (`_first_claims`), so planning costs O(n log n) in n prefixes.
 
-Only `gen-targets` imports this module; the addresses, prefixes and line
-readers that every command uses are in `addresses`.  `GenerationConfig` is
+Only `gen-targets` imports this module, and the command itself,
+`cmd_gen_targets`, is here too, so that `cli` holds no code that only
+`gen-targets` runs; the addresses, prefixes and line readers that every
+command uses are in `addresses`.  `GenerationConfig` is
 a checked NamedTuple, as the value types there are, so that `gen-targets`
 does not import `dataclasses` either.
 """
@@ -31,13 +33,18 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import hashlib
 import itertools
+import json
 import operator
 import random
 import struct
-from _socket import AF_INET6, inet_ntop
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+
+# The C functions behind hashlib.blake2b and socket.inet_ntop: importing
+# hashlib would load OpenSSL, and socket build its enums, in every
+# gen-targets process, for functions it does not call.
+from _blake2 import blake2b
+from _socket import AF_INET6, inet_ntop
 
 from .addresses import (
     LOW_ADDRESSES,
@@ -45,6 +52,8 @@ from .addresses import (
     Ipv6Prefix,
     _merged,
     format_address,
+    read_hitlist,
+    read_prefixes,
 )
 
 # A plan's inputs are prefixes: the prefix type, its parser and the address
@@ -466,7 +475,7 @@ def _prefix_rng(seed: int, prefix: Ipv6Prefix) -> random.Random:
     shards of one prefix list can be generated in parallel.
     """
     material = struct.pack(">Q16sB", seed, prefix.bits.to_bytes(16, "big"), prefix.length)
-    digest = hashlib.blake2b(material, digest_size=8).digest()
+    digest = blake2b(material, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 
@@ -639,3 +648,61 @@ def count_bgp_all(prefixes: Iterable[Ipv6Prefix]) -> dict[str, int]:
         "stage3": plan_size(stage3),
         "deduplicated_total": plan_size(_join_stages(stage1, stage2, stage3)),
     }
+
+
+# --- the gen-targets command ------------------------------------------------------
+
+
+def cmd_gen_targets(args) -> int:
+    """`srascan gen-targets`: the probe list of one mode, or its count."""
+    from .cli import CliError, _load, _open_out
+
+    if args.max_targets is not None and args.max_targets < 0:
+        raise CliError("--max-targets must be >= 0")
+    try:
+        cfg = GenerationConfig(
+            route6_samples_per_prefix=args.samples_per_prefix,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if args.mode == "hitlist":
+        if not args.hitlist:
+            raise CliError("--mode hitlist needs --hitlist FILE")
+        plan = hitlist_plan(_load(args.hitlist, read_hitlist))
+    else:
+        if not args.prefixes:
+            raise CliError(f"--mode {args.mode} needs --prefixes FILE")
+        source = _load(args.prefixes, read_prefixes)
+        if args.mode == "route6":
+            plan = route6_plan(source, cfg)
+        elif args.stage == "all" and args.count_only:
+            # The per-stage counts, each stage planned once, then the total
+            # of the plan as --max-targets cuts it.
+            counts = count_bgp_all(source)
+            if args.max_targets is not None:
+                counts["deduplicated_total"] = min(counts["deduplicated_total"], args.max_targets)
+            print(json.dumps(counts, indent=2))
+            return 0
+        else:
+            plan = {
+                "1": stage1_plan,
+                "2": stage2_plan,
+                "3": stage3_plan,
+                "all": bgp_all_plan,
+            }[args.stage](source)
+    if args.max_targets is not None:
+        plan = take(plan, args.max_targets)
+
+    if args.count_only:
+        print(plan_size(plan))
+        return 0
+
+    blocks = (plan_ndjson if args.ndjson else plan_text)(plan)
+    out, close = _open_out(args.output)
+    try:
+        out.writelines(blocks)
+    finally:
+        if close:
+            out.close()
+    return 0

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
-from srascan import addresses, cli, netsim, probe_engine, target_gen
+from srascan import addresses, analysis, cli, cli_fallback, live, netsim, probe_engine, target_gen
 
 
 def run(*argv):
@@ -519,7 +519,7 @@ class TestScan:
         self, demo, capsys, monkeypatch, flags, message
     ):
         opened = []
-        monkeypatch.setattr(probe_engine, "LiveTransport", lambda *a: opened.append(a))
+        monkeypatch.setattr(live, "LiveTransport", lambda *a: opened.append(a))
         argv = self.scan_args(demo, "x.ndjson")
         idx = argv.index("--sim-topology")
         del argv[idx : idx + 2]
@@ -602,6 +602,39 @@ class TestScan:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {demo / 'demo_topology.json'}: {key}: expected ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where,key",
+        [
+            ("topology", "routers"),
+            ("topology", "entry_router"),
+            ("router", "id"),
+            ("router", "interfaces"),
+            ("interface", "addr"),
+            ("interface", "subnet"),
+            ("route", "prefix"),
+            ("route", "next_hop"),
+        ],
+    )
+    def test_a_missing_topology_key_is_named_on_one_error_line(
+        self, demo, capsys, monkeypatch, where, key
+    ):
+        path = demo / "demo_topology.json"
+        topology = json.loads(path.read_text())
+        border = topology["routers"][0]
+        del {
+            "topology": topology,
+            "router": border,
+            "interface": border["interfaces"][0],
+            "route": border["routes"][0],
+        }[where][key]
+        path.write_text(json.dumps(topology))
+        argv = self.scan_args(demo, "x.ndjson")
+        capsys.readouterr()
+        monkeypatch.setattr(netsim.SimTransport, "send", refuse_to_send)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing key {key!r}\n"
+        assert not (demo / "x.ndjson").exists()
 
     @pytest.mark.parametrize(
         "where,key,value,message",
@@ -748,7 +781,7 @@ class TestScan:
             def close(self):
                 self.closed = True
 
-        monkeypatch.setattr(probe_engine, "LiveTransport", FailingLiveTransport)
+        monkeypatch.setattr(live, "LiveTransport", FailingLiveTransport)
         argv = self.scan_args(demo, "live.ndjson")
         i = argv.index("--sim-topology")
         argv[i : i + 2] = ["--transport", "live", "--interface", "eth0",
@@ -1143,7 +1176,7 @@ LINE_READERS = {
         ),
     ),
     "replies": (
-        probe_engine.read_replies,
+        analysis.read_replies,
         probe_engine.ReplyRecord.from_json,
         st.sampled_from(_REPLY_LINES),
     ),
@@ -1363,6 +1396,126 @@ def test_a_simulated_scan_loads_no_generation_module(demo):
     assert modules_loaded_by(demo, argv, {"srascan.target_gen", "hashlib"}) == "[]"
 
 
+@pytest.mark.parametrize("mode", [["--mode", "bgp"], ["--mode", "route6", "--seed", "7"]],
+                         ids=["bgp", "route6"])
+def test_gen_targets_loads_no_openssl(demo, mode):
+    # route6 seeds each prefix's sampler with blake2b, taken from _blake2.
+    argv = ["gen-targets", *mode, "--prefixes", "demo_subnets.txt", "-o", "t.txt"]
+    assert modules_loaded_by(demo, argv, {"hashlib", "_hashlib"}) == "[]"
+
+
+# The modules that hold what a simulated scan never runs.
+OFF_SCAN_PATH = {"srascan.topologies", "srascan.live", "srascan.manifest", "srascan.cli_fallback"}
+
+
+def test_the_scan_path_loads_none_of_the_modules_split_off_it():
+    assert loaded_after("srascan.cli, srascan.netsim", OFF_SCAN_PATH, "-S") == "[]\n"
+
+
+# Source lines of the srascan modules that `from srascan import cli, netsim`
+# compiles: every scan process compiles them where no bytecode is cached.
+# A change that lowers the count lowers the budget with it.
+SCAN_PATH_LINE_BUDGET = 2014
+
+
+def test_the_scan_path_compiles_no_more_lines_than_its_budget():
+    code = (
+        "import sys; from srascan import cli, netsim; "
+        "print(sum(len(open(m.__file__).read().splitlines()) for name, m in sys.modules.items() "
+        "if name.partition('.')[0] == 'srascan'))"
+    )
+    lines = int(fresh_output(code, "-S"))
+    assert lines <= SCAN_PATH_LINE_BUDGET, f"the scan path compiles {lines} lines"
+
+
+def test_netsim_answers_for_the_names_moved_to_topologies():
+    from srascan import topologies
+
+    for name in ("build_gateway_fanout", "build_loop_topology", "save_topology",
+                 "topology_to_dict"):
+        assert getattr(netsim, name) is getattr(topologies, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netsim.no_such_name
+
+
+# bench/step.py imports these before its clock starts, and addresses with them.
+STEP_IMPORTS = {"analysis", "cli", "netsim", "probe_engine", "target_gen", "addresses"}
+
+
+def test_no_benchmark_command_imports_a_module_inside_cli_main(demo):
+    """Each command line shape that bench/pipeline.py builds, on the demo
+    inputs: a module imported for the first time inside `cli.main` would be
+    compiled inside the benchmark's timed window."""
+    package = Path(cli.__file__).parent
+    others = {
+        f"srascan.{path.stem}" for path in package.glob("*.py")
+        if path.stem not in STEP_IMPORTS | {"__init__", "__main__"}
+    }
+    assert OFF_SCAN_PATH <= others
+    exclude = write(demo, "exclude.txt", "2001:db8:ffff::/48\n")
+    aliased = write(demo, "aliased.txt", "2001:db8:100::/48\n")
+    replies = ["--replies", "replies.pass0.ndjson", "replies.pass1.ndjson",
+               "--targets", "targets.txt", "--aliased", aliased]
+    gen = {
+        "grid48": ["--mode", "bgp", "--stage", "all"],
+        "loop": ["--mode", "route6", "--samples-per-prefix", "250", "--seed", "3141592653"],
+        "fanout": ["--mode", "bgp", "--stage", "1"],  # last: its list is the one scanned
+    }
+    lines = [
+        ["gen-targets", *args, "--prefixes", "demo_subnets.txt", *tail]
+        for args in gen.values()
+        for tail in (["--count-only"], ["-o", "targets.txt"])
+    ]
+    lines.append([
+        "scan", "--targets", "targets.txt", "--transport", "sim",
+        "--sim-topology", "demo_topology.json", "--rate", "10000000.0",
+        "--hop-limit", "64", "--passes", "2", "--secret", "16045690984503098046",
+        "-o", "replies.ndjson", "--exclude", exclude,
+    ])
+    lines += [["analyze", action, *replies] for action in ("summarize", "visibility", "stability")]
+    lines.append(["analyze", "loops", "--replies", "replies.pass1.ndjson",
+                  "--targets", "targets.txt", "--aliased", aliased])
+    for argv in lines:
+        assert modules_loaded_by(demo, argv, others) == "[]", argv
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["--config", "demo_config.json", "gen-targets", "--mode", "bgp",
+          "--prefixes", "demo_subnets.txt", "--count-only"], "{"),
+        (["demo", "--into", "copy"], "copy"),
+    ],
+    ids=["config", "demo"],
+)
+def test_a_command_off_the_scan_path_runs_in_a_fresh_interpreter(demo, argv, out):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "srascan", *argv],
+        cwd=demo, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(out)
+
+
+def test_a_manifest_is_written_and_verified_in_fresh_interpreters(demo):
+    write(demo, "targets.txt", "2001:db8:100::\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for argv in (
+        ["scan", "--targets", "targets.txt", "--sim-topology", "demo_topology.json",
+         "-o", "r.ndjson", "--manifest", "run.json"],
+        ["manifest-verify", "run.json"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "srascan", *argv],
+            cwd=demo, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok: 3 files verified\n"
+
+
 PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
@@ -1496,7 +1649,7 @@ def full_parse(argv):
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    return cli.build_parser(known.config).parse_args(argv)
+    return cli_fallback.build_parser(known.config).parse_args(argv)
 
 
 def parse_outcome(parse, argv, capsys):
@@ -1583,7 +1736,7 @@ def test_one_subcommand_parser_parses_as_the_full_one(argv, tmp_path, capsys):
 
 
 def test_a_named_subcommand_builds_only_its_own_arguments():
-    parser = cli.build_parser(None, "scan")
+    parser = cli_fallback.build_parser(None, "scan")
     (subcommands,) = parser._subparsers._group_actions
     assert list(subcommands.choices) == ["scan"]
     args = parser.parse_args(["scan", "--targets", "t.txt", "--rate", "10"])

@@ -36,9 +36,9 @@ from srascan.probe_engine import (
     encode_payload,
     icmpv6_checksum,
     parse_ipv6,
-    read_replies,
     run_scan,
 )
+from srascan.analysis import read_replies
 from srascan.addresses import READ_BLOCK, format_address, read_blocks, read_records
 
 
