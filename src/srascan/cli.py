@@ -8,12 +8,13 @@ and `demo` copies the bundled example inputs somewhere writable.
 Each process runs one command, and where no bytecode is cached it compiles
 every module it imports, so this module holds only what a simulated scan
 runs, plus `analyze` and `demo`.  The option table names each command's
-function by module, resolved when a command line names it (`_command`):
-`gen-targets` runs `target_gen.cmd_gen_targets` and `manifest-verify`
-`manifest.cmd_manifest_verify`.  A command imports what only it uses when
-it runs: `scan` imports `probe_engine`, with `netsim` or `live` for its
-transport and `manifest` for `--manifest`, and `analyze` `analysis`.
-Every command reads its inputs through `addresses`.
+function by module, and `main` imports it once the command line is parsed
+(`_command`), so parsing imports no command: `gen-targets` runs
+`target_gen.cmd_gen_targets`, `manifest-verify` `manifest.cmd_manifest_verify`.
+A command imports what only it uses when it runs: `scan` imports
+`probe_engine`, with `netsim` or `live` for its transport and `manifest`
+for `--manifest`, and `analyze` `analysis`.  Every command reads its
+inputs through `addresses`.
 
 Every flag is declared once, in the option table `_SUBCOMMANDS`.  A
 well-formed command line (the subcommand first, exact flag names, each
@@ -257,16 +258,11 @@ def cmd_demo(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def _report_names():
-    from . import analysis  # the actions are its reports
-
-    return analysis.REPORTS
-
-
 # Each subcommand's function, as "module.function" within srascan, its help
 # line and its arguments, every flag declared here once.  An argument is the
 # names and keywords that `add_argument` takes, in the order help lists
-# them; a callable `choices` is called when the subcommand is built.
+# them; analyze's actions are the names of `analysis.REPORTS`, written out
+# so that parsing imports no command.
 # `cli_fallback.build_parser` hands each argument to argparse as it
 # stands, and `_parse_exact` reads a well-formed command line by the same
 # entries, using only `type`, `choices`, `default`, `required`, `action`
@@ -312,7 +308,7 @@ _SUBCOMMANDS = {
         (("--manifest",), dict(metavar="FILE", help="record digests of the run")),
     )),
     "analyze": ("cli.cmd_analyze", "reduce reply files to findings", (
-        (("action",), dict(choices=_report_names)),
+        (("action",), dict(choices=("summarize", "visibility", "stability", "loops", "compare"))),
         (("--replies",), dict(metavar="FILE", nargs="*", default=[])),
         (("--targets",), dict(metavar="FILE")),
         (("--aliased",), dict(metavar="FILE", help="known aliased prefixes")),
@@ -335,12 +331,10 @@ _SUBCOMMANDS = {
 
 
 def _arguments(command: str):
-    """The names and keywords of `command`'s arguments, with a callable
-    `choices` called and a list `default` copied, so no two parses share one."""
+    """The names and keywords of `command`'s arguments, with a list
+    `default` copied, so no two parses share one."""
     for names, kw in _SUBCOMMANDS[command][2]:
         kw = dict(kw)
-        if callable(kw.get("choices")):
-            kw["choices"] = kw["choices"]()
         if isinstance(kw.get("default"), list):
             kw["default"] = list(kw["default"])
         yield names, kw
@@ -348,7 +342,7 @@ def _arguments(command: str):
 
 def _command(command: str):
     """The function that runs `command`, from the module that the table
-    names for it, which is imported here if it is not loaded yet."""
+    names for it, imported here, after parsing, if it is not loaded yet."""
     module, _, function = _SUBCOMMANDS[command][0].partition(".")
     __import__(f"{__package__}.{module}")
     return getattr(sys.modules[f"{__package__}.{module}"], function)
@@ -416,7 +410,7 @@ def _parse_exact(argv: list[str]):
         return None
     if required:
         return None
-    return SimpleNamespace(**values, func=_command(argv[0]))
+    return SimpleNamespace(**values)
 
 
 def parse_args(argv: list[str]):
@@ -434,7 +428,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse_args(argv)
-        return args.func(args)
+        return _command(args.command)(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

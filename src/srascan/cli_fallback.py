@@ -2,16 +2,18 @@
 
 `cli._parse_exact` reads a well-formed command line from the option table
 alone.  Any other command line (help, `--config`, an abbreviation,
-`--flag=value`, a bad value) comes here, to an argparse parser built from
-the same table, which prints what it always printed.  The `--config`
-loader lives here too, since only such a command line names a config file.
+`--flag=value`, a bad value) comes here, to one argparse parser of every
+subcommand built from the same table, which prints what it always printed.
+Like the table, the parser names each command and imports none of them;
+`cli.main` runs the one that the parse names.  The `--config` loader lives
+here too, since only such a command line names a config file.
 """
 
 from __future__ import annotations
 
 import json
 
-from .cli import _SUBCOMMANDS, CliError, _arguments, _command
+from .cli import _SUBCOMMANDS, CliError, _arguments
 
 CONFIG_VERSION = 1
 
@@ -35,8 +37,9 @@ def _read_json_object(path) -> dict:
 
 def load_config(path) -> dict:
     data = _read_json_object(path)
-    if data.get("version") != CONFIG_VERSION:
-        raise CliError(f"{path}: unsupported config version {data.get('version')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:  # not true, not 1.0
+        raise CliError(f"{path}: unsupported config version {version!r}")
     for section, values in data.items():
         if section == "version":
             continue
@@ -68,27 +71,12 @@ def _config_value(path, section: str, action, value):
     raise CliError(f"{path}: {section}.{action.dest}: expected {want}, got {value!r}")
 
 
-class _Unsure(Exception):
-    """A parser built for one subcommand met what only the full parser answers."""
-
-
-def build_parser(config_path=None, command=None):
-    """The argparse parser of every subcommand, or, given `command`, a parser
-    of that one (and of the two that `--config` presets) which raises
-    _Unsure on any argv it cannot parse."""
+def build_parser(config_path=None):
+    """The argparse parser of every subcommand, with the defaults of the
+    config file at `config_path`, if one is given."""
     import argparse  # manifest-verify imports this module for _read_json_object
 
-    class OneCommandParser(argparse.ArgumentParser):
-        """Refuses, instead of printing help or an error whose usage would
-        list only the subcommands it was built with."""
-
-        def error(self, message):
-            raise _Unsure
-
-        def print_help(self, file=None):
-            raise _Unsure
-
-    parser = (argparse.ArgumentParser if command is None else OneCommandParser)(
+    parser = argparse.ArgumentParser(
         prog="srascan",
         description="Probe subnet-router anycast addresses and study what answers.",
     )
@@ -98,11 +86,9 @@ def build_parser(config_path=None, command=None):
     sub = parser.add_subparsers(dest="command", required=True)
     built = {}
     for name, (_, help_text, _) in _SUBCOMMANDS.items():
-        if command is None or name == command or (config_path and name in _CONFIG_SECTIONS):
-            built[name] = sub.add_parser(name, help=help_text)
-            for names, kw in _arguments(name):
-                built[name].add_argument(*names, **kw)
-            built[name].set_defaults(func=_command(name))
+        built[name] = sub.add_parser(name, help=help_text)
+        for names, kw in _arguments(name):
+            built[name].add_argument(*names, **kw)
 
     if config_path:
         config = load_config(config_path)
@@ -116,16 +102,11 @@ def build_parser(config_path=None, command=None):
 
 
 def parse_args(argv: list[str]):
-    """`build_parser(config).parse_args(argv)`, building only the subcommand
-    that argv names when that parser can parse argv whole."""
+    """`build_parser(config).parse_args(argv)`, with the config file that
+    `--config` names, if any."""
     import argparse
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    if rest and rest[0] in _SUBCOMMANDS:
-        try:
-            return build_parser(known.config, rest[0]).parse_args(argv)
-        except _Unsure:
-            pass  # the full parser prints the help or the error
+    known, _ = pre.parse_known_args(argv)
     return build_parser(known.config).parse_args(argv)

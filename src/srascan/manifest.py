@@ -73,8 +73,9 @@ def _manifest_entries(path) -> list[dict]:
     from .cli_fallback import _read_json_object  # not compiled by scan --manifest
 
     manifest = _read_json_object(path)
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise CliError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
+    version = manifest.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:  # not true, not 1.0
+        raise CliError(f"{path}: unsupported manifest version {version!r}")
     entries = []
     for key in ("inputs", "outputs"):
         listed = manifest.get(key, [])

@@ -544,7 +544,7 @@ def _topology_from_dict(data: dict) -> SimTopology:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     version = data.get("version")
-    if version != TOPOLOGY_FORMAT_VERSION:
+    if type(version) is not int or version != TOPOLOGY_FORMAT_VERSION:  # not true, not 1.0
         raise ValueError(f"unsupported topology format version {version!r}")
     rows = data["routers"]
     interface_rows = [rd["interfaces"] for rd in rows]

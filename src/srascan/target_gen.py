@@ -38,6 +38,7 @@ import json
 import operator
 import random
 import struct
+import sys
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 # The C functions behind hashlib.blake2b and socket.inet_ntop: importing
@@ -93,6 +94,8 @@ class GenerationConfig(_GenerationConfig):
         self = super().__new__(cls, *args, **kwargs)
         if self.route6_samples_per_prefix < 1:
             raise ValueError("route6_samples_per_prefix must be >= 1")
+        if self.route6_samples_per_prefix > sys.maxsize:  # a plan entry's len()
+            raise ValueError(f"route6_samples_per_prefix must be at most {sys.maxsize}")
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
         return self
@@ -483,25 +486,34 @@ def _route6_contested(prefixes: Sequence[Ipv6Prefix]) -> list[int]:
     """The merged edges (`_merged`) of the regions of /64 index space covered
     by more than one input prefix.
 
-    Cross-prefix duplicate suppression only needs memory for addresses that
-    fall inside these regions; disjoint inputs need none at all.
+    Prefix ranges nest or stand apart, so those regions are the union of the
+    ranges that start inside an earlier one, taken by start, outer range
+    first.  Cross-prefix duplicate suppression only needs memory for
+    addresses that fall inside these regions; disjoint inputs need none at all.
     """
-    events = []
+    ranges = []
     for p in prefixes:
         start = p.subnet_index(64) if p.length <= 64 else p.supernet(64).subnet_index(64)
-        count = max(p.subnet_count(64), 1)
-        events.append((start, 1))
-        events.append((start + count, -1))
-    events.sort()
+        ranges.append((start, start + max(p.subnet_count(64), 1)))
+    ranges.sort(key=lambda r: (r[0], -r[1]))
     contested = []
-    depth = 0
-    seg_start = 0
-    for pos, delta in events:
-        if depth >= 2 and pos > seg_start:
-            contested.append((seg_start, pos))
-        depth += delta
-        seg_start = pos
+    reach = 0  # the furthest end of the ranges before
+    for start, end in ranges:
+        if start < reach:
+            contested.append((start, end))
+        reach = max(reach, end)
     return _merged(contested)
+
+
+def _set_sample(rng: random.Random, space: int, size: int) -> list[int]:
+    """`size` distinct values below `space`, drawn as `rng.sample` draws
+    from a large population: `rng.randrange(space)` until `size` distinct
+    values, in draw order.  Unlike `rng.sample`, it takes more than
+    sys.maxsize values."""
+    drawn: dict[int, None] = {}  # ordered, as a set is not
+    while len(drawn) < size:
+        drawn[rng.randrange(space)] = None
+    return list(drawn)
 
 
 class _Route6Samples:
@@ -518,7 +530,11 @@ class _Route6Samples:
     def draw(self) -> list[int]:
         base, space = self.prefix.subnet_index(64), self.prefix.subnet_count(64)
         rng = _prefix_rng(self.cfg.rng_seed, self.prefix)
-        return [base + off for off in rng.sample(range(space), self.size)]
+        if space > sys.maxsize:  # a /0 or /1: range(space) has no len()
+            offsets = _set_sample(rng, space, self.size)
+        else:
+            offsets = rng.sample(range(space), self.size)
+        return [base + off for off in offsets]
 
     def __len__(self) -> int:
         return self.size - len(self.skip)

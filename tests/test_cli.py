@@ -199,6 +199,28 @@ class TestGenTargets:
         ) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_route6_over_a_0_prefix_counts_what_it_lists(self, tmp_path, capsys):
+        prefixes = write(tmp_path, "p.txt", "::/0\n")
+        argv = ["gen-targets", "--mode", "route6", "--prefixes", prefixes,
+                "--samples-per-prefix", "3"]
+        assert run(*argv) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert run(*argv, "--count-only") == 0
+        assert capsys.readouterr().out == f"{len(set(listed))}\n" == "3\n"
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["list", "count"])
+    def test_a_sample_count_past_sys_maxsize_is_refused(self, tmp_path, capsys, count_only):
+        prefixes = write(tmp_path, "p.txt", "::/0\n")
+        assert run(
+            "gen-targets", "--mode", "route6", "--prefixes", prefixes,
+            "--samples-per-prefix", str(sys.maxsize + 1), *count_only,
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: route6_samples_per_prefix must be at most {sys.maxsize}\n"
+        )
+
     def test_route6_sampling_respects_seed_and_count(self, tmp_path, capsys):
         prefixes = write(tmp_path, "p.txt", "2001:db8::/60\n")
         run(
@@ -902,6 +924,33 @@ class TestConfig:
         assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version,refused", [(1, False), (True, True), (1.0, True)],
+                         ids=["1", "true", "1.0"])
+@pytest.mark.parametrize("loader", ["topology", "config", "manifest"])
+def test_a_version_key_is_the_integer_1(demo, capsys, loader, version, refused):
+    """JSON's true and 1.0 equal 1 in Python; each loader refuses them."""
+    topology = json.loads((demo / "demo_topology.json").read_text())
+    texts = {
+        "topology": {**topology, "version": version},
+        "config": {"version": version},
+        "manifest": {"version": version, "inputs": [], "outputs": []},
+    }
+    path = write(demo, "v.json", json.dumps(texts[loader]))
+    targets = write(demo, "t.txt", "2001:db8:100::\n")
+    argv = {
+        "topology": ["scan", "--targets", targets, "--sim-topology", path],
+        "config": ["--config", path, "demo", "--into", str(demo / "copy")],
+        "manifest": ["manifest-verify", path],
+    }[loader]
+    rc = run(*argv)
+    err = capsys.readouterr().err
+    if not refused:
+        assert rc == 0, err
+    else:
+        name = "topology format" if loader == "topology" else loader
+        assert (rc, err) == (2, f"error: {path}: unsupported {name} version {version!r}\n")
+
+
 DEEP = "[" * 100_000  # JSON nested past the interpreter's recursion limit
 
 
@@ -1367,10 +1416,13 @@ def test_the_scan_path_imports_neither_dataclasses_nor_inspect():
 
 def modules_loaded_by(cwd, argv: list[str], names: set[str]) -> str:
     """The printed sorted list of `names` loaded once `cli.main(argv)` has
-    run in a fresh interpreter; the command must succeed."""
+    run in a fresh interpreter; the command must succeed, or exit 0 as
+    `--help` does."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import sys; from srascan import cli; rc = cli.main(sys.argv[2:]); "
+        "import sys; from srascan import cli\n"
+        "try: rc = cli.main(sys.argv[2:])\n"
+        "except SystemExit as exc: rc = exc.code\n"
         "print(rc, sorted(set(sys.argv[1].split()) & set(sys.modules)))"
     )
     proc = subprocess.run(
@@ -1396,6 +1448,22 @@ def test_a_simulated_scan_loads_no_generation_module(demo):
     assert modules_loaded_by(demo, argv, {"srascan.target_gen", "hashlib"}) == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--config", "demo_config.json", "scan", "--targets", "targets.txt",
+         "--sim-topology", "demo_topology.json", "-o", "r.ndjson"],
+    ],
+    ids=["help", "config-scan"],
+)
+def test_an_argparse_command_line_imports_no_other_command(demo, argv):
+    # The parser names each command by module and imports none of them.
+    write(demo, "targets.txt", "2001:db8:100::\n")
+    names = {"srascan.analysis", "srascan.target_gen", "srascan.manifest", "hashlib"}
+    assert modules_loaded_by(demo, argv, names) == "[]"
+
+
 @pytest.mark.parametrize("mode", [["--mode", "bgp"], ["--mode", "route6", "--seed", "7"]],
                          ids=["bgp", "route6"])
 def test_gen_targets_loads_no_openssl(demo, mode):
@@ -1415,7 +1483,7 @@ def test_the_scan_path_loads_none_of_the_modules_split_off_it():
 # Source lines of the srascan modules that `from srascan import cli, netsim`
 # compiles: every scan process compiles them where no bytecode is cached.
 # A change that lowers the count lowers the budget with it.
-SCAN_PATH_LINE_BUDGET = 2014
+SCAN_PATH_LINE_BUDGET = 2008
 
 
 def test_the_scan_path_compiles_no_more_lines_than_its_budget():
@@ -1735,12 +1803,9 @@ def test_one_subcommand_parser_parses_as_the_full_one(argv, tmp_path, capsys):
     assert parse_outcome(cli.parse_args, argv, capsys) == parse_outcome(full_parse, argv, capsys)
 
 
-def test_a_named_subcommand_builds_only_its_own_arguments():
-    parser = cli_fallback.build_parser(None, "scan")
-    (subcommands,) = parser._subparsers._group_actions
-    assert list(subcommands.choices) == ["scan"]
-    args = parser.parse_args(["scan", "--targets", "t.txt", "--rate", "10"])
-    assert (args.func, args.targets, args.rate) == (cli.cmd_scan, "t.txt", 10.0)
+def test_analyze_lists_the_reports_as_its_actions():
+    (action,) = (kw for names, kw in cli._arguments("analyze") if names == ("action",))
+    assert action["choices"] == tuple(analysis.REPORTS)
 
 
 def test_the_option_table_holds_only_what_the_exact_parser_reads():

@@ -287,6 +287,9 @@ def test_prefix_canonicality(bits, length):
 def test_generation_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(route6_samples_per_prefix=0)
+    assert GenerationConfig(route6_samples_per_prefix=sys.maxsize)
+    with pytest.raises(ValueError, match="at most"):  # a plan entry's len() is at most that
+        GenerationConfig(route6_samples_per_prefix=sys.maxsize + 1)
     with pytest.raises(ValueError):
         GenerationConfig(rng_seed=1 << 64)
 
@@ -847,6 +850,37 @@ def test_count_route6_matches_generator_with_and_without_overlap():
     assert plan_size(route6_plan(disjoint, cfg)) == len(list(gen_route6(disjoint, cfg)))
     overlapping = disjoint + [P("2001:db8:1:ff00::/56"), P("2001:db8:3:4:8000::/66")]
     assert plan_size(route6_plan(overlapping, cfg)) == len(list(gen_route6(overlapping, cfg)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=st.integers(1 << 20, sys.maxsize), size=st.integers(1, 300),
+       seed=st.integers(0, (1 << 64) - 1))
+@example(space=1 << 40, size=10_000, seed=1)
+@example(space=1 << 62, size=10_000, seed=2)
+@example(space=10**15, size=10_000, seed=3)
+def test_set_sample_draws_as_random_sample_does(space, size, seed):
+    # For a population this much larger than `size`, random.sample redraws
+    # repeats against a set of the values taken, as _set_sample does.
+    expected = random.Random(seed).sample(range(space), size)
+    assert target_gen._set_sample(random.Random(seed), space, size) == expected
+
+
+@pytest.mark.parametrize(
+    "texts", [["::/0"], ["::/1", "8000::/1"], ["::/0", "2001:db8::/32"]],
+    ids=["/0", "two-/1s", "/0-and-a-/32-inside"],
+)
+def test_route6_samples_a_prefix_of_more_than_sys_maxsize_64s(texts):
+    prefixes = [P(text) for text in texts]
+    cfg = GenerationConfig(route6_samples_per_prefix=50, rng_seed=6)
+    got = list(gen_route6(prefixes, cfg))
+    assert len(got) == len(set(got)) == plan_size(route6_plan(prefixes, cfg))
+    assert got == list(gen_route6(prefixes, cfg))
+    for record in ndjson_records(route6_plan(prefixes, cfg)):
+        target = ipaddress.IPv6Address(record["address"])
+        assert target in ipaddress.IPv6Network(record["origin"])
+        assert int(target) & ((1 << 64) - 1) == 0
+    # Each prefix's samples are its own, whatever else shares the run.
+    assert got[:50] == list(gen_route6(prefixes[:1], cfg))
 
 
 # --- hitlist -----------------------------------------------------------------
