@@ -520,6 +520,9 @@ def _compare(args, targets, load):
         if "=" not in item:
             raise ValueError(f"--set wants NAME=FILE, got {item!r}")
         name, _, path = item.partition("=")
+        # The report joins set names with "+" and pairs of them with "&".
+        if not name or "+" in name or "&" in name:
+            raise ValueError(f"--set name {name!r} must be non-empty, without '+' or '&'")
         if name in paths:
             raise ValueError(f"--set names {name!r} twice")
         paths[name] = path

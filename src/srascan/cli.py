@@ -109,8 +109,8 @@ def _pass_path(base: str, index: int, passes: int) -> str:
 def cmd_scan(args) -> int:
     from . import probe_engine
 
-    if not (math.isfinite(args.rate) and args.rate > 0):
-        raise CliError("--rate must be a finite number above 0")
+    if not (0 < args.rate < math.inf and 1.0 / args.rate < math.inf):
+        raise CliError("--rate must be a finite number above 0, with a finite 1/rate")
     if not 1 <= args.passes <= 1 << 16:  # the pass index is the 16-bit ICMP identifier
         raise CliError("--passes must be in 1..65536")
     secret = _resolve_secret(args)

@@ -30,10 +30,11 @@ Virtual time only advances between injected packets, so a token bucket
 refills according to the probe send rate and the whole run is replayable.
 
 A topology has one form, a SimTopology of SimRouters, whether it is built
-in Python or loaded from a JSON file.  One checker, `_check_topology`,
-refuses what no simulation can use (a quoted number or a `"no"` flag is
-refused, not misread), and one compiler, `_compile`, turns the routers as
-they stand when a Simulation is built into the lookups it runs on.
+in Python or loaded from a JSON file, and both are frozen NamedTuples.  One
+checker, `_check_topology`, refuses what no simulation can use (a quoted
+number or a `"no"` flag is refused, not misread) once, when a SimTopology
+is built, and one compiler, `_compile`, turns its routers into the lookups
+a Simulation runs on.
 
 A simulated scan imports this module, and only reads a topology file, so
 the writer (`topology_to_dict`, `save_topology`) and the canned shapes
@@ -49,7 +50,7 @@ import json
 import operator
 import sys
 from collections import deque
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .addresses import (
@@ -99,89 +100,51 @@ class Route(NamedTuple):
     next_hop: str  # router id, "local", or "default"
 
 
-_SRA_SOURCES = ("ingress", "first_interface")
+class SimRouter(NamedTuple):
+    """One router of a topology: its interfaces and routes, and its knobs,
+    which a topology file defaults from `_field_defaults`: its Destination
+    Unreachable / Time Exceeded rate per second and burst, whether it
+    answers its SRA, how many copies it forwards, and the interface its SRA
+    replies come from (one of _SRA_SOURCES).  The SimTopology holding it
+    checks it.  Given its interfaces and routes as tuples, it is frozen."""
 
-# A router's knobs as SimRouter and a topology file default them: its
-# Destination Unreachable / Time Exceeded rate per second and burst,
-# whether it answers its SRA, how many copies it forwards, and the
-# interface its SRA replies come from (one of _SRA_SOURCES).
-_KNOB_DEFAULTS = {
-    "error_rate": 10.0,
-    "error_burst": 10.0,
-    "sra_enabled": True,
-    "replication_factor": 1,
-    "sra_source": "ingress",
-}
-
-
-def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor, sra_source):
-    """Refuse a router's values that no simulation can use."""
-    if not n_interfaces:
-        raise ValueError(f"router {rid!r} needs at least one interface")
-    for name, value in (("error_rate", error_rate), ("error_burst", error_burst)):
-        # Compared, not passed to math.isfinite, which overflows on an int
-        # too large for a float.
-        if not 0 <= value <= sys.float_info.max:
-            raise ValueError(f"router {rid!r}: {name} must be a finite number >= 0")
-    if replication_factor < 1:
-        raise ValueError("replication_factor must be >= 1")
-    if sra_source not in _SRA_SOURCES:
-        raise ValueError(f"unknown sra_source {sra_source!r}")
-
-
-class SimRouter:
-    """One router of a topology.  Its fields stay assignable: each
-    Simulation checks and compiles them when it is built."""
-
-    def __init__(
-        self,
-        id: str,
-        interfaces: list[Interface],
-        routes: list[Route] | None = None,
-        error_rate: float = _KNOB_DEFAULTS["error_rate"],
-        error_burst: float = _KNOB_DEFAULTS["error_burst"],
-        sra_enabled: bool = _KNOB_DEFAULTS["sra_enabled"],
-        replication_factor: int = _KNOB_DEFAULTS["replication_factor"],
-        sra_source: str = _KNOB_DEFAULTS["sra_source"],
-    ):
-        _check_router(
-            id, len(interfaces), error_rate, error_burst, replication_factor, sra_source
-        )
-        self.id = id
-        self.interfaces = interfaces
-        self.routes = [] if routes is None else routes
-        self.error_rate = error_rate
-        self.error_burst = error_burst
-        self.sra_enabled = sra_enabled
-        self.replication_factor = replication_factor
-        self.sra_source = sra_source
+    id: str
+    interfaces: tuple[Interface, ...]
+    routes: tuple[Route, ...] = ()
+    error_rate: float = 10.0
+    error_burst: float = 10.0
+    sra_enabled: bool = True
+    replication_factor: int = 1
+    sra_source: str = "ingress"
 
     @property
     def canonical_address(self) -> int:
         return self.interfaces[0].address
 
 
-class SimTopology:
+class _SimTopology(NamedTuple):
+    routers: tuple[SimRouter, ...]
+    entry_router: str
+    aliased_prefixes: tuple[Ipv6Prefix, ...] = ()
+    max_events: int = DEFAULT_MAX_EVENTS
+
+
+class SimTopology(_SimTopology):
     """Routers, the router probes enter at, aliased prefixes and an event budget.
 
-    It is checked when it is built, and again by each Simulation, which
-    compiles the routers as they stand then: an edit made before a
-    Simulation is built takes effect in it, or is refused there with the
-    message a file holding the same values gets.
+    A frozen value, checked once, when it is built: it is refused with the
+    message a file holding the same values gets.  `_replace` skips that
+    check, so build a changed topology through the constructor.
     """
 
-    def __init__(
-        self,
-        routers: list[SimRouter],
-        entry_router: str,
-        aliased_prefixes: list[Ipv6Prefix] | None = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ):
-        self.routers = routers
-        self.entry_router = entry_router
-        self.aliased_prefixes = [] if aliased_prefixes is None else aliased_prefixes
-        self.max_events = max_events
+    __slots__ = ()
+
+    def __new__(cls, routers, entry_router, aliased_prefixes=(), max_events=DEFAULT_MAX_EVENTS):
+        self = tuple.__new__(
+            cls, (tuple(routers), entry_router, tuple(aliased_prefixes), max_events)
+        )
         _check_topology(self)
+        return self
 
 
 class Emission(NamedTuple):
@@ -239,17 +202,14 @@ class _Router:
 
 
 class Simulation:
-    """Mutable token-bucket state over an immutable topology.
+    """Mutable token-bucket state over the lookups compiled from a topology.
 
-    The lookup tables are a snapshot of the topology taken at construction:
-    edit routers, routes, aliased prefixes or the budget before building a
-    Simulation.  Each hop then costs one dict lookup per distinct prefix
+    A SimTopology is checked when it is built, so a Simulation only
+    compiles it.  Each hop then costs one dict lookup per distinct prefix
     length.
     """
 
     def __init__(self, topology: SimTopology):
-        _check_topology(topology)
-        self.topology = topology
         self._routers, self._ingress = _compile(topology.routers)
         self._buckets = {
             rid: _TokenBucket(node.rate, node.burst) for rid, node in self._routers.items()
@@ -400,36 +360,55 @@ def _check_type(key: str, value, kind: str):
     return value
 
 
-def _typed_column(values: list, key: str, kind: str) -> list:
-    """`values`, each refused unless its JSON type is `kind`: one set test
+def _typed_column(values, key: str, kind: str) -> None:
+    """Refuse any of `values` whose JSON type is not `kind`: one set test
     when every value has a type json.load gives that kind."""
     if not _LOADED_TYPES[kind].issuperset(map(type, values)):
         for value in values:
             _check_type(key, value, kind)
-    return values
+
+
+_SRA_SOURCES = ("ingress", "first_interface")
+
+
+def _check_router(rid, n_interfaces, error_rate, error_burst, replication_factor, sra_source):
+    """Name the fault in a router's values that `_check_topology` found."""
+    if not n_interfaces:
+        raise ValueError(f"router {rid!r} needs at least one interface")
+    for name, value in (("error_rate", error_rate), ("error_burst", error_burst)):
+        # Compared, not passed to math.isfinite, which overflows on an int
+        # too large for a float.
+        if not 0 <= value <= sys.float_info.max:
+            raise ValueError(f"router {rid!r}: {name} must be a finite number >= 0")
+    if replication_factor < 1:
+        raise ValueError("replication_factor must be >= 1")
+    if sra_source not in _SRA_SOURCES:
+        raise ValueError(f"unknown sra_source {sra_source!r}")
 
 
 def _check_topology(topology: SimTopology) -> None:
-    """Refuse a topology that no simulation can use: every check a topology
-    gets, loaded or built in Python, and however edited since.
+    """Refuse a topology that no simulation can use: every check a
+    SimTopology gets when it is built, loaded or in Python.
 
-    Each check runs over a column of the routers' attributes: the JSON type
-    of every scalar field, then the event budget, the router ids, the entry
+    Each check runs over a column of the routers' fields: the JSON type of
+    every scalar field, then the event budget, the router ids, the entry
     router, each router's knob ranges and its next hops.  A topology with
     one fault is refused with the message that fault always had; with
     several, any of them may be named.
     """
     routers = topology.routers
-    ids = _typed_column([r.id for r in routers], "id", "string")
-    rates = _typed_column([r.error_rate for r in routers], "error_rate", "number")
-    bursts = _typed_column([r.error_burst for r in routers], "error_burst", "number")
-    _typed_column([r.sra_enabled for r in routers], "sra_enabled", "boolean")
-    factors = _typed_column(
-        [r.replication_factor for r in routers], "replication_factor", "integer"
+    ids, interfaces, tables, rates, bursts, sra, factors, sources = (
+        zip(*routers) if routers else [()] * len(SimRouter._fields)
     )
-    sources = _typed_column([r.sra_source for r in routers], "sra_source", "string")
-    routes = [(r.id, route) for r in routers for route in r.routes]
-    hops = _typed_column([route.next_hop for _, route in routes], "next_hop", "string")
+    _typed_column(ids, "id", "string")
+    _typed_column(rates, "error_rate", "number")
+    _typed_column(bursts, "error_burst", "number")
+    _typed_column(sra, "sra_enabled", "boolean")
+    _typed_column(factors, "replication_factor", "integer")
+    _typed_column(sources, "sra_source", "string")
+    routes = [(rid, route) for rid, table in zip(ids, tables) for route in table]
+    hops = [hop for _, (_, hop) in routes]
+    _typed_column(hops, "next_hop", "string")
     entry_router = _check_type("entry_router", topology.entry_router, "string")
     if _check_type("max_events", topology.max_events, "integer") < 1:
         raise ValueError("max_events must be >= 1")
@@ -439,16 +418,18 @@ def _check_topology(topology: SimTopology) -> None:
         raise ValueError("duplicate router ids")
     if entry_router not in known:
         raise ValueError(f"entry router {entry_router!r} not defined")
-    for router, rate, burst, factor, source in zip(routers, rates, bursts, factors, sources):
+    for rid, own, rate, burst, factor, source in zip(
+        ids, interfaces, rates, bursts, factors, sources
+    ):
         # _check_router decides these ranges the same way, and names the fault.
         if not (
-            router.interfaces
+            own
             and 0 <= rate <= sys.float_info.max
             and 0 <= burst <= sys.float_info.max
             and factor >= 1
             and source in _SRA_SOURCES
         ):
-            _check_router(router.id, len(router.interfaces), rate, burst, factor, source)
+            _check_router(rid, len(own), rate, burst, factor, source)
     known.update((LOCAL, DEFAULT))
     if not known.issuperset(hops) or any(map(operator.eq, hops, [rid for rid, _ in routes])):
         for rid, (prefix, hop) in routes:
@@ -458,7 +439,7 @@ def _check_topology(topology: SimTopology) -> None:
                 raise ValueError(f"router {rid!r}: route {prefix} points at itself")
 
 
-def _forward(connected: tuple[Ipv6Prefix, ...], routes: list[Route]) -> PrefixTable:
+def _forward(connected: tuple[Ipv6Prefix, ...], routes: tuple[Route, ...]) -> PrefixTable:
     """A router's forwarding table: router id, LOCAL, or None (no route).
 
     An explicit route beats a connected subnet of equal length, duplicates
@@ -481,7 +462,9 @@ def _forward(connected: tuple[Ipv6Prefix, ...], routes: list[Route]) -> PrefixTa
     return PrefixTable.grouped(by_length, default=None)
 
 
-def _compile(routers: list[SimRouter]) -> tuple[dict[str, _Router], dict[tuple[str, str], int]]:
+def _compile(
+    routers: tuple[SimRouter, ...],
+) -> tuple[dict[str, _Router], dict[tuple[str, str], int]]:
     """Every checked router's lookups, by id, and the ingress index, from one
     walk over the routers.
 
@@ -493,9 +476,8 @@ def _compile(routers: list[SimRouter]) -> tuple[dict[str, _Router], dict[tuple[s
     routers_by_id: dict[str, _Router] = {}
     ingress: dict[tuple[str, str], int] = {}
     on_subnet: dict[Ipv6Prefix, dict[str, int]] = {}
-    for router in routers:
-        rid = router.id
-        own, connected = zip(*router.interfaces)
+    for rid, interfaces, routes, rate, burst, sra_enabled, replication, sra_source in routers:
+        own, connected = zip(*interfaces)
         attached: dict[int, dict[int, str]] = {}
         for index, subnet in enumerate(connected):
             attached.setdefault(subnet[1], {})[subnet[0]] = LOCAL
@@ -509,14 +491,14 @@ def _compile(routers: list[SimRouter]) -> tuple[dict[str, _Router], dict[tuple[s
         # forwarding table of a router without routes.
         connected_table = PrefixTable.grouped(attached, default=None)
         routers_by_id[rid] = _Router(
-            _forward(connected, router.routes) if router.routes else connected_table,
+            _forward(connected, routes) if routes else connected_table,
             connected_table,
-            frozenset([bits for bits, _ in connected]) if router.sra_enabled else frozenset(),
+            frozenset([bits for bits, _ in connected]) if sra_enabled else frozenset(),
             frozenset(own),
-            own if router.sra_source == "ingress" else [own[0]] * len(own),
-            router.replication_factor,
-            router.error_rate,
-            router.error_burst,
+            own if sra_source == "ingress" else [own[0]] * len(own),
+            replication,
+            rate,
+            burst,
         )
     return routers_by_id, ingress
 
@@ -538,8 +520,8 @@ def _topology_from_dict(data: dict) -> SimTopology:
     Every interface address and every distinct prefix text is parsed in one
     C chain (`parse_addresses`, `parse_prefix_keys`), and each interface is
     checked to lie in its subnet.  The Interface, Route and SimRouter
-    objects are then built from those checked values without running their
-    constructors' checks; SimTopology's checker makes the rest.
+    tuples are then built from those checked values and the file's columns
+    without running a constructor; SimTopology's checker makes the rest.
     """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -564,29 +546,30 @@ def _topology_from_dict(data: dict) -> SimTopology:
     for address, (bits, length) in zip(addresses, subnets):
         if (address ^ bits) >> (128 - length):
             raise _outside(address, Ipv6Prefix(bits, length))
-    interfaces = list(map(tuple.__new__, repeat(Interface), zip(addresses, subnets)))
-    routes = list(map(tuple.__new__, repeat(Route), zip(
+    interfaces = tuple(map(tuple.__new__, repeat(Interface), zip(addresses, subnets)))
+    routes = tuple(map(tuple.__new__, repeat(Route), zip(
         map(prefixes.__getitem__, route_texts),
         [rt["next_hop"] for group in route_rows for rt in group],
     )))
-
-    routers = []
-    knobs, defaults = tuple(_KNOB_DEFAULTS), tuple(_KNOB_DEFAULTS.values())
-    i = j = 0
-    for rd, group, routed in zip(rows, interface_rows, route_rows):
-        n, m = len(group), len(routed)
-        router = SimRouter.__new__(SimRouter)
-        router.id = rd["id"]
-        router.interfaces, router.routes = interfaces[i : i + n], routes[j : j + m]
-        vars(router).update(zip(knobs, map(rd.get, knobs, defaults)))
-        routers.append(router)
-        i, j = i + n, j + m
+    ids = [rd["id"] for rd in rows]
+    defaults = SimRouter._field_defaults
+    # The knobs are the fields after id, interfaces and routes.
+    knobs = [[rd.get(key, defaults[key]) for rd in rows] for key in SimRouter._fields[3:]]
+    routers = map(tuple.__new__, repeat(SimRouter), zip(
+        ids, _cut(interfaces, interface_rows), _cut(routes, route_rows), *knobs
+    ))
     return SimTopology(
         routers,
         data["entry_router"],
         [prefixes[text] for text in aliased_texts],
         data.get("max_events", DEFAULT_MAX_EVENTS),
     )
+
+
+def _cut(items: tuple, groups: list):
+    """`items` cut into consecutive tuples, as long as each of `groups`."""
+    bounds = list(accumulate(map(len, groups), initial=0))
+    return map(items.__getitem__, map(slice, bounds, bounds[1:]))
 
 
 def load_topology(path) -> SimTopology:

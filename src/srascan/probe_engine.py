@@ -69,7 +69,8 @@ class ProbeConfig(_ProbeConfig):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.send_rate) and self.send_rate > 0):
+        # The probe interval, 1 / send_rate, must be finite too.
+        if not (0 < self.send_rate < math.inf and 1.0 / self.send_rate < math.inf):
             raise ValueError("send_rate must be finite and > 0")
         if not 1 <= self.hop_limit <= 255:
             raise ValueError("hop_limit must be in 1..255")

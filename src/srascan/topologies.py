@@ -94,10 +94,10 @@ def build_gateway_fanout(
         leaves.append(
             SimRouter(
                 id=f"leaf{i}",
-                interfaces=[
+                interfaces=(
                     Interface(leaf_link_addr, link),
                     Interface(active.bits | 1, active),
-                ],
+                ),
                 error_rate=leaf_error_rate,
                 error_burst=leaf_error_burst,
             )
@@ -112,8 +112,8 @@ def build_gateway_fanout(
     inactive_prefixes = [subnet(3, blk) for blk in inactive_blocks]
     gateway = SimRouter(
         id="gw",
-        interfaces=gw_ifaces,
-        routes=gw_routes,
+        interfaces=tuple(gw_ifaces),
+        routes=tuple(gw_routes),
         error_rate=gw_error_rate,
         error_burst=gw_error_burst,
     )
@@ -154,17 +154,19 @@ def build_loop_topology(
     link = parse_prefix("2001:db8:ffff:ffff::/64")
     provider = SimRouter(
         id="provider",
-        interfaces=[Interface(uplink.bits | 1, uplink), Interface(link.bits | 1, link)],
-        routes=[Route(parse_prefix(covering), "customer")],
+        interfaces=(Interface(uplink.bits | 1, uplink), Interface(link.bits | 1, link)),
+        routes=(Route(parse_prefix(covering), "customer"),),
         error_rate=error_rate,
         error_burst=error_burst,
         replication_factor=replication_factor if replicate_on == "provider" else 1,
     )
     customer = SimRouter(
         id="customer",
-        interfaces=[Interface(link.bits | 2, link)]
-        + [Interface(parse_prefix(u).bits | 1, parse_prefix(u)) for u in used],
-        routes=[Route(parse_prefix("::/0"), "provider")],
+        interfaces=(
+            Interface(link.bits | 2, link),
+            *(Interface(parse_prefix(u).bits | 1, parse_prefix(u)) for u in used),
+        ),
+        routes=(Route(parse_prefix("::/0"), "provider"),),
         error_rate=error_rate,
         error_burst=error_burst,
         replication_factor=replication_factor if replicate_on == "customer" else 1,

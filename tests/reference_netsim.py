@@ -4,7 +4,8 @@ Every hop re-scans the router's interfaces and routes, the aliased
 prefixes and the interface addresses, and the ingress map is built over
 all router pairs.  It is slow and obviously faithful to the rules in the
 netsim module docstring; the compiled Simulation must agree with it on
-every emission, event count, budget flag and token state.
+every emission, event count, budget flag and token state.  Its token
+buckets are its own, so a fault in netsim's is not copied here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from srascan.netsim import (
     MalformedPacketError,
     SimRouter,
     SimTopology,
-    _TokenBucket,
 )
 from srascan.probe_engine import ICMP6_ECHO_REQUEST, build_ipv6_icmp, parse_ipv6
 
@@ -34,6 +34,27 @@ class _Pkt:
 
     def quote(self) -> bytes:
         return self.raw[:7] + bytes([self.hop_limit]) + self.raw[8:]
+
+
+class Bucket:
+    """A router's error budget: it starts full at `burst` tokens, refills at
+    `rate` per second of virtual time up to `burst`, and each error spends a
+    token.  A router whose rate is 0 sends no errors at all."""
+
+    def __init__(self, rate: float, burst: float):
+        self.rate, self.burst = rate, burst
+        self.tokens = float(burst)
+        self.last = 0.0  # virtual time never runs backwards
+
+    def consume(self, now: float) -> bool:
+        if self.rate == 0:
+            return False
+        self.tokens = min(self.burst, self.tokens + self.rate * (now - self.last))
+        self.last = now
+        if self.tokens < 1.0:
+            return False
+        self.tokens -= 1.0
+        return True
 
 
 def ingress_map(topology: SimTopology) -> dict[tuple[str, str], int]:
@@ -82,7 +103,7 @@ class ReferenceSimulation:
         self.topology = topology
         self._by_id = {r.id: r for r in topology.routers}
         self._buckets = {
-            r.id: _TokenBucket(r.error_rate, r.error_burst) for r in topology.routers
+            r.id: Bucket(r.error_rate, r.error_burst) for r in topology.routers
         }
         self._ingress = ingress_map(topology)
 

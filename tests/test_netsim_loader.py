@@ -13,6 +13,7 @@ import pytest
 from reference_netsim import ReferenceSimulation
 from srascan.netsim import (
     Interface,
+    SimTopology,
     Simulation,
     build_gateway_fanout,
     build_loop_topology,
@@ -165,7 +166,10 @@ def test_edits_to_loaded_routers_reach_the_next_simulation(tmp_path):
     dst = meta["active_prefixes"][0].sra
     (echo,) = Simulation(loaded).inject(probe(dst)).emissions
     assert classify_icmp(echo.packet, 7, 0.0).kind is ReplyKind.ECHO_REPLY
-    loaded.routers[1].sra_enabled = False  # leaf0 now answers its anycast with code 3
+    routers = list(loaded.routers)
+    # leaf0 now answers its anycast with code 3
+    routers[1] = routers[1]._replace(sra_enabled=False)
+    loaded = SimTopology(routers, loaded.entry_router, loaded.aliased_prefixes, loaded.max_events)
     (error,) = Simulation(loaded).inject(probe(dst)).emissions
     assert classify_icmp(error.packet, 7, 0.0).kind is ReplyKind.DEST_UNREACHABLE
 
@@ -182,8 +186,8 @@ def test_a_forward_pushes_no_copy_the_budget_cannot_reach(monkeypatch):
         assert pushes <= 1000, "a forward pushed copies past the event budget"
         push(heap, item)
 
-    topology = build_loop_topology(replication_factor=10**9)
-    topology.max_events = 10
+    loop = build_loop_topology(replication_factor=10**9)
+    topology = SimTopology(loop.routers, loop.entry_router, max_events=10)
     sim = Simulation(topology)
     monkeypatch.setattr(heapq, "heappush", counted)
     delivery = sim.inject(probe(parse_address("2001:db8:2::"), hop_limit=40))
@@ -195,8 +199,8 @@ def test_a_forward_pushes_no_copy_the_budget_cannot_reach(monkeypatch):
 @pytest.mark.parametrize("replicate_on", ["customer", "provider"])
 def test_a_cut_replication_delivers_what_every_copy_would(max_events, replicate_on):
     """The reference pushes every copy; the simulator only those it can pop."""
-    topology = build_loop_topology(replication_factor=5, replicate_on=replicate_on)
-    topology.max_events = max_events
+    loop = build_loop_topology(replication_factor=5, replicate_on=replicate_on)
+    topology = SimTopology(loop.routers, loop.entry_router, max_events=max_events)
     sim, ref = Simulation(topology), ReferenceSimulation(topology)
     for hop_limit in (3, 8, 40):
         packet = probe(parse_address("2001:db8:2::"), hop_limit=hop_limit)

@@ -173,6 +173,7 @@ def test_template_matches_the_generic_packer(address, secret, source, hop_limit,
 def test_probe_config_validation():
     for bad in (
         dict(send_rate=0),
+        dict(send_rate=1e-310),  # 1 / send_rate, the probe interval, overflows
         dict(hop_limit=0),
         dict(hop_limit=256),
         dict(cooldown=-1),
@@ -181,6 +182,7 @@ def test_probe_config_validation():
     ):
         with pytest.raises(ValueError):
             ProbeConfig(**bad)
+    assert ProbeConfig(send_rate=1e-300).send_rate == 1e-300  # an interval of 1e300 s
 
 
 # --- classification -----------------------------------------------------------

@@ -3,7 +3,7 @@
 They are NamedTuples, and the checked ones run their checks in a subclass's
 `__new__`.  Each case builds one value twice, names a field, and, for a
 checked type, builds a bad value and gives the message it is refused with.
-SimRouter is the one mutable type: tests and callers assign its knobs.
+A SimRouter has no check of its own: the SimTopology holding it checks it.
 """
 
 import ipaddress
@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from srascan.netsim import Delivery, Emission, Interface, Route, SimRouter
+from srascan.netsim import Delivery, Emission, Interface, Route, SimRouter, SimTopology
 from srascan.probe_engine import ProbeConfig, ReplyKind, ReplyRecord
 from srascan.addresses import Ipv6Prefix, parse_prefix
 from srascan.target_gen import GenerationConfig
@@ -23,6 +23,15 @@ def addr(text: str) -> int:
 
 NET = parse_prefix("2001:db8::/32")
 LAN = parse_prefix("2001:db8:1::/64")
+
+
+def router(**knobs):
+    return SimRouter("r", (Interface(LAN.bits | 1, LAN),), (Route(NET, "core"),), **knobs)
+
+
+def core():
+    return SimRouter("core", (Interface(LAN.bits | 2, LAN),))
+
 
 # name: (build a value, a field, build a bad value or None, its refusal)
 CASES = {
@@ -57,6 +66,13 @@ CASES = {
         "interface address 2001:db9::1 not inside 2001:db8:1::/64",
     ),
     "Route": (lambda: Route(LAN, "core"), "next_hop", None, None),
+    "SimRouter": (router, "sra_enabled", None, None),
+    "SimTopology": (
+        lambda: SimTopology((router(), core()), "r"),
+        "max_events",
+        lambda: SimTopology((router(), core()), "r", max_events=0),
+        "max_events must be >= 1",
+    ),
     "Emission": (lambda: Emission(0.5, b"\x60"), "packet", None, None),
     # A tuple of emissions, so that the value hashes.
     "Delivery": (lambda: Delivery((Emission(0.5, b"\x60"),), 3, False), "events", None, None),
@@ -88,21 +104,18 @@ def test_value_types_are_frozen_values_with_their_checks(name):
         assert str(refused.value) == refusal
 
 
-def test_sim_router_stays_mutable_and_refuses_bad_knobs():
-    router = SimRouter("r", [Interface(LAN.bits | 1, LAN)])
-    assert router.routes == [] and router.sra_enabled
-    router.sra_enabled = False
-    router.routes.append(Route(NET, "core"))
-    assert not router.sra_enabled and router.routes == [Route(NET, "core")]
-    assert SimRouter("s", [Interface(LAN.bits | 1, LAN)]).routes == []  # not shared
+def test_sim_router_is_frozen_and_its_topology_refuses_bad_knobs():
+    built = SimRouter("r", (Interface(LAN.bits | 1, LAN),))
+    assert built.routes == () and built.sra_enabled
+    with pytest.raises(AttributeError):
+        built.sra_enabled = False
     for knobs, refusal in [
         ({"error_rate": -1.0}, "router 'r': error_rate must be a finite number >= 0"),
         ({"error_burst": math.inf}, "router 'r': error_burst must be a finite number >= 0"),
         ({"replication_factor": 0}, "replication_factor must be >= 1"),
         ({"sra_source": "egress"}, "unknown sra_source 'egress'"),
+        ({"interfaces": ()}, "router 'r' needs at least one interface"),
     ]:
         with pytest.raises(ValueError) as refused:
-            SimRouter("r", [Interface(LAN.bits | 1, LAN)], **knobs)
+            SimTopology((router()._replace(**knobs), core()), "r")
         assert str(refused.value) == refusal
-    with pytest.raises(ValueError, match="needs at least one interface"):
-        SimRouter("r", [])
