@@ -17,6 +17,13 @@ one-line parse it falls back to, stays with the record.
 `REPORTS` holds one report per `analyze` action.  Each reads its files
 through the loader the CLI passes in and returns its JSON report, its CSV
 header and its CSV rows; the CLI prints the one and writes the others.
+Each walks the decoded records of a reply file once and keeps only what it
+prints: `visibility` the sources of the records `_third_party` keeps,
+`stability` each target's answering source (`_answering`), and `loops` the
+Time Exceeded replies per target and source (`_loop_report`).  Only
+`summarize` groups a file's records by target, through `match_replies`.
+`alias_filter`, `stability_mapping` and `detect_loops` run the same code
+on the records of a MatchResult's answers.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .addresses import (
     read_prefixes,
     read_records,
 )
-from .probe_engine import ERROR_KINDS, ReplyKind, ReplyRecord
+from .probe_engine import ReplyKind, ReplyRecord
 
 
 def enclosing_prefix(address: int, length: int) -> Ipv6Prefix:
@@ -134,6 +141,38 @@ def match_replies(
 
 # --- alias and self-reply filtering ---------------------------------------------
 
+# Kinds are compared by identity: hashing a ReplyKind is a Python call.
+ECHO_REPLY, TIME_EXCEEDED, OTHER = ReplyKind.ECHO_REPLY, ReplyKind.TIME_EXCEEDED, ReplyKind.OTHER
+
+
+def _aliased_table(aliased: Iterable[Ipv6Prefix]) -> PrefixTable:
+    return PrefixTable((p, True) for p in aliased)
+
+
+def _answered(result: MatchResult) -> list[ReplyRecord]:
+    return [rec for recs in result.answers.values() for rec in recs]
+
+
+def _inside(records: list[ReplyRecord], aliased: PrefixTable) -> set[int]:
+    """The sources of `records` inside an aliased prefix; `covers` runs once
+    per distinct source."""
+    covers = aliased.covers
+    return {source for source in {rec.source for rec in records} if covers(source)}
+
+
+def _third_party(
+    probed: frozenset[int], records: list[ReplyRecord], aliased: PrefixTable
+) -> list[ReplyRecord]:
+    """The records that answer for a probed target from a third party: a
+    source that is neither the target itself (a host, or an aliased network
+    answering for everything) nor inside an aliased prefix."""
+    kept = [
+        rec for rec in records
+        if rec.embedded_target in probed and rec.source != rec.embedded_target
+    ]
+    skipped = _inside(kept, aliased)
+    return [rec for rec in kept if rec.source not in skipped] if skipped else kept
+
 
 @dataclass(frozen=True, order=True)
 class RouterObservation:
@@ -151,18 +190,14 @@ def alias_filter(
 ) -> list[RouterObservation]:
     """Reduce matched replies to router addresses.
 
-    Drops replies that come from the probed address itself (a host, or an
-    aliased network answering for everything) and replies sourced inside a
-    known aliased prefix.  What remains are third-party sources: routers
-    speaking for the probed subnet.  Sorted by address for determinism.
+    Keeps the replies `_third_party` keeps, as the `visibility` report
+    does: what remains are third-party sources, routers speaking for the
+    probed subnet, each with the (target, kind) pairs it answered.  Sorted
+    by address for determinism.
     """
-    aliased = PrefixTable((p, True) for p in aliased)
     evidence: dict[int, set] = defaultdict(set)
-    for target, recs in result.answers.items():
-        for rec in recs:
-            if rec.source == target or aliased.covers(rec.source):
-                continue
-            evidence[rec.source].add((target, rec.kind))
+    for rec in _third_party(result.probed, _answered(result), _aliased_table(aliased)):
+        evidence[rec.source].add((rec.embedded_target, rec.kind))
     return [
         RouterObservation(router_ip=ip, elicited_by=frozenset(ev), scan_id=scan_id)
         for ip, ev in sorted(evidence.items())
@@ -186,31 +221,39 @@ class ScanSummary:
 
 
 def summarize_scan(result: MatchResult) -> ScanSummary:
-    per_kind: Counter = Counter()
-    kinds_by_source: dict[int, set[ReplyKind]] = defaultdict(set)
+    """Counts of one scan's replies and of their sources, in one pass over
+    the answers.
+
+    Each source keeps one int of flags: 1 once it sent an Echo Reply, 2
+    once it sent an error.  A source with neither (only OTHER replies)
+    counts as error-only.
+    """
+    answered = echo = other = 0
+    flags: dict[int, int] = {}
+    get = flags.get
     for recs in result.answers.values():
+        answered += len(recs)
         for rec in recs:
-            per_kind[rec.kind] += 1
-            kinds_by_source[rec.source].add(rec.kind)
-    echo_only = error_only = mixed = 0
-    for kinds in kinds_by_source.values():
-        has_echo = ReplyKind.ECHO_REPLY in kinds
-        has_error = bool(kinds & ERROR_KINDS)
-        if has_echo and has_error:
-            mixed += 1
-        elif has_echo:
-            echo_only += 1
-        else:
-            error_only += 1
+            kind, source = rec.kind, rec.source
+            if kind is ECHO_REPLY:
+                echo += 1
+                flags[source] = get(source, 0) | 1
+            elif kind is OTHER:
+                other += 1
+                flags[source] = get(source, 0)
+            else:
+                flags[source] = get(source, 0) | 2
+    per_source = list(flags.values())
+    echo_only, mixed = per_source.count(1), per_source.count(3)
     n = len(result.probed)
     return ScanSummary(
         targets_probed=n,
-        replies_total=per_kind.total() + len(result.unsolicited),
-        echo_replies=per_kind[ReplyKind.ECHO_REPLY],
-        error_replies=sum(per_kind[k] for k in ERROR_KINDS),
-        distinct_sources=len(kinds_by_source),
+        replies_total=answered + len(result.unsolicited),
+        echo_replies=echo,
+        error_replies=answered - echo - other,
+        distinct_sources=len(per_source),
         echo_only_sources=echo_only,
-        error_only_sources=error_only,
+        error_only_sources=len(per_source) - echo_only - mixed,
         mixed_sources=mixed,
         reply_rate=(len(result.answers) / n) if n else 0.0,
     )
@@ -235,35 +278,56 @@ def build_visibility_matrix(per_scan_sources: list[set[int]]) -> dict[int, list[
     }
 
 
+def _partition(seen: dict[int, int], scans: int) -> VisibilityReport:
+    """Partition routers by `seen`, the number of the `scans` each appears in."""
+    if scans < 2:
+        raise ValueError("visibility needs at least two scans")
+    always = {ip for ip, count in seen.items() if count == scans}
+    never = {ip for ip, count in seen.items() if not count}
+    return VisibilityReport(
+        scans=scans,
+        always=frozenset(always),
+        sometimes=frozenset(seen.keys() - always - never),
+        never=frozenset(never),
+        histogram=dict(sorted(Counter(seen.values()).items())),
+    )
+
+
 def visibility(matrix: dict[int, list[bool]]) -> VisibilityReport:
     """Partition routers by how consistently they appear across scans."""
     lengths = {len(row) for row in matrix.values()}
     if len(lengths) > 1:
         raise ValueError("ragged visibility matrix")
     scans = lengths.pop() if lengths else 0
-    if scans < 2:
-        raise ValueError("visibility needs at least two scans")
-    always, sometimes, never = set(), set(), set()
-    histogram: Counter = Counter()
-    for ip, row in matrix.items():
-        seen = sum(row)
-        histogram[seen] += 1
-        if seen == scans:
-            always.add(ip)
-        elif seen == 0:
-            never.add(ip)
-        else:
-            sometimes.add(ip)
-    return VisibilityReport(
-        scans=scans,
-        always=frozenset(always),
-        sometimes=frozenset(sometimes),
-        never=frozenset(never),
-        histogram=dict(sorted(histogram.items())),
-    )
+    return _partition({ip: sum(row) for ip, row in matrix.items()}, scans)
 
 
 # --- anycast answer stability -----------------------------------------------------
+
+
+def _answering(
+    probed: frozenset[int], records: list[ReplyRecord], aliased: PrefixTable
+) -> dict[int, int | None]:
+    """Per probed target, the source that answered it, or None.
+
+    One loop keeps each answered target's lowest Echo Reply source and its
+    lowest other source, skipping sources inside an aliased prefix; the
+    Echo Reply source wins.
+    """
+    skipped = _inside(records, aliased)
+    echo: dict[int, int] = {}
+    other: dict[int, int] = {}
+    for rec in records:
+        target, source = rec.embedded_target, rec.source
+        if target in probed and source not in skipped:
+            lowest = echo if rec.kind is ECHO_REPLY else other
+            held = lowest.get(target)
+            if held is None or source < held:
+                lowest[target] = source
+    answering: dict[int, int | None] = dict.fromkeys(probed)
+    answering.update(other)
+    answering.update(echo)
+    return answering
 
 
 def stability_mapping(
@@ -274,18 +338,7 @@ def stability_mapping(
     Echo Reply sources win over error sources; ties break to the lowest
     address so repeated runs agree.
     """
-    aliased = PrefixTable((p, True) for p in aliased)
-    out: dict[int, int | None] = dict.fromkeys(result.probed)
-    for target, recs in result.answers.items():
-        echo, other = [], []
-        for rec in recs:
-            if aliased.covers(rec.source):
-                continue
-            (echo if rec.kind is ReplyKind.ECHO_REPLY else other).append(rec.source)
-        pool = echo or other
-        if pool:
-            out[target] = min(pool)
-    return out
+    return _answering(result.probed, _answered(result), _aliased_table(aliased))
 
 
 @dataclass(frozen=True)
@@ -349,6 +402,48 @@ class LoopReport:
     per_router: dict[int, LoopSource]
 
 
+def _loop_report(
+    probed: frozenset[int], records: list[ReplyRecord], subnet_length: int,
+    min_time_exceeded: int,
+) -> LoopReport:
+    """`detect_loops` over the records of one reply file.
+
+    One loop counts the Time Exceeded replies per (probed target, source);
+    the rest works on those counts, and builds one Ipv6Prefix per looping
+    subnet.
+    """
+    if min_time_exceeded < 1:
+        raise ValueError("min_time_exceeded must be at least 1")
+    if not 0 <= subnet_length <= 128:
+        raise ValueError("subnet_length must be in 0..128")
+    per_pair = Counter([
+        (rec.embedded_target, rec.source) for rec in records
+        if rec.kind is TIME_EXCEEDED and rec.embedded_target in probed
+    ])
+    per_target: dict[int, int] = {}
+    for (target, _), count in per_pair.items():
+        per_target[target] = per_target.get(target, 0) + count
+    mask = MAX128 ^ (MAX128 >> subnet_length)
+    subnets_by_router: dict[int, set[int]] = defaultdict(set)
+    worst_by_router: dict[int, int] = {}
+    for (target, source), count in per_pair.items():
+        if per_target[target] >= min_time_exceeded:
+            subnets_by_router[source].add(target & mask)
+            if count > worst_by_router.get(source, 0):
+                worst_by_router[source] = count
+    return LoopReport(
+        # A masked subnet is canonical: Ipv6Prefix.__new__ has nothing to check.
+        looping_subnets=frozenset({
+            tuple.__new__(Ipv6Prefix, (bits, subnet_length))
+            for bits in set().union(*subnets_by_router.values())
+        }),
+        per_router={
+            ip: LoopSource(len(subnets_by_router[ip]), worst_by_router[ip])
+            for ip in sorted(subnets_by_router)
+        },
+    )
+
+
 def detect_loops(
     result: MatchResult, subnet_length: int = 48, min_time_exceeded: int = 1
 ) -> LoopReport:
@@ -360,28 +455,7 @@ def detect_loops(
     worst per-probe amplification (replies per single probe).
     `min_time_exceeded` is at least 1, so a silent target never loops.
     """
-    if min_time_exceeded < 1:
-        raise ValueError("min_time_exceeded must be at least 1")
-    looping: set[Ipv6Prefix] = set()
-    subnets_by_router: dict[int, set[Ipv6Prefix]] = defaultdict(set)
-    worst_by_router: Counter = Counter()
-    for target, recs in result.answers.items():
-        te = [r for r in recs if r.kind is ReplyKind.TIME_EXCEEDED]
-        if len(te) < min_time_exceeded:
-            continue
-        subnet = enclosing_prefix(target, subnet_length)
-        looping.add(subnet)
-        per_source = Counter(r.source for r in te)
-        for source, count in per_source.items():
-            subnets_by_router[source].add(subnet)
-            worst_by_router[source] = max(worst_by_router[source], count)
-    return LoopReport(
-        looping_subnets=frozenset(looping),
-        per_router={
-            ip: LoopSource(len(subnets_by_router[ip]), worst_by_router[ip])
-            for ip in sorted(subnets_by_router)
-        },
-    )
+    return _loop_report(result.probed, _answered(result), subnet_length, min_time_exceeded)
 
 
 # --- dataset comparison -----------------------------------------------------------
@@ -448,8 +522,8 @@ def _matched(targets, path, load) -> MatchResult:
     return match_replies(targets, load(path, read_replies))
 
 
-def _aliased(args, load) -> list[Ipv6Prefix]:
-    return load(args.aliased, read_prefixes) if args.aliased else []
+def _aliased(args, load) -> PrefixTable:
+    return _aliased_table(load(args.aliased, read_prefixes) if args.aliased else ())
 
 
 def _summarize(args, targets, load):
@@ -469,11 +543,11 @@ def _summarize(args, targets, load):
 
 def _visibility(args, targets, load):
     aliased = _aliased(args, load)
-    per_scan = [
-        {o.router_ip for o in alias_filter(_matched(targets, path, load), aliased, index)}
-        for index, path in enumerate(args.replies)
-    ]
-    report = visibility(build_visibility_matrix(per_scan))
+    seen: Counter = Counter()  # router -> reply files it answered in
+    for path in args.replies:
+        kept = _third_party(targets, load(path, read_replies), aliased)
+        seen.update({rec.source for rec in kept})
+    report = _partition(seen, len(args.replies))
     summary = {
         "scans": report.scans,
         "always": len(report.always),
@@ -486,7 +560,7 @@ def _visibility(args, targets, load):
 
 def _stability(args, targets, load):
     aliased = _aliased(args, load)
-    scans = [stability_mapping(_matched(targets, path, load), aliased) for path in args.replies]
+    scans = [_answering(targets, load(path, read_replies), aliased) for path in args.replies]
     rows = [vars(r) for r in sra_stability(scans, baseline=args.baseline)]
     header = [f.name for f in fields(StabilityRow)]
     return rows, header, (r.values() for r in rows)
@@ -500,10 +574,8 @@ def _loops(args, targets, load):
     if args.min_time_exceeded < 1:
         raise ValueError("--min-time-exceeded must be at least 1")
     (path,) = args.replies
-    report = detect_loops(
-        _matched(targets, path, load),
-        subnet_length=args.subnet_length,
-        min_time_exceeded=args.min_time_exceeded,
+    report = _loop_report(
+        targets, load(path, read_replies), args.subnet_length, args.min_time_exceeded
     )
     routers = {format_address(ip): vars(src) for ip, src in report.per_router.items()}
     summary = {

@@ -69,7 +69,12 @@ def write_scan_manifest(
 
 
 def _manifest_entries(path) -> list[dict]:
-    """The input and output entries of a manifest, each with a path and a digest."""
+    """The input and output entries of a manifest, each with a path and a digest.
+
+    A manifest lists at least one input and at least one output, and one
+    output per pass when its `config.passes` is an integer: a scan's
+    manifest always lists its targets and each pass's reply file.
+    """
     from .cli_fallback import _read_json_object  # not compiled by scan --manifest
 
     manifest = _read_json_object(path)
@@ -78,7 +83,7 @@ def _manifest_entries(path) -> list[dict]:
         raise CliError(f"{path}: unsupported manifest version {version!r}")
     entries = []
     for key in ("inputs", "outputs"):
-        listed = manifest.get(key, [])
+        listed = manifest.get(key)
         if not isinstance(listed, list):
             raise CliError(f"{path}: {key!r} is not a list")
         for entry in listed:
@@ -89,6 +94,15 @@ def _manifest_entries(path) -> list[dict]:
             ):
                 raise CliError(f"{path}: each entry needs a 'path' and a 'sha256' string")
         entries += listed
+    inputs, outputs = len(manifest["inputs"]), len(manifest["outputs"])
+    config = manifest.get("config")
+    passes = config.get("passes") if isinstance(config, dict) else None
+    if not inputs:
+        raise CliError(f"{path}: the manifest lists no input")
+    if not outputs:
+        raise CliError(f"{path}: the manifest lists no output")
+    if type(passes) is int and outputs != passes:  # not true
+        raise CliError(f"{path}: {outputs} outputs listed for {passes} passes")
     return entries
 
 

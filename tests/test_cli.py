@@ -930,13 +930,15 @@ class TestConfig:
 def test_a_version_key_is_the_integer_1(demo, capsys, loader, version, refused):
     """JSON's true and 1.0 equal 1 in Python; each loader refuses them."""
     topology = json.loads((demo / "demo_topology.json").read_text())
+    targets = write(demo, "t.txt", "2001:db8:100::\n")
+    # A manifest must list a file: the same one serves as input and output.
+    listed = [{"path": "t.txt", "sha256": hashlib.sha256(b"2001:db8:100::\n").hexdigest()}]
     texts = {
         "topology": {**topology, "version": version},
         "config": {"version": version},
-        "manifest": {"version": version, "inputs": [], "outputs": []},
+        "manifest": {"version": version, "inputs": listed, "outputs": listed},
     }
     path = write(demo, "v.json", json.dumps(texts[loader]))
-    targets = write(demo, "t.txt", "2001:db8:100::\n")
     argv = {
         "topology": ["scan", "--targets", targets, "--sim-topology", path],
         "config": ["--config", path, "demo", "--into", str(demo / "copy")],
@@ -952,6 +954,7 @@ def test_a_version_key_is_the_integer_1(demo, capsys, loader, version, refused):
 
 
 DEEP = "[" * 100_000  # JSON nested past the interpreter's recursion limit
+ENTRY = '{"path": "t.txt", "sha256": "00"}'  # a well-formed manifest entry
 
 
 class TestMalformedJson:
@@ -960,6 +963,11 @@ class TestMalformedJson:
         [
             ("manifest-verify", "not json"),
             ("manifest-verify", '{"version": 1, "inputs": [{"sha256": "00"}]}'),
+            ("manifest-verify", '{"version": 1}'),
+            ("manifest-verify", '{"version": 1, "files": 5}'),
+            ("manifest-verify", '{"version": 1, "inputs": [], "outputs": []}'),
+            ("manifest-verify", '{"version": 1, "config": {"passes": 2}, "inputs": [' + ENTRY
+             + '], "outputs": [' + ENTRY + ']}'),
             ("config", "not json"),
             ("config", "[1]"),
             ("config", '{"version": 1, "scan": [1]}'),
@@ -971,7 +979,9 @@ class TestMalformedJson:
             ("replies", DEEP),
             ("targets", '{"address":' + DEEP),
         ],
-        ids=["manifest-not-json", "manifest-entry-without-path", "config-not-json",
+        ids=["manifest-not-json", "manifest-entry-without-path", "manifest-without-lists",
+             "manifest-files-not-listed", "manifest-empty-lists",
+             "manifest-one-output-for-two-passes", "config-not-json",
              "config-not-an-object", "config-section-not-an-object",
              "topology-routers-not-a-list", "topology-not-an-object",
              "manifest-too-deep", "config-too-deep", "topology-too-deep",

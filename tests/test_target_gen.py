@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plan_oracle
+from call_count import python_calls as _python_calls
 from plan_oracle import oracle_64s, oracle_stage2_set, oracle_stage3_set
 from srascan import target_gen
 from srascan.addresses import (
@@ -1285,23 +1286,6 @@ def test_one_address_runs_cross_blocks(mode, block, seed):
     _assert_same_text("".join(ndjson_blocks), records)
     for blocks in (text_blocks, ndjson_blocks):
         assert all(0 < text.count("\n") <= block for text in blocks)
-
-
-def _python_calls(fn, code=None) -> int:
-    """The Python-level calls, generator resumes included, that `fn()` makes,
-    or with `code` those that run that code object."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and code in (None, frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 @pytest.mark.parametrize("mode", ["stage1", "hitlist"])
