@@ -372,25 +372,25 @@ def read_hitlist(lines: Iterable[str]) -> Iterator[int]:
     return read_blocks(lines, _address_block, parse_address)
 
 
+# Each canonical length text, 0..128, and the host bits under each length.
+_LENGTHS = {str(n): n for n in range(129)}
+_HOST_MASKS = [MAX128 >> n for n in range(129)]
+
+
 def _prefix_columns(block: list[str]) -> tuple[list[int], list[int]]:
     """The bits and the lengths of a block of `address/length` lines, each
-    address through inet_pton and each length ASCII decimal.
+    address through inet_pton and each length canonical decimal, 0..128.
 
-    Every length and host part is checked at once, as Ipv6Prefix checks
-    one: a block with a length above 128, or with host bits set, raises
-    ValueError.
+    The block is split once, after a check that each line holds one `/`, and
+    read by column, as Ipv6Prefix checks one: a length that is not in
+    `_LENGTHS` raises KeyError, and host bits set raise ValueError.
     """
-    addresses, _, lengths = zip(*map(str.partition, block, itertools.repeat("/")))
-    if not (all(map(str.isdigit, lengths)) and "".join(lengths).isascii()):
-        raise ValueError("a prefix length is not ASCII decimal")
-    bits = list(map(
-        int.from_bytes,
-        map(inet_pton, itertools.repeat(AF_INET6), addresses),
-        itertools.repeat("big"),
-    ))
-    lengths = list(map(int, lengths))
-    if max(lengths) > 128 or any(map(operator.and_, bits, map(MAX128.__rshift__, lengths))):
-        raise ValueError("a prefix length is above 128, or host bits are set")
+    if set(map(str.count, block, itertools.repeat("/"))) != {1}:
+        raise ValueError("a line holds no / or more than one")
+    fields = "/".join(block).split("/")
+    bits, lengths = _address_block(fields[::2]), list(map(_LENGTHS.__getitem__, fields[1::2]))
+    if any(map(operator.and_, bits, map(_HOST_MASKS.__getitem__, lengths))):
+        raise ValueError("host bits are set")
     return bits, lengths
 
 
@@ -410,7 +410,7 @@ def parse_prefix_keys(texts: list[str]) -> list[tuple[int, int]]:
     """
     try:
         return list(zip(*_prefix_columns(texts)))
-    except (OSError, TypeError, ValueError):
+    except (LookupError, OSError, TypeError, ValueError):
         return [(p.bits, p.length) for p in map(parse_prefix, texts)]
 
 

@@ -28,6 +28,7 @@ on the records of a MatchResult's answers.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
@@ -145,23 +146,34 @@ def match_replies(
 ECHO_REPLY, TIME_EXCEEDED, OTHER = ReplyKind.ECHO_REPLY, ReplyKind.TIME_EXCEEDED, ReplyKind.OTHER
 
 
-def _aliased_table(aliased: Iterable[Ipv6Prefix]) -> PrefixTable:
-    return PrefixTable((p, True) for p in aliased)
+# The aliased prefixes as one set of bits per network mask.
+_Aliased = dict[int, set[int]]
+
+
+def _aliased_table(aliased: Iterable[Ipv6Prefix]) -> _Aliased:
+    by_mask: _Aliased = {}
+    for p in aliased:
+        by_mask.setdefault(MAX128 ^ MAX128 >> p.length, set()).add(p.bits)
+    return by_mask
 
 
 def _answered(result: MatchResult) -> list[ReplyRecord]:
     return [rec for recs in result.answers.values() for rec in recs]
 
 
-def _inside(records: list[ReplyRecord], aliased: PrefixTable) -> set[int]:
-    """The sources of `records` inside an aliased prefix; `covers` runs once
-    per distinct source."""
-    covers = aliased.covers
-    return {source for source in {rec.source for rec in records} if covers(source)}
+def _inside(records: list[ReplyRecord], aliased: _Aliased) -> set[int]:
+    """The sources of `records` inside an aliased prefix: each mask tests
+    every distinct source in one C pass, with no Python call per source."""
+    sources = list({rec.source for rec in records}) if aliased else []
+    inside: set[int] = set()
+    for mask, bits in aliased.items():
+        masked = map(mask.__and__, sources)
+        inside.update(itertools.compress(sources, map(bits.__contains__, masked)))
+    return inside
 
 
 def _third_party(
-    probed: frozenset[int], records: list[ReplyRecord], aliased: PrefixTable
+    probed: frozenset[int], records: list[ReplyRecord], aliased: _Aliased
 ) -> list[ReplyRecord]:
     """The records that answer for a probed target from a third party: a
     source that is neither the target itself (a host, or an aliased network
@@ -306,7 +318,7 @@ def visibility(matrix: dict[int, list[bool]]) -> VisibilityReport:
 
 
 def _answering(
-    probed: frozenset[int], records: list[ReplyRecord], aliased: PrefixTable
+    probed: frozenset[int], records: list[ReplyRecord], aliased: _Aliased
 ) -> dict[int, int | None]:
     """Per probed target, the source that answered it, or None.
 
@@ -522,7 +534,7 @@ def _matched(targets, path, load) -> MatchResult:
     return match_replies(targets, load(path, read_replies))
 
 
-def _aliased(args, load) -> PrefixTable:
+def _aliased(args, load) -> _Aliased:
     return _aliased_table(load(args.aliased, read_prefixes) if args.aliased else ())
 
 

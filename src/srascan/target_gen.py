@@ -12,9 +12,10 @@ plan is read four ways: `gen_*` yields its addresses, `plan_size` sums its
 sizes, `plan_text` writes the probe list as text, and `plan_ndjson` writes
 it as NDJSON records that name the prefix and rule that produced each
 address.  `take` cuts a plan to its first n targets.  The writers format a
-run of up to READ_BLOCK targets at once (`format_addresses`), and the
-stage-1 and hitlist plans are built READ_BLOCK inputs at a time, so an
-entry of one target, as each of theirs is, runs no Python frame of its own.
+run of up to READ_BLOCK targets at once (`format_addresses`).  Stage-1 and
+hitlist plans are column entries, one per READ_BLOCK inputs, each holding
+its targets and their origins as two lists, built by C chains and written
+at once, so no tuple, range or Python frame is made per target.
 Deduplication is exact and runs on one index range per prefix, not on
 per-address sets: ranges are sorted and merged into disjoint ones (`_merged`),
 and stage 2's claims come from one sweep over them in sorted order
@@ -103,10 +104,13 @@ class GenerationConfig(_GenerationConfig):
 
 # A plan is an ordered iterable of (origin, stage, indices) entries.  `indices`
 # is a sized iterable of subnet indices at the stage's subnet length (a range
-# for the grid stages).  Each gen_* walks its plan and `plan_size` sums the
-# entry lengths of the same plan, so a count equals its stream's length.
-# Every target of an entry has the entry's origin and stage as provenance.
-_PlanEntry = tuple[Ipv6Prefix, Stage, Collection[int]]
+# for the grid stages), and each of its targets has the entry's origin and
+# stage as provenance.  A column entry, as stage 1's and a hitlist's are,
+# holds a list of origins and the list of their targets' addresses, of one
+# length, at most READ_BLOCK.  Each gen_* walks its plan and `plan_size`
+# sums the entry lengths of the same plan, so a count equals its stream's
+# length.
+_PlanEntry = tuple[Ipv6Prefix | list[Ipv6Prefix], Stage, Collection[int]]
 
 
 def _shift(origin: Ipv6Prefix, stage: Stage) -> int:
@@ -116,7 +120,8 @@ def _shift(origin: Ipv6Prefix, stage: Stage) -> int:
 
 def _walk(plan: Iterable[_PlanEntry]) -> Iterator[int]:
     return itertools.chain.from_iterable(
-        map(_shift(origin, stage).__rlshift__, indices) for origin, stage, indices in plan
+        indices if type(origin) is list else map(_shift(origin, stage).__rlshift__, indices)
+        for origin, stage, indices in plan
     )
 
 
@@ -130,7 +135,8 @@ def take(plan: Iterable[_PlanEntry], n: int) -> Iterator[_PlanEntry]:
 
     The cut is found READ_BLOCK entries at a time, from the running sums of
     their sizes, and the entries are flattened in C, so a plan of
-    one-target entries runs no Python frame per entry.
+    one-target entries runs no Python frame per entry.  A column entry is
+    cut in both its lists.
     """
     return itertools.chain.from_iterable(_take_blocks(iter(plan), n))
 
@@ -148,7 +154,9 @@ def _take_blocks(plan: Iterator[_PlanEntry], n: int) -> Iterator[list[_PlanEntry
         origin, stage, indices = block[kept - 1]
         if starts[kept] > n:
             left = n - starts[kept - 1]
-            if type(indices) is range:
+            if type(origin) is list:
+                origin, indices = origin[:left], indices[:left]
+            elif type(indices) is range:
                 indices = indices[:left]
             else:
                 indices = list(itertools.islice(indices, left))
@@ -229,7 +237,7 @@ _NDJSON_LINE = '{{"address": "{}", "origin": "{}/{}", "stage": "{}"}}\n'
 
 
 def _run_text(
-    targets: list[int], origins: list[Ipv6Prefix], stages: list[str], ndjson: bool
+    targets: list[int], origins: list[Ipv6Prefix], stages: Iterable[str], ndjson: bool
 ) -> str:
     """The lines of `targets`, as text or, with each one's origin and stage
     value, as NDJSON, formatted together (`format_addresses`)."""
@@ -244,13 +252,12 @@ def _run_text(
 def _plan_blocks(plan: Iterable[_PlanEntry], ndjson: bool) -> Iterator[str]:
     """The blocks of `plan_text`, or with `ndjson` of `plan_ndjson`.
 
-    A range entry of /64-grid targets (a step-1 range of at least two
-    targets whose shift is a multiple of 16, >= 64) is written by
-    `_grid_text`.  The targets of all other entries are gathered, across
-    entries, into runs of at most READ_BLOCK targets, each written at once
-    by `_run_text`.  An entry of one index, as each of stage 1 and of a
-    hitlist is, costs no Python call: no generator, key function, map or
-    enum hash.
+    A column entry is written whole, by one `_run_text`.  A range entry of
+    /64-grid targets (a step-1 range of at least two targets whose shift is
+    a multiple of 16, >= 64) is written by `_grid_text`.  The targets of all
+    other entries are gathered, across entries, into runs of at most
+    READ_BLOCK targets, each written at once by `_run_text`; an entry of one
+    index costs no Python call.
     """
     # The run gathered so far: per target, its address, and its entry's
     # origin and stage value.
@@ -262,11 +269,17 @@ def _plan_blocks(plan: Iterable[_PlanEntry], ndjson: bool) -> Iterator[str]:
         if entry_stage is not stage:
             stage = entry_stage
             sublen, value = _STAGE_SUBNET_LEN[stage], stage.value
+        if type(origin) is list:
+            if targets:
+                yield _run_text(targets, origins, stages, ndjson)
+                targets, origins, stages = [], [], []
+            yield _run_text(indices, origin, itertools.repeat(value), ndjson)
+            continue
         shift = 128 - (sublen or origin.length)
         if type(indices) is range and len(indices) == 1:
-            # Each stage-1 and hitlist entry.  The last branch would write
-            # it the same, but its map, islice and repeats per entry made
-            # writing such a plan about three times as slow per target.
+            # A stage-2 /48 above a longer announcement, or an index cut
+            # from a range.  The last branch writes it the same, but about
+            # three times as slowly per entry.
             targets.append(indices.start << shift)
             origins.append(origin)
             stages.append(value)
@@ -303,8 +316,8 @@ def plan_text(plan: Iterable[_PlanEntry]) -> Iterator[str]:
     group that changes from one address to the next (`_grid_text`).  The
     targets of other entries (announced prefixes, hitlist /64s, route6
     samples) are formatted a run of up to READ_BLOCK targets at a time, in
-    one C chain (`format_addresses`), with no Python call per one-address
-    entry (`_plan_blocks`).
+    one C chain (`format_addresses`), a column entry as one run
+    (`_plan_blocks`).
     """
     return _plan_blocks(plan, False)
 
@@ -340,27 +353,21 @@ def _cut(plan: Iterable[_PlanEntry], points: list[int]) -> list[_PlanEntry]:
 
 
 def stage1_plan(prefixes: Iterable[Ipv6Prefix]) -> Iterator[_PlanEntry]:
-    """One entry per distinct SRA address; the first prefix that has it wins.
+    """Per distinct SRA address, in first-seen order, the first prefix that has it.
 
     Its size is the number of distinct SRA addresses among the prefixes.
-    The entries are planned READ_BLOCK prefixes at a time and flattened in
-    C, so no Python frame is resumed per entry.
+    Each column entry plans READ_BLOCK prefixes in C chains: the block's
+    SRAs in first-seen order (`dict.fromkeys`), less those seen in earlier
+    blocks, and for each the first prefix of the block that has it.
     """
-    return itertools.chain.from_iterable(_stage1_blocks(iter(prefixes)))
-
-
-def _stage1_blocks(prefixes: Iterator[Ipv6Prefix]) -> Iterator[list[_PlanEntry]]:
-    seen: set[int] = set()
-    stage = Stage.BGP_AS_ANNOUNCED
+    prefixes, seen = iter(prefixes), set()
     while block := list(itertools.islice(prefixes, READ_BLOCK)):
-        entries = []
-        for p in block:
-            sra, length = p  # a prefix's SRA is its bits
-            if sra not in seen:
-                seen.add(sra)
-                idx = sra >> (128 - length)
-                entries.append((p, stage, range(idx, idx + 1)))
-        yield entries
+        sras = list(map(operator.itemgetter(0), block))  # a prefix's SRA is its bits
+        new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(sras)))
+        if new:
+            seen.update(new)
+            first = dict(zip(reversed(sras), reversed(block)))  # the earliest is set last
+            yield list(map(first.__getitem__, new)), Stage.BGP_AS_ANNOUNCED, new
 
 
 def gen_stage1(prefixes: Iterable[Ipv6Prefix]) -> Iterator[int]:
@@ -589,30 +596,22 @@ def gen_route6(
 
 
 def hitlist_plan(addresses: Iterable[int]) -> Iterator[_PlanEntry]:
-    """One entry per distinct /64 of the hitlist's addresses, in first-seen order.
+    """Per distinct /64 of the hitlist's addresses, in first-seen order, its SRA.
 
-    The entries are planned READ_BLOCK addresses at a time and flattened in
-    C, so no Python frame runs per entry.
+    Each column entry plans READ_BLOCK addresses in C chains, as
+    `stage1_plan` does, with each /64 as the origin of its SRA.
     """
-    return itertools.chain.from_iterable(_hitlist_blocks(iter(addresses)))
-
-
-def _hitlist_blocks(addresses: Iterator[int]) -> Iterator[list[_PlanEntry]]:
-    seen: set[int] = set()
-    stage = Stage.HITLIST_64
+    addresses, seen = iter(addresses), set()
     while block := list(itertools.islice(addresses, READ_BLOCK)):
         if min(block) < 0 or max(block) > MAX128:
             raise ValueError("prefix bits out of 128-bit range")
-        entries = []
-        for addr in block:
-            idx = addr >> 64
-            if idx not in seen:
-                seen.add(idx)
-                # A canonical /64 (the block is in range), so built
-                # without Ipv6Prefix's checks.
-                origin = tuple.__new__(Ipv6Prefix, (idx << 64, 64))
-                entries.append((origin, stage, range(idx, idx + 1)))
-        yield entries
+        sras = map(operator.and_, block, itertools.repeat(-1 << 64))
+        new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(sras)))
+        if new:
+            seen.update(new)
+            # Canonical /64s (the block is in range), built without Ipv6Prefix's checks.
+            origins = map(tuple.__new__, itertools.repeat(Ipv6Prefix), zip(new, itertools.repeat(64)))
+            yield list(origins), Stage.HITLIST_64, new
 
 
 def gen_from_hitlist(addresses: Iterable[int]) -> Iterator[int]:
@@ -634,7 +633,7 @@ def _join_stages(
     No stage-2 address falls in a stage-3 range except the base of an exact
     /48 announcement, and that is the announcement's own stage-1 SRA.
     """
-    sras = [origin.sra for origin, _, _ in stage1]
+    sras = list(itertools.chain.from_iterable(map(operator.itemgetter(2), stage1)))
     cut48 = sorted({a >> 80 for a in sras if not a & ((1 << 80) - 1)})
     cut64 = sorted({a >> 64 for a in sras if not a & ((1 << 64) - 1)})
     return stage1 + _cut(stage2, cut48) + _cut(stage3, cut64)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rfc4443_oracle as oracle
+from plan_entries import expand
 from srascan import addresses, analysis, cli, cli_fallback, live, netsim, probe_engine, target_gen
 
 
@@ -157,8 +158,7 @@ class TestGenTargets:
                 list(addresses.read_prefixes(p)),
                 list(addresses.read_records(h, addresses.parse_address)),
             )
-            provenance = [(str(origin), stage.value) for origin, stage, indices in plan
-                          for _ in indices]
+            provenance = [(str(origin), stage.value) for _, origin, stage in expand(plan)]
         written = (demo / "targets.txt").read_text().splitlines()
         assert 0 < len(written) == min(len(provenance), max_targets or len(provenance))
         expected = "".join(

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import plan_oracle
 from call_count import python_calls as _python_calls
+from plan_entries import expand
 from plan_oracle import oracle_64s, oracle_stage2_set, oracle_stage3_set
 from srascan import target_gen
 from srascan.addresses import (
@@ -376,6 +377,11 @@ prefix_file_lines = st.one_of(
         addresses, st.integers(0, 128),
     ),
     st.builds(lambda a, n: f"{format_address(a)}/{n}", addresses, st.integers(0, 128)),
+    # Length texts at the edges of the block reader's table of canonical lengths.
+    st.builds(
+        lambda a, n: f"{format_address(a & ~((1 << (128 - min(int(n), 128))) - 1))}/{n}",
+        addresses, st.sampled_from(["0", "00", "048", "128", "0128", "1280"]),
+    ),
     addresses.map(format_address),
     st.sampled_from([
         "2001:db8::/129", "2001:db8::/-1", "2001:db8::/x", "2001:db8::/", "/48",
@@ -536,10 +542,10 @@ def test_exclude_filters_a_shuffled_list():
 def test_stage1_one_target_per_distinct_prefix():
     prefixes = [P("2001:db8::/32"), P("2001:db8:1::/48"), P("2001:db8::/32")]
     assert list(gen_stage1(prefixes)) == [addr("2001:db8::"), addr("2001:db8:1::")]
-    entries = list(stage1_plan(prefixes))
-    assert [len(indices) for _, _, indices in entries] == [1, 1]
-    assert all(stage is Stage.BGP_AS_ANNOUNCED for _, stage, _ in entries)
-    assert entries[1][0] == P("2001:db8:1::/48")
+    targets = expand(stage1_plan(prefixes))
+    assert [address for address, _, _ in targets] == [addr("2001:db8::"), addr("2001:db8:1::")]
+    assert all(stage is Stage.BGP_AS_ANNOUNCED for _, _, stage in targets)
+    assert [origin for _, origin, _ in targets] == [P("2001:db8::/32"), P("2001:db8:1::/48")]
 
 
 def test_stage1_collapses_shared_sra():
@@ -1260,7 +1266,7 @@ def test_one_address_runs_cross_blocks(mode, block, seed):
     plan_of = stage1_plan if mode == "stage1" else hitlist_plan
     with mock.patch.object(target_gen, "READ_BLOCK", block):
         plan = list(plan_of(inputs))
-        assert len(plan) > block
+        assert plan_size(plan) > block
         text_blocks = list(target_gen.plan_text(plan))
         ndjson_blocks = list(plan_ndjson(plan))
         head = "".join(target_gen.plan_text(take(plan_of(inputs), n)))
@@ -1273,15 +1279,17 @@ def test_one_address_runs_cross_blocks(mode, block, seed):
         want = [(Ipv6Prefix(idx << 64, 64), Stage.HITLIST_64) for idx in first]
     else:
         want = [(p, Stage.BGP_AS_ANNOUNCED) for p in first.values()]
-    assert [(origin, stage) for origin, stage, _ in plan] == want
-    assert all(type(origin) is Ipv6Prefix for origin, _, _ in plan)
+    targets = expand(plan)
+    assert [(origin, stage) for _, origin, stage in targets] == want
+    assert all(type(origin) is Ipv6Prefix for _, origin, _ in targets)
+    assert all(address == origin.bits for address, origin, _ in targets)
 
     expected = _expected_text(plan)
     _assert_same_text("".join(text_blocks), expected)
     _assert_same_text(head, "".join(expected.splitlines(keepends=True)[:n]))
     records = "".join(
         json.dumps({"address": format_address(a), "origin": str(o), "stage": s.value}) + "\n"
-        for a, (o, s, _) in zip(target_gen._walk(plan), plan)
+        for a, o, s in targets
     )
     _assert_same_text("".join(ndjson_blocks), records)
     for blocks in (text_blocks, ndjson_blocks):
@@ -1314,6 +1322,20 @@ def test_one_address_plans_stay_within_a_call_budget(mode):
         for k in (2000, 6000)
     )
     assert (large - small) / 4000 <= 0.01, ("take", small, large)
+
+
+@pytest.mark.parametrize("mode", ["stage1", "hitlist"])
+def test_one_address_plans_hold_one_entry_per_block_of_inputs(mode):
+    """Stage 1 and a hitlist are planned as column entries, one per
+    READ_BLOCK inputs, not one entry per target."""
+    n = 2 * target_gen.READ_BLOCK + 1
+    rnd = random.Random(1)
+    bases = [0x2001_0DB8 << 96 | idx << 64 for idx in rnd.sample(range(1 << 32), n)]
+    if mode == "stage1":
+        plan = list(stage1_plan(Ipv6Prefix(a, 64) for a in bases))
+    else:
+        plan = list(hitlist_plan(a | rnd.getrandbits(64) for a in bases))
+    assert plan_size(plan) == n and len(plan) <= 3
 
 
 def test_reading_a_canonical_prefix_file_checks_by_column(tmp_path):
